@@ -12,6 +12,7 @@ A Tape is single-threaded; distinct tapes may run on distinct threads.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Tensor] = []
+        # Nodes point back through a weak reference, so a finished tape and
+        # its intermediate arrays are freed at once by reference counting
+        # instead of waiting for the cyclic garbage collector.
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -72,7 +77,7 @@ class Tape:
         """
         if loss.data.size != 1:
             raise NotScalar(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss._tape is not self:
+        if loss._tape is not self._ref:
             raise ValueError("loss is not connected to this tape")
         adjoint: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
         for node in reversed(self._nodes):
@@ -197,7 +202,7 @@ def _record(data, parents, vjp) -> Tensor:
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
-        out._tape = tape
+        out._tape = tape._ref
         tape._nodes.append(out)
     return out
 

@@ -65,16 +65,14 @@ def average_ranks(values) -> np.ndarray:
     """Ascending ranks 1..n with ties averaged."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
+    s = v[order]
+    new_group = np.empty(v.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = s[1:] != s[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], v.size)
     ranks = np.empty(v.size, dtype=np.float64)
-    sorted_vals = v[order]
-    base = np.arange(1, v.size + 1, dtype=np.float64)
-    i = 0
-    while i < v.size:
-        j = i
-        while j < v.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = base[i:j].mean()
-        i = j
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
 
 

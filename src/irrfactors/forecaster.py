@@ -25,6 +25,9 @@ from .rng import stream
 from .stockfactor import StockFactorSeries
 
 
+CHUNK_WINDOWS = 128  # stock windows per frozen predict call; bounds its peak memory
+
+
 class AlignmentError(ValueError):
     """Factor series and panel disagree on shape."""
 
@@ -143,22 +146,27 @@ class Prediction:
 # -- model pieces ----------------------------------------------------------
 
 
-def build_inputs(features: np.ndarray, u: np.ndarray, t: int, window: int,
+def build_inputs(features: np.ndarray, u: np.ndarray, t, window: int,
                  use_stock_factor: bool = True) -> np.ndarray:
     """Per-stock input window for predicting period t, (I, L, D_in).
 
     Position l holds features and factor of period t - window + l, the last
-    position holds period t - 1.
+    position holds period t - 1. An array of P periods gives the P windows
+    stacked on a leading axis, (P, I, L, D_in).
     """
     I, T, _ = features.shape
     if u.shape != (I, T):
         raise AlignmentError(f"factor series {u.shape} does not match panel ({I}, {T})")
-    if not window <= t <= T:
-        raise ValueError(f"window of {window} does not fit before period {t}")
-    feat_win = features[:, t - window:t, :]
+    t = np.asarray(t)
+    bad = (t < window) | (t > T)
+    if bad.any():
+        raise ValueError(f"window of {window} does not fit before period {t[bad].flat[0]}")
+    idx = t[..., None] + np.arange(-window, 0)          # (..., L)
+    feat_win = np.moveaxis(features[:, idx, :], 0, -3)   # (..., I, L, D_e)
     if not use_stock_factor:
-        return feat_win.copy()
-    return np.concatenate([feat_win, u[:, t - window:t, None]], axis=-1)
+        return np.ascontiguousarray(feat_win)
+    u_win = np.moveaxis(u[:, idx], 0, -2)
+    return np.concatenate([feat_win, u_win[..., None]], axis=-1)
 
 
 def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -167,33 +175,43 @@ def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return (x - mu) / sd * gain + bias
 
 
-def _encoder_block(x: Tensor, blk: dict, heads: int) -> Tensor:
-    n, length, width = x.shape
+def _encoder_block(x: Tensor, blk: dict, heads: int, last_only: bool) -> Tensor:
+    """One transformer block over (..., L, width) windows.
+
+    With last_only, queries and everything after them run on position L-1
+    alone, (..., 1, width); keys and values still cover all L positions.
+    """
+    length, width = x.shape[-2:]
     dh = width // heads
     scale = 1.0 / np.sqrt(dh)
 
     def split(t: Tensor) -> Tensor:
-        return ad.swapaxes(t.reshape(n, length, heads, dh), 1, 2)
+        return ad.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
 
-    q = split(x @ blk["w_q"])
+    x_q = x[..., length - 1:, :] if last_only else x
+    q = split(x_q @ blk["w_q"])
     k = split(x @ blk["w_k"])
     v = split(x @ blk["w_v"])
     scores = (q @ ad.swapaxes(k, -1, -2)) * scale
     mixed = ad.softmax_row(scores) @ v
-    mixed = ad.swapaxes(mixed, 1, 2).reshape(n, length, width)
-    x = _layer_norm(x + mixed @ blk["w_o"], blk["ln1_g"], blk["ln1_b"])
+    mixed = ad.swapaxes(mixed, -3, -2).reshape(x_q.shape)
+    x = _layer_norm(x_q + mixed @ blk["w_o"], blk["ln1_g"], blk["ln1_b"])
     ff = ad.relu(x @ blk["ff_w1"] + blk["ff_b1"]) @ blk["ff_w2"] + blk["ff_b2"]
     return _layer_norm(x + ff, blk["ln2_g"], blk["ln2_b"])
 
 
-def _temporal_encode_op(params: ForecasterParams, g: np.ndarray, heads: int) -> Tensor:
-    """Encode (I, L, D_in) windows into per-stock vectors (I, width)."""
-    length = g.shape[1]
+def _temporal_encode_op(params: ForecasterParams, g: np.ndarray, heads: int,
+                        last_only: bool = False) -> Tensor:
+    """Encode (..., I, L, D_in) windows into per-stock vectors (..., I, width).
+
+    last_only prunes the final block to the read-out position (frozen use).
+    """
+    length = g.shape[-2]
     x = ad.constant(g) @ params.w_in + params.b_in
     x = x + ad.constant(params.pos_enc[:length])
-    for blk in params.blocks:
-        x = _encoder_block(x, blk, heads)
-    return x[(slice(None), length - 1)]
+    for i, blk in enumerate(params.blocks):
+        x = _encoder_block(x, blk, heads, last_only and i == len(params.blocks) - 1)
+    return x[..., -1, :]
 
 
 def temporal_encode(params: ForecasterParams, g: np.ndarray, heads: int = 4) -> np.ndarray:
@@ -202,10 +220,14 @@ def temporal_encode(params: ForecasterParams, g: np.ndarray, heads: int = 4) -> 
 
 
 def _relation_op(params: ForecasterParams, c: Tensor, r_prev: np.ndarray) -> Tensor:
-    """Relation-attention context: softmax over pairwise scores, mixing c."""
+    """Relation-attention context: softmax over pairwise scores, mixing c.
+
+    c is (..., I, width) and r_prev (..., I, 2D_e); stocks mix only within
+    their own period.
+    """
     v = c @ params.p_c + ad.constant(r_prev)
-    z = v @ ad.transpose(params.w_y)
-    scores = z @ ad.transpose(z)
+    z = v @ ad.swapaxes(params.w_y, -1, -2)
+    scores = z @ ad.swapaxes(z, -1, -2)
     att = ad.softmax_row(scores)
     return att @ c
 
@@ -220,28 +242,40 @@ def _head_op(params: ForecasterParams, parts: list[Tensor]) -> Tensor:
     x = ad.concat(parts, axis=-1)
     hidden = ad.relu(x @ params.head_w1 + params.head_b1)
     out = hidden @ params.head_w2 + params.head_b2
-    return out.reshape(-1)
+    return out.reshape(out.shape[:-1])
 
 
 def _predict_op(params: ForecasterParams, hyper: ForecasterHyper,
-                g: np.ndarray, r_prev: np.ndarray, m_prev: np.ndarray) -> Tensor:
-    c = _temporal_encode_op(params, g, hyper.heads)
-    n = g.shape[0]
+                g: np.ndarray, r_prev: np.ndarray, m_prev: np.ndarray,
+                last_only: bool = False) -> Tensor:
+    """Forecasts (..., I) from windows (..., I, L, D_in).
+
+    r_prev is (..., I, 2D_e) and m_prev (..., 2D_e); the leading axes index
+    periods. last_only prunes the final encoder block to the read-out
+    position, which only frozen prediction does.
+    """
+    c = _temporal_encode_op(params, g, hyper.heads, last_only)
+    m_prev = np.asarray(m_prev, dtype=np.float64)
+    m_shape = c.shape[:-1] + m_prev.shape[-1:]
     if hyper.use_market_factor:
-        m_tile = np.tile(np.asarray(m_prev, dtype=np.float64), (n, 1))
+        m_rows = np.broadcast_to(m_prev[..., None, :], m_shape)
     else:
-        m_tile = np.zeros((n, len(m_prev)))
+        m_rows = np.zeros(m_shape)
     parts = [c]
     if hyper.use_relation:
         parts.append(_relation_op(params, c, r_prev))
-    parts.append(ad.constant(m_tile))
+    parts.append(ad.constant(m_rows))
     return _head_op(params, parts)
 
 
 def predict(params: ForecasterParams, hyper: ForecasterHyper, g: np.ndarray,
             r_prev: np.ndarray, m_prev: np.ndarray) -> np.ndarray:
-    """Frozen-parameter forecast for one period, (I,)."""
-    return _predict_op(params, hyper, g, r_prev, m_prev).data
+    """Frozen-parameter forecast for one period, (I,), or a block of periods.
+
+    Block inputs carry a leading period axis, g (P, I, L, D_in), r_prev
+    (P, I, 2D_e) and m_prev (P, 2D_e), and give (P, I).
+    """
+    return _predict_op(params, hyper, g, r_prev, m_prev, last_only=True).data
 
 
 # -- objective -------------------------------------------------------------
@@ -318,7 +352,7 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
         ad.zero_grads(params.trainable())
         with Tape() as tape:
             y_hat = _predict_op(params, hyper, g, market_factors.r[:, t - 1],
-                                market_factors.m[t - 1])
+                                market_factors.m[t - 1], last_only=False)
             loss = loss_total(y_hat, y, z, hyper.lambda3)
             if not np.isfinite(loss.data):
                 raise ad.NumericalFailure("forecaster loss diverged")
@@ -326,13 +360,9 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
         ad.adam_step(params.trainable(), opt, lr=hyper.lr)
 
     def val_rank_ic() -> float:
-        vals = []
-        for t in val_periods:
-            y_hat = predict(params, hyper,
-                            build_inputs(features, u, t, hyper.window,
-                                         hyper.use_stock_factor),
-                            market_factors.r[:, t - 1], market_factors.m[t - 1])
-            vals.append(pearson(average_ranks(y_hat), average_ranks(returns[:, t])))
+        y_hat = predict_periods(params, hyper, features, u, market_factors, val_periods)
+        vals = [pearson(average_ranks(y_hat[:, k]), average_ranks(returns[:, t]))
+                for k, t in enumerate(val_periods)]
         return float(np.mean(vals))
 
     best_metric = -np.inf
@@ -362,10 +392,20 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
 def predict_periods(params: ForecasterParams, hyper: ForecasterHyper,
                     features: np.ndarray, u: np.ndarray,
                     market_factors: MarketFactorSeries, periods) -> np.ndarray:
-    """Frozen forecasts for the given periods, (I, len(periods))."""
-    cols = []
-    for t in periods:
-        g = build_inputs(features, u, int(t), hyper.window, hyper.use_stock_factor)
-        cols.append(predict(params, hyper, g, market_factors.r[:, t - 1],
-                            market_factors.m[t - 1]))
-    return np.stack(cols, axis=1)
+    """Frozen forecasts for the given periods, (I, len(periods)).
+
+    Periods are scored in blocks of about CHUNK_WINDOWS stock windows, one
+    predict call per block; each block's output equals that of one predict
+    call per period exactly.
+    """
+    periods = np.asarray(periods, dtype=np.int64)
+    n_stocks = features.shape[0]
+    step = max(1, CHUNK_WINDOWS // n_stocks)
+    out = np.empty((n_stocks, periods.size))
+    for lo in range(0, periods.size, step):
+        block = periods[lo:lo + step]
+        g = build_inputs(features, u, block, hyper.window, hyper.use_stock_factor)
+        r_prev = np.swapaxes(market_factors.r[:, block - 1], 0, 1)
+        out[:, lo:lo + step] = predict(params, hyper, g, r_prev,
+                                       market_factors.m[block - 1]).T
+    return out

@@ -11,13 +11,15 @@ the split boundary and then freezing its parameters:
 Each stage checkpoints its parameters in the run directory; rerunning with
 artifacts present reloads them instead of retraining, so deleting only the
 downstream files reproduces them from the upstream checkpoints. All outputs
-are stamped with the config hash and seed, and a rerun with identical config
-and seed is byte-identical.
+are stamped with the config hash and seed (plus a hash of the loaded panel
+when it comes from a CSV), and a rerun with identical config and seed is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -48,6 +50,10 @@ class PipelineStageError(RuntimeError):
 
 class MissingArtifact(FileNotFoundError):
     """A required run-directory file is absent."""
+
+
+class PanelMismatch(ValueError):
+    """A panel's stocks or features differ from those the artifacts were trained on."""
 
 
 @dataclass
@@ -98,6 +104,20 @@ def _load_data(cfg: RunConfig) -> tuple[MarketPanel, int, FeatureScaler]:
     else:
         scaler = FeatureScaler.identity(panel.n_stocks, panel.n_features)
     return panel, train_end, scaler
+
+
+def _run_stamp(cfg: RunConfig, panel: MarketPanel) -> str:
+    """Config hash and seed; a CSV-sourced run also hashes the loaded panel,
+    so that overwriting the CSV invalidates the checkpoints."""
+    stamp = f"config_hash={cfg.config_hash()} seed={cfg['seed']}"
+    if cfg["data.source"] == "csv":
+        h = hashlib.sha256()
+        for names in (panel.stock_ids, panel.periods, panel.feature_names):
+            h.update("\n".join(names).encode("utf-8") + b"\0")
+        for array in (panel.features, panel.prices):
+            h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        stamp += f" data_hash={h.hexdigest()[:12]}"
+    return stamp
 
 
 def _save_params(path: str, arrays: dict, stamp: str) -> None:
@@ -230,9 +250,9 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     """
     run_dir = cfg["out_dir"] if run_dir is None else run_dir
     os.makedirs(run_dir, exist_ok=True)
-    stamp = f"config_hash={cfg.config_hash()} seed={cfg['seed']}"
 
     panel, train_end, scaler = _load_data(cfg)
+    stamp = _run_stamp(cfg, panel)
     feats = scaler.transform(panel.features)
 
     coint_params, factors = _stage_stock_factors(cfg, panel, train_end, run_dir, stamp)
@@ -265,8 +285,17 @@ def predict_with_artifacts(artifacts: TrainedArtifacts, panel: MarketPanel,
 
     Re-derives the factor series from the given panel with the trained
     parameters, so the output for period t depends only on panel data at
-    periods <= t - 1.
+    periods <= t - 1. The factor parameters are bound to stock rows, so the
+    panel must list the training panel's stocks and features in the same
+    order; PanelMismatch is raised otherwise.
     """
+    trained = artifacts.panel
+    if list(panel.stock_ids) != list(trained.stock_ids):
+        raise PanelMismatch("panel stock_ids differ from the training panel's "
+                            "(names or order)")
+    if tuple(panel.feature_names) != tuple(trained.feature_names):
+        raise PanelMismatch(f"panel features {tuple(panel.feature_names)} differ from "
+                            f"the training panel's {tuple(trained.feature_names)}")
     feats = artifacts.scaler.transform(panel.features)
     factors = sf.residual(panel, artifacts.coint_params,
                           normalize_prices=artifacts.normalize_prices)

@@ -83,6 +83,24 @@ def test_backward_replay_is_bit_identical():
     assert np.array_equal(first, second)
 
 
+def test_finished_tape_is_freed_by_reference_counting():
+    import gc
+    import weakref
+
+    x = ad.parameter([1.0, 2.0])
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            loss = (ad.tanh(x) * x).sum()
+            tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None, "tape and its nodes form a reference cycle"
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(x.grad, np.tanh(x.data) + x.data / np.cosh(x.data) ** 2)
+
+
 def test_shape_error_on_matmul_mismatch():
     with pytest.raises(ad.ShapeError):
         ad.constant(np.ones((2, 3))) @ ad.constant(np.ones((4, 2)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irrfactors import evaluation as ev
 
@@ -57,6 +59,17 @@ def test_average_ranks_match_oracle():
     for _ in range(50):
         v = rng.integers(0, 5, size=9).astype(float)
         np.testing.assert_array_equal(ev.average_ranks(v), sort_rank_oracle(v))
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-1e6, 1e6, allow_nan=False)), max_size=60))
+def test_average_ranks_match_oracle_on_random_ties(values):
+    np.testing.assert_array_equal(ev.average_ranks(values), sort_rank_oracle(values))
+
+
+def test_average_ranks_give_each_nan_its_own_top_rank():
+    np.testing.assert_array_equal(ev.average_ranks([np.nan, 1.0, np.nan, 1.0]),
+                                  [3.0, 1.5, 4.0, 1.5])
 
 
 # -- strategy ----------------------------------------------------------------

@@ -1,0 +1,137 @@
+"""Batched frozen prediction against per-period and full-block references."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irrfactors import autodiff as ad
+from irrfactors import forecaster as fc
+from irrfactors.evaluation import average_ranks
+from irrfactors.marketfactor import MarketFactorSeries
+from irrfactors.rng import stream
+
+
+def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
+           **flags):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n_stocks, n_periods, n_features))
+    u = rng.normal(size=(n_stocks, n_periods))
+    mseries = MarketFactorSeries(
+        m=rng.normal(size=(n_periods, 2 * n_features)),
+        r=rng.normal(size=(n_stocks, n_periods, 2 * n_features)),
+        window=window)
+    hyper = fc.ForecasterHyper(window=window, width=width, blocks=blocks, heads=heads,
+                               seed=seed, **flags)
+    params = fc.ForecasterParams.init(n_features, hyper, stream(seed, "fc", "init"))
+    return feats, u, mseries, hyper, params
+
+
+widths_and_heads = st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (12, 3)])
+flags = st.fixed_dictionaries({"use_stock_factor": st.booleans(),
+                               "use_market_factor": st.booleans(),
+                               "use_relation": st.booleans()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_stocks=st.one_of(st.integers(1, 40),
+                                                      st.integers(120, 140)),
+       window=st.integers(1, 6), width_heads=widths_and_heads,
+       blocks=st.sampled_from([1, 2]), flags=flags, extra=st.integers(1, 20),
+       data=st.data())
+def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, width_heads,
+                                                    blocks, flags, extra, data):
+    # enough periods that P * I crosses the chunk boundary at least once
+    per_chunk = max(1, fc.CHUNK_WINDOWS // n_stocks)
+    n_periods = window + per_chunk + extra
+    width, heads = width_heads
+    feats, u, mseries, hyper, params = _model(seed, n_stocks, n_periods, 2, window,
+                                              width, heads, blocks, **flags)
+    periods = data.draw(st.permutations(range(window, n_periods + 1)))
+
+    batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
+
+    def windows(t):
+        return fc.build_inputs(feats, u, t, window, hyper.use_stock_factor)
+
+    single = np.stack([fc.predict(params, hyper, windows(t), mseries.r[:, t - 1],
+                                  mseries.m[t - 1]) for t in periods], axis=1)
+    np.testing.assert_array_equal(batched, single)
+    full = np.stack([fc._predict_op(params, hyper, windows(t), mseries.r[:, t - 1],
+                                    mseries.m[t - 1], last_only=False).data
+                     for t in periods], axis=1)
+    np.testing.assert_allclose(batched, full, rtol=1e-12,
+                               atol=1e-12 * np.abs(full).max())
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 5), window=st.integers(1, 4),
+       width_heads=st.sampled_from([(4, 1), (4, 2)]), flags=flags,
+       last_only=st.booleans())
+def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
+                                                      width_heads, flags, last_only):
+    width, heads = width_heads
+    feats, u, mseries, hyper, params = _model(seed, n_stocks, window + 2, 2, window,
+                                              width, heads, 2, **flags)
+    t = window + 1
+    g = fc.build_inputs(feats, u, t, window, hyper.use_stock_factor)
+    y = np.random.default_rng(seed).normal(size=n_stocks)
+    z = average_ranks(y)
+
+    def f(_):
+        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, t - 1], mseries.m[t - 1],
+                               last_only=last_only)
+        return fc.loss_total(y_hat, y, z, 0.1)
+
+    assert ad.gradient_check(f, params.trainable()) <= 1e-4
+
+
+def test_build_inputs_stacks_period_windows():
+    feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
+    periods = np.array([7, 3, 12])
+    stacked = fc.build_inputs(feats, u, periods, 3)
+    assert stacked.shape == (3, 4, 3, 4)
+    for k, t in enumerate(periods):
+        np.testing.assert_array_equal(stacked[k], fc.build_inputs(feats, u, int(t), 3))
+
+
+def test_build_inputs_rejects_a_period_without_history():
+    feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
+    with pytest.raises(ValueError, match="period 2"):
+        fc.build_inputs(feats, u, np.array([5, 2, 13]), 3)
+
+
+_THREAD_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from irrfactors import forecaster as fc
+from irrfactors.marketfactor import MarketFactorSeries
+from irrfactors.rng import stream
+rng = np.random.default_rng(5)
+I, T, F = 100, 60, 5
+feats = rng.normal(size=(I, T, F))
+u = rng.normal(size=(I, T))
+mseries = MarketFactorSeries(m=rng.normal(size=(T, 2 * F)),
+                             r=rng.normal(size=(I, T, 2 * F)), window=10)
+hyper = fc.ForecasterHyper(window=10, width=64, blocks=2, heads=4)
+params = fc.ForecasterParams.init(F, hyper, stream(5, "fc", "init"))
+y_hat = fc.predict_periods(params, hyper, feats, u, mseries, range(10, T + 1))
+print(hashlib.sha256(y_hat.tobytes()).hexdigest())
+"""
+
+
+def test_frozen_predictions_do_not_depend_on_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT, src], env=env,
+                                capture_output=True, text=True, check=True)
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from irrfactors.config import ConfigError, RunConfig
-from irrfactors.pipeline import (MissingArtifact, PipelineStageError, format_report,
-                                 predict_with_artifacts, read_report, run_pipeline)
+from irrfactors.panel import MarketPanel, write_panel_csv
+from irrfactors.pipeline import (MissingArtifact, PanelMismatch, PipelineStageError,
+                                 format_report, predict_with_artifacts, read_report,
+                                 run_pipeline)
+from irrfactors.synthetic import generate_synthetic
 
 SMALL_CONFIG = """
 seed = 7
@@ -180,6 +183,40 @@ def test_predictions_only_depend_on_the_past(small_run):
     perturbed = MarketPanel.from_prices(panel.stock_ids, panel.periods, bumped, prices)
     after = predict_with_artifacts(artifacts, perturbed, periods)
     np.testing.assert_array_equal(base, after)
+
+
+def test_predictions_reject_a_panel_of_other_stocks(small_run):
+    _, _, artifacts = small_run
+    panel = artifacts.panel
+    renamed = MarketPanel.from_prices([f"X{sid}" for sid in panel.stock_ids],
+                                      panel.periods, panel.features, panel.prices)
+    reversed_rows = MarketPanel.from_prices(panel.stock_ids[::-1], panel.periods,
+                                            panel.features[::-1], panel.prices[::-1])
+    other_features = MarketPanel.from_prices(
+        panel.stock_ids, panel.periods, panel.features, panel.prices,
+        tuple(reversed(panel.feature_names)))
+    for other, field in ((renamed, "stock_ids"), (reversed_rows, "stock_ids"),
+                         (other_features, "features")):
+        with pytest.raises(PanelMismatch, match=field):
+            predict_with_artifacts(artifacts, other, [150, 151])
+
+
+def test_csv_checkpoints_reject_a_changed_csv(tmp_path):
+    cfg = RunConfig.from_file(_write_config(tmp_path))
+    panel_csv = tmp_path / "panel.csv"
+    write_panel_csv(generate_synthetic(cfg.synthetic_spec()), panel_csv)
+    csv_cfg = SMALL_CONFIG.replace("data.source = synthetic",
+                                   f"data.source = csv\ndata.csv_path = {panel_csv}")
+    csv_cfg = csv_cfg.replace("factors.steps = 200", "factors.steps = 20").replace(
+        "market.epochs = 4", "market.epochs = 1").replace(
+        "forecast.max_epochs = 3", "forecast.max_epochs = 1")
+    csv_run = RunConfig.from_file(_write_config(tmp_path, csv_cfg, name="csv.cfg"))
+    run_dir = str(tmp_path / "csvrun")
+    run_pipeline(csv_run, run_dir)
+    other_market = generate_synthetic(cfg.with_overrides(seed=8).synthetic_spec())
+    write_panel_csv(other_market, panel_csv)
+    with pytest.raises(PipelineStageError, match="different run"):
+        run_pipeline(csv_run, run_dir)
 
 
 def test_report_formatting(small_run):
