@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import threading
 import weakref
+from itertools import zip_longest
 
 import numpy as np
+
+from .files import atomic_open
 
 STD_EPS = 1e-12  # guard under the square root of the population std
 
@@ -33,6 +36,14 @@ class NotScalar(ValueError):
 
 class NumericalFailure(RuntimeError):
     """Non-finite value encountered where a finite one is required."""
+
+
+class MissingGradient(RuntimeError):
+    """A parameter reached an optimizer step without a gradient."""
+
+
+class CheckpointMismatch(ValueError):
+    """A checkpoint's stamp, names or shapes do not fit the parameter set."""
 
 
 _STATE = threading.local()
@@ -121,9 +132,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -480,38 +488,109 @@ def gradient_check(f, params, eps: float = 1e-5) -> float:
     return worst
 
 
-def sgd_step(params, lr: float) -> None:
-    """Plain momentum-free SGD update in place."""
-    for p in params:
-        if p.grad is None:
-            continue
-        if not np.isfinite(p.grad).all():
-            raise NumericalFailure("non-finite gradient in sgd_step")
-        p.data -= lr * p.grad
+def adam_init(params: ParamSet) -> dict:
+    return {"t": 0, "m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
 
 
-def adam_init(params) -> dict:
-    return {
-        "t": 0,
-        "m": [np.zeros_like(p.data) for p in params],
-        "v": [np.zeros_like(p.data) for p in params],
-    }
-
-
-def adam_step(params, state: dict, lr: float = 1e-3, beta1: float = 0.9,
+def adam_step(params: ParamSet, state: dict, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> dict:
-    """Standard Adam update in place; state carries the moment estimates."""
+    """Standard Adam update in place, one elementwise pass over the set's flat
+    buffer; state carries the moment estimates."""
+    for name, p in params.items():
+        if p.grad is None:
+            raise MissingGradient(f"parameter {name!r} received no gradient")
+    g = np.concatenate([p.grad.reshape(-1) for p in params])
+    if not np.isfinite(g).all():
+        raise NumericalFailure("non-finite gradient in adam_step")
     state["t"] += 1
     t = state["t"]
-    for i, p in enumerate(params):
-        if p.grad is None:
-            continue
-        g = p.grad
-        if not np.isfinite(g).all():
-            raise NumericalFailure("non-finite gradient in adam_step")
-        state["m"][i] = beta1 * state["m"][i] + (1.0 - beta1) * g
-        state["v"][i] = beta2 * state["v"][i] + (1.0 - beta2) * g * g
-        m_hat = state["m"][i] / (1.0 - beta1 ** t)
-        v_hat = state["v"][i] / (1.0 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+    state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+    m_hat = state["m"] / (1.0 - beta1 ** t)
+    v_hat = state["v"] / (1.0 - beta2 ** t)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return state
+
+
+# -- parameter sets ---------------------------------------------------------
+
+
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform initial weights, (fan_in, fan_out)."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+class ParamSet:
+    """Ordered name -> trainable Tensor map over one flat float64 buffer.
+
+    Every tensor's data is a view into `flat`, so a snapshot, a restore and an
+    optimizer step are each one operation on the buffer. Write parameters in
+    place (`-=`, `[...] =`): rebinding a tensor's `.data` detaches it from the
+    buffer. Iteration yields the tensors in order, so a set serves wherever a
+    list of tensors does.
+    """
+
+    def __init__(self, arrays: dict):
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self.flat = np.empty(sum(a.size for a in arrays.values()))
+        self._tensors: dict[str, Tensor] = {}
+        start = 0
+        for name, a in arrays.items():
+            view = self.flat[start:start + a.size].reshape(a.shape)
+            view[...] = a
+            self._tensors[name] = Tensor(view, requires_grad=True)
+            start += a.size
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._tensors[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._tensors
+
+    def __iter__(self):
+        return iter(self._tensors.values())
+
+    def items(self):
+        return self._tensors.items()
+
+    def snapshot(self) -> np.ndarray:
+        return self.flat.copy()
+
+    def restore(self, snap: np.ndarray) -> None:
+        self.flat[...] = snap
+
+    def save(self, path, stamp: str) -> None:
+        """Write the stamp, then every parameter in order, as one npz file.
+
+        The file appears under its name only once it is complete.
+        """
+        with atomic_open(path, "wb") as fh:
+            np.savez(fh, __stamp__=np.array(stamp),
+                     **{name: t.data for name, t in self.items()})
+
+    def load(self, path, stamp: str) -> None:
+        """Fill the set in place from a file written by save().
+
+        Raises CheckpointMismatch, before changing any parameter, when the
+        stamp differs or the file's names or shapes differ from the set's.
+        """
+        with np.load(path) as data:
+            found = str(data["__stamp__"]) if "__stamp__" in data.files else "<unstamped>"
+            if found != stamp:
+                raise CheckpointMismatch(
+                    f"checkpoint {path} belongs to a different run ({found}); "
+                    f"clear the run directory to retrain")
+            stored = [name for name in data.files if name != "__stamp__"]
+            if stored != list(self._tensors):
+                have, want = next(pair for pair in zip_longest(stored, self._tensors)
+                                  if pair[0] != pair[1])
+                raise CheckpointMismatch(f"checkpoint {path} holds parameter {have!r} "
+                                         f"where {want!r} belongs")
+            arrays = [data[name] for name in stored]
+        for (name, t), array in zip(self.items(), arrays):
+            if array.shape != t.shape:
+                raise CheckpointMismatch(f"checkpoint {path}: parameter {name!r} has "
+                                         f"shape {array.shape}, expected {t.shape}")
+        for t, array in zip(self, arrays):
+            t.data[...] = array

@@ -47,7 +47,7 @@ def _cmd_synth(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = RunConfig.from_file(args.config).with_overrides(
         seed=args.seed, out_dir=args.out, ablation=args.ablation)
-    artifacts = run_pipeline(cfg)
+    run_pipeline(cfg)
     print(format_report(cfg["out_dir"]))
     return 0
 
@@ -62,10 +62,7 @@ def main(argv=None) -> int:
     handlers = {"synth": _cmd_synth, "pipeline": _cmd_pipeline, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except PipelineStageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ConfigError, MissingArtifact, OSError) as e:
+    except (PipelineStageError, ConfigError, MissingArtifact, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

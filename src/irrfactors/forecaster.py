@@ -13,13 +13,14 @@ Everything a prediction for period t consumes has period index <= t - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .evaluation import average_ranks, pearson
+from .evaluation import average_ranks, rank_ic_series
 from .marketfactor import MarketFactorSeries
 from .rng import stream
 from .stockfactor import StockFactorSeries
@@ -53,84 +54,54 @@ class ForecasterHyper:
             raise ValueError("encoder width must be divisible by the head count")
 
 
-@dataclass
-class ForecasterParams:
-    """Learnable state: input projection, encoder blocks, relation layer, head."""
+def init_params(n_features: int, hyper: ForecasterHyper,
+                rng: np.random.Generator | None = None) -> ad.ParamSet:
+    """Learnable state: input projection, encoder blocks, relation layer, head.
 
-    w_in: Tensor
-    b_in: Tensor
-    blocks: list[dict]
-    p_c: Tensor | None    # (width, 2D_e) projection into the relation space
-    w_y: Tensor | None    # (2D_e, 2D_e) relation bilinear map
-    head_w1: Tensor
-    head_b1: Tensor
-    head_w2: Tensor
-    head_b2: Tensor
-    pos_enc: np.ndarray = field(repr=False, default=None)
-
-    @classmethod
-    def init(cls, n_features: int, hyper: ForecasterHyper,
-             rng: np.random.Generator) -> "ForecasterParams":
-        w = hyper.width
-        d_in = n_features + (1 if hyper.use_stock_factor else 0)
-        two_d = 2 * n_features
-        blocks = []
-        for _ in range(hyper.blocks):
-            blocks.append({
-                "w_q": ad.parameter(_glorot(rng, w, w)),
-                "w_k": ad.parameter(_glorot(rng, w, w)),
-                "w_v": ad.parameter(_glorot(rng, w, w)),
-                "w_o": ad.parameter(_glorot(rng, w, w)),
-                "ln1_g": ad.parameter(np.ones(w)),
-                "ln1_b": ad.parameter(np.zeros(w)),
-                "ff_w1": ad.parameter(_glorot(rng, w, 2 * w)),
-                "ff_b1": ad.parameter(np.zeros(2 * w)),
-                "ff_w2": ad.parameter(_glorot(rng, 2 * w, w)),
-                "ff_b2": ad.parameter(np.zeros(w)),
-                "ln2_g": ad.parameter(np.ones(w)),
-                "ln2_b": ad.parameter(np.zeros(w)),
-            })
-        head_in = w + (w if hyper.use_relation else 0) + two_d
-        return cls(
-            w_in=ad.parameter(_glorot(rng, d_in, w)),
-            b_in=ad.parameter(np.zeros(w)),
-            blocks=blocks,
-            p_c=ad.parameter(_glorot(rng, w, two_d)) if hyper.use_relation else None,
-            w_y=ad.parameter(_glorot(rng, two_d, two_d)) if hyper.use_relation else None,
-            head_w1=ad.parameter(_glorot(rng, head_in, w)),
-            head_b1=ad.parameter(np.zeros(w)),
-            head_w2=ad.parameter(_glorot(rng, w, 1)),
-            head_b2=ad.parameter(np.zeros(1)),
-            pos_enc=_sinusoidal(hyper.window, w),
-        )
-
-    def trainable(self) -> list[Tensor]:
-        out = [self.w_in, self.b_in]
-        for blk in self.blocks:
-            out.extend(blk.values())
-        if self.p_c is not None:
-            out.extend([self.p_c, self.w_y])
-        out.extend([self.head_w1, self.head_b1, self.head_w2, self.head_b2])
-        return out
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.trainable()]
-
-    def restore(self, snap: list[np.ndarray]) -> None:
-        for p, data in zip(self.trainable(), snap):
-            p.data = data.copy()
+    Block i's tensors are named "blk{i}.w_q" and so on. The relation layer,
+    p_c (width, 2D_e) into the relation space and the bilinear map w_y
+    (2D_e, 2D_e), is absent under the ND ablation. rng defaults to the hyper
+    seed's forecaster init stream.
+    """
+    rng = stream(hyper.seed, "forecaster", "init") if rng is None else rng
+    w = hyper.width
+    d_in = n_features + (1 if hyper.use_stock_factor else 0)
+    two_d = 2 * n_features
+    blocks = {}
+    for i in range(hyper.blocks):     # drawn before w_in: the draw order fixes the values
+        blk = {
+            "w_q": ad.glorot(rng, w, w),
+            "w_k": ad.glorot(rng, w, w),
+            "w_v": ad.glorot(rng, w, w),
+            "w_o": ad.glorot(rng, w, w),
+            "ln1_g": np.ones(w),
+            "ln1_b": np.zeros(w),
+            "ff_w1": ad.glorot(rng, w, 2 * w),
+            "ff_b1": np.zeros(2 * w),
+            "ff_w2": ad.glorot(rng, 2 * w, w),
+            "ff_b2": np.zeros(w),
+            "ln2_g": np.ones(w),
+            "ln2_b": np.zeros(w),
+        }
+        blocks.update({f"blk{i}.{key}": value for key, value in blk.items()})
+    arrays = {"w_in": ad.glorot(rng, d_in, w), "b_in": np.zeros(w), **blocks}
+    if hyper.use_relation:
+        arrays["p_c"] = ad.glorot(rng, w, two_d)
+        arrays["w_y"] = ad.glorot(rng, two_d, two_d)
+    head_in = w + (w if hyper.use_relation else 0) + two_d
+    arrays.update(head_w1=ad.glorot(rng, head_in, w), head_b1=np.zeros(w),
+                  head_w2=ad.glorot(rng, w, 1), head_b2=np.zeros(1))
+    return ad.ParamSet(arrays)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
+@functools.lru_cache(maxsize=8)
 def _sinusoidal(length: int, width: int) -> np.ndarray:
+    """Positional encoding (length, width); cached for every call, so read-only."""
     pos = np.arange(length)[:, None]
     dim = np.arange(width)[None, :]
     angle = pos / np.power(10000.0, (2 * (dim // 2)) / width)
     enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+    enc.flags.writeable = False
     return enc
 
 
@@ -175,8 +146,9 @@ def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return (x - mu) / sd * gain + bias
 
 
-def _encoder_block(x: Tensor, blk: dict, heads: int, last_only: bool) -> Tensor:
-    """One transformer block over (..., L, width) windows.
+def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
+                   last_only: bool) -> Tensor:
+    """Transformer block `index` over (..., L, width) windows.
 
     With last_only, queries and everything after them run on position L-1
     alone, (..., 1, width); keys and values still cover all L positions.
@@ -185,67 +157,70 @@ def _encoder_block(x: Tensor, blk: dict, heads: int, last_only: bool) -> Tensor:
     dh = width // heads
     scale = 1.0 / np.sqrt(dh)
 
+    def blk(key: str) -> Tensor:
+        return params[f"blk{index}.{key}"]
+
     def split(t: Tensor) -> Tensor:
         return ad.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
 
     x_q = x[..., length - 1:, :] if last_only else x
-    q = split(x_q @ blk["w_q"])
-    k = split(x @ blk["w_k"])
-    v = split(x @ blk["w_v"])
+    q = split(x_q @ blk("w_q"))
+    k = split(x @ blk("w_k"))
+    v = split(x @ blk("w_v"))
     scores = (q @ ad.swapaxes(k, -1, -2)) * scale
     mixed = ad.softmax_row(scores) @ v
     mixed = ad.swapaxes(mixed, -3, -2).reshape(x_q.shape)
-    x = _layer_norm(x_q + mixed @ blk["w_o"], blk["ln1_g"], blk["ln1_b"])
-    ff = ad.relu(x @ blk["ff_w1"] + blk["ff_b1"]) @ blk["ff_w2"] + blk["ff_b2"]
-    return _layer_norm(x + ff, blk["ln2_g"], blk["ln2_b"])
+    x = _layer_norm(x_q + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
+    ff = ad.relu(x @ blk("ff_w1") + blk("ff_b1")) @ blk("ff_w2") + blk("ff_b2")
+    return _layer_norm(x + ff, blk("ln2_g"), blk("ln2_b"))
 
 
-def _temporal_encode_op(params: ForecasterParams, g: np.ndarray, heads: int,
+def _temporal_encode_op(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
                         last_only: bool = False) -> Tensor:
     """Encode (..., I, L, D_in) windows into per-stock vectors (..., I, width).
 
     last_only prunes the final block to the read-out position (frozen use).
     """
-    length = g.shape[-2]
-    x = ad.constant(g) @ params.w_in + params.b_in
-    x = x + ad.constant(params.pos_enc[:length])
-    for i, blk in enumerate(params.blocks):
-        x = _encoder_block(x, blk, heads, last_only and i == len(params.blocks) - 1)
+    x = ad.constant(g) @ params["w_in"] + params["b_in"]
+    x = x + ad.constant(_sinusoidal(g.shape[-2], hyper.width))
+    for i in range(hyper.blocks):
+        x = _encoder_block(x, params, i, hyper.heads, last_only and i == hyper.blocks - 1)
     return x[..., -1, :]
 
 
-def temporal_encode(params: ForecasterParams, g: np.ndarray, heads: int = 4) -> np.ndarray:
+def temporal_encode(params: ad.ParamSet, hyper: ForecasterHyper,
+                    g: np.ndarray) -> np.ndarray:
     """Frozen-parameter encoding of one batch of windows."""
-    return _temporal_encode_op(params, np.asarray(g, dtype=np.float64), heads).data
+    return _temporal_encode_op(params, hyper, np.asarray(g, dtype=np.float64)).data
 
 
-def _relation_op(params: ForecasterParams, c: Tensor, r_prev: np.ndarray) -> Tensor:
+def _relation_op(params: ad.ParamSet, c: Tensor, r_prev: np.ndarray) -> Tensor:
     """Relation-attention context: softmax over pairwise scores, mixing c.
 
     c is (..., I, width) and r_prev (..., I, 2D_e); stocks mix only within
     their own period.
     """
-    v = c @ params.p_c + ad.constant(r_prev)
-    z = v @ ad.swapaxes(params.w_y, -1, -2)
+    v = c @ params["p_c"] + ad.constant(r_prev)
+    z = v @ ad.swapaxes(params["w_y"], -1, -2)
     scores = z @ ad.swapaxes(z, -1, -2)
     att = ad.softmax_row(scores)
     return att @ c
 
 
-def relation_attention(params: ForecasterParams, c: np.ndarray,
+def relation_attention(params: ad.ParamSet, c: np.ndarray,
                        r_prev: np.ndarray) -> np.ndarray:
     """Frozen-parameter relation context for per-stock encodings (I, width)."""
     return _relation_op(params, ad.constant(c), np.asarray(r_prev)).data
 
 
-def _head_op(params: ForecasterParams, parts: list[Tensor]) -> Tensor:
+def _head_op(params: ad.ParamSet, parts: list[Tensor]) -> Tensor:
     x = ad.concat(parts, axis=-1)
-    hidden = ad.relu(x @ params.head_w1 + params.head_b1)
-    out = hidden @ params.head_w2 + params.head_b2
+    hidden = ad.relu(x @ params["head_w1"] + params["head_b1"])
+    out = hidden @ params["head_w2"] + params["head_b2"]
     return out.reshape(out.shape[:-1])
 
 
-def _predict_op(params: ForecasterParams, hyper: ForecasterHyper,
+def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
                 g: np.ndarray, r_prev: np.ndarray, m_prev: np.ndarray,
                 last_only: bool = False) -> Tensor:
     """Forecasts (..., I) from windows (..., I, L, D_in).
@@ -254,7 +229,7 @@ def _predict_op(params: ForecasterParams, hyper: ForecasterHyper,
     periods. last_only prunes the final encoder block to the read-out
     position, which only frozen prediction does.
     """
-    c = _temporal_encode_op(params, g, hyper.heads, last_only)
+    c = _temporal_encode_op(params, hyper, g, last_only)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     m_shape = c.shape[:-1] + m_prev.shape[-1:]
     if hyper.use_market_factor:
@@ -268,7 +243,7 @@ def _predict_op(params: ForecasterParams, hyper: ForecasterHyper,
     return _head_op(params, parts)
 
 
-def predict(params: ForecasterParams, hyper: ForecasterHyper, g: np.ndarray,
+def predict(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
             r_prev: np.ndarray, m_prev: np.ndarray) -> np.ndarray:
     """Frozen-parameter forecast for one period, (I,), or a block of periods.
 
@@ -279,19 +254,6 @@ def predict(params: ForecasterParams, hyper: ForecasterHyper, g: np.ndarray,
 
 
 # -- objective -------------------------------------------------------------
-
-
-def ic_t(y_hat, z) -> float:
-    """Pearson correlation (population moments) between forecasts and ranks.
-
-    Returns 0 for a constant forecast vector (the correlation is undefined
-    there, and 0 is the neutral value for the regularizer).
-    """
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if y_hat.size < 2:
-        raise ValueError("correlation needs at least 2 stocks")
-    return pearson(y_hat, z)
 
 
 def _ic_op(y_hat: Tensor, z: np.ndarray) -> Tensor:
@@ -321,7 +283,7 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
                      stock_factors: StockFactorSeries,
                      market_factors: MarketFactorSeries,
                      hyper: ForecasterHyper, train_end: int
-                     ) -> tuple[ForecasterParams, Prediction]:
+                     ) -> tuple[ad.ParamSet, Prediction]:
     """Train on periods before train_end, predict every period from it on.
 
     The factor inputs are frozen; one optimization step consumes one period
@@ -341,15 +303,14 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     train_periods = eligible[:-n_val]
     val_periods = eligible[-n_val:]
 
-    params = ForecasterParams.init(features.shape[2], hyper,
-                                   stream(hyper.seed, "forecaster", "init"))
-    opt = ad.adam_init(params.trainable())
+    params = init_params(features.shape[2], hyper)
+    opt = ad.adam_init(params)
 
     def step(t: int) -> None:
         g = build_inputs(features, u, t, hyper.window, hyper.use_stock_factor)
         y = returns[:, t]
         z = average_ranks(y)
-        ad.zero_grads(params.trainable())
+        ad.zero_grads(params)
         with Tape() as tape:
             y_hat = _predict_op(params, hyper, g, market_factors.r[:, t - 1],
                                 market_factors.m[t - 1], last_only=False)
@@ -357,13 +318,11 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
             if not np.isfinite(loss.data):
                 raise ad.NumericalFailure("forecaster loss diverged")
             tape.backward(loss)
-        ad.adam_step(params.trainable(), opt, lr=hyper.lr)
+        ad.adam_step(params, opt, lr=hyper.lr)
 
     def val_rank_ic() -> float:
         y_hat = predict_periods(params, hyper, features, u, market_factors, val_periods)
-        vals = [pearson(average_ranks(y_hat[:, k]), average_ranks(returns[:, t]))
-                for k, t in enumerate(val_periods)]
-        return float(np.mean(vals))
+        return float(rank_ic_series(y_hat, returns[:, val_periods]).mean())
 
     best_metric = -np.inf
     best_snap = params.snapshot()
@@ -382,14 +341,20 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
             if bad_epochs >= hyper.patience:
                 break
     params.restore(best_snap)
-
-    test_periods = list(range(train_end, T))
-    y_hat = predict_periods(params, hyper, features, u, market_factors, test_periods)
-    y_true = returns[:, test_periods]
-    return params, Prediction(periods=test_periods, y_hat=y_hat, y_true=y_true)
+    return params, predict_test(params, hyper, features, returns, u, market_factors,
+                                train_end)
 
 
-def predict_periods(params: ForecasterParams, hyper: ForecasterHyper,
+def predict_test(params: ad.ParamSet, hyper: ForecasterHyper, features: np.ndarray,
+                 returns: np.ndarray, u: np.ndarray, market_factors: MarketFactorSeries,
+                 train_end: int) -> Prediction:
+    """Frozen forecasts for every period from train_end on."""
+    periods = list(range(train_end, returns.shape[1]))
+    y_hat = predict_periods(params, hyper, features, u, market_factors, periods)
+    return Prediction(periods=periods, y_hat=y_hat, y_true=returns[:, periods])
+
+
+def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
                     features: np.ndarray, u: np.ndarray,
                     market_factors: MarketFactorSeries, periods) -> np.ndarray:
     """Frozen forecasts for the given periods, (I, len(periods)).

@@ -11,7 +11,7 @@ the next period's market synchronism label from m_{t-1}.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +19,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .panel import MarketPanel, SynchronismConfig, compute_deltas, compute_synchronism_labels
 from .rng import stream
+from .stockfactor import TooFewStocks
 
 logger = logging.getLogger(__name__)
-
-
-class TooFewStocks(ValueError):
-    """Splitting needs at least 2 stocks."""
 
 
 class TooEarly(ValueError):
@@ -39,58 +36,40 @@ class NoNegatives(ValueError):
     """Contrastive loss needs at least 2 periods in the batch."""
 
 
-@dataclass
-class MarketEncoderParams:
-    """All learnable state of the market encoder and its two task heads."""
+def init_params(n_stocks: int, n_features: int, hyper: MarketFactorHyper,
+                rng: np.random.Generator | None = None) -> ad.ParamSet:
+    """All learnable state of the market encoder and its two task heads.
 
-    w_s: Tensor      # (D_e, D_e) shared projection for window attention
-    b_s: Tensor      # (D_e,)
-    w_id: Tensor     # (2D_e, I) per-stock ID embeddings (columns)
-    w_eta: Tensor    # (2D_e,) weight head
-    w_crit: Tensor   # (4D_e,) contrastive criterion weight
-    b_crit: Tensor   # () criterion bias
-    cls_w1: Tensor   # (2D_e, H)
-    cls_b1: Tensor   # (H,)
-    cls_w2: Tensor   # (H, 3)
-    cls_b2: Tensor   # (3,)
-
-    @classmethod
-    def init(cls, n_stocks: int, n_features: int, hidden: int,
-             rng: np.random.Generator) -> "MarketEncoderParams":
-        d = n_features
-        two_d = 2 * d
-        id_scale = 1.0 / np.sqrt(two_d)
-        w_eta = rng.uniform(-1.0, 1.0, size=two_d) / np.sqrt(two_d)
-        # Shift the ID embeddings along w_eta so the weight preactivations
-        # start positive: ReLU would otherwise begin in its dead zone for
-        # entire periods and the weight head would never receive gradient.
-        w_id = rng.uniform(-id_scale, id_scale, size=(two_d, n_stocks))
-        w_id += (1.5 * w_eta / np.dot(w_eta, w_eta))[:, None]
-        return cls(
-            w_s=ad.parameter(np.eye(d) + rng.normal(scale=0.02, size=(d, d))),
-            b_s=ad.parameter(np.zeros(d)),
-            w_id=ad.parameter(w_id),
-            w_eta=ad.parameter(w_eta),
-            w_crit=ad.parameter(rng.uniform(-1.0, 1.0, size=4 * d) / np.sqrt(4 * d)),
-            b_crit=ad.parameter(0.0),
-            cls_w1=ad.parameter(_glorot(rng, two_d, hidden)),
-            cls_b1=ad.parameter(np.zeros(hidden)),
-            cls_w2=ad.parameter(_glorot(rng, hidden, 3)),
-            cls_b2=ad.parameter(np.zeros(3)),
-        )
-
-    def trainable(self) -> list[Tensor]:
-        return [self.w_s, self.b_s, self.w_id, self.w_eta, self.w_crit, self.b_crit,
-                self.cls_w1, self.cls_b1, self.cls_w2, self.cls_b2]
-
-    @property
-    def n_features(self) -> int:
-        return self.w_s.shape[0]
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    w_s (D_e, D_e) and b_s (D_e,) project the window attention; w_id (2D_e, I)
+    holds per-stock ID embeddings (columns) and w_eta (2D_e,) is the weight
+    head; w_crit (4D_e,) and b_crit () score contrastive pairs; cls_w1
+    (2D_e, H), cls_b1, cls_w2 (H, 3) and cls_b2 classify synchronism. H is
+    hyper.hidden, or 2D_e when that is 0. rng defaults to the hyper seed's
+    market init stream.
+    """
+    rng = stream(hyper.seed, "market", "init") if rng is None else rng
+    d = n_features
+    two_d = 2 * d
+    hidden = hyper.hidden if hyper.hidden > 0 else two_d
+    id_scale = 1.0 / np.sqrt(two_d)
+    w_eta = rng.uniform(-1.0, 1.0, size=two_d) / np.sqrt(two_d)
+    # Shift the ID embeddings along w_eta so the weight preactivations
+    # start positive: ReLU would otherwise begin in its dead zone for
+    # entire periods and the weight head would never receive gradient.
+    w_id = rng.uniform(-id_scale, id_scale, size=(two_d, n_stocks))
+    w_id += (1.5 * w_eta / np.dot(w_eta, w_eta))[:, None]
+    return ad.ParamSet({
+        "w_s": np.eye(d) + rng.normal(scale=0.02, size=(d, d)),
+        "b_s": np.zeros(d),
+        "w_id": w_id,
+        "w_eta": w_eta,
+        "w_crit": rng.uniform(-1.0, 1.0, size=4 * d) / np.sqrt(4 * d),
+        "b_crit": 0.0,
+        "cls_w1": ad.glorot(rng, two_d, hidden),
+        "cls_b1": np.zeros(hidden),
+        "cls_w2": ad.glorot(rng, hidden, 3),
+        "cls_b2": np.zeros(3),
+    })
 
 
 @dataclass
@@ -115,12 +94,12 @@ def _window_tensor(features: np.ndarray, periods: np.ndarray, window: int) -> np
     return np.stack([features[:, t - window + 1:t + 1, :] for t in periods])
 
 
-def _stock_reprs_op(features: np.ndarray, params: MarketEncoderParams,
+def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
                     periods: np.ndarray, window: int) -> Tensor:
     """Dynamic stock representations for a batch of periods, (P, I, 2D_e)."""
-    d = params.n_features
+    d = params["w_s"].shape[0]
     win = ad.constant(_window_tensor(features, periods, window))        # (P, I, L, D)
-    proj = win @ ad.transpose(params.w_s) + params.b_s                  # (P, I, L, D)
+    proj = win @ ad.transpose(params["w_s"]) + params["b_s"]            # (P, I, L, D)
     query = proj[(slice(None), slice(None), slice(window - 1, window))] # (P, I, 1, D)
     scores = (query @ ad.swapaxes(proj, -1, -2)) * (1.0 / np.sqrt(d))   # (P, I, 1, L)
     att = ad.softmax_row(scores)
@@ -130,7 +109,7 @@ def _stock_reprs_op(features: np.ndarray, params: MarketEncoderParams,
     return ad.concat([current, mix.reshape(p, i, d)], axis=-1)
 
 
-def dynamic_stock_repr(panel: MarketPanel, params: MarketEncoderParams,
+def dynamic_stock_repr(panel: MarketPanel, params: ad.ParamSet,
                        stock: int, t: int, window: int,
                        features: np.ndarray | None = None) -> np.ndarray:
     """Representation of one stock at one period: e_t || attention mix, (2D_e,)."""
@@ -139,13 +118,13 @@ def dynamic_stock_repr(panel: MarketPanel, params: MarketEncoderParams,
     return reprs.data[0, stock]
 
 
-def stock_weight(params: MarketEncoderParams, stock: int, r: np.ndarray) -> float:
+def stock_weight(params: ad.ParamSet, stock: int, r: np.ndarray) -> float:
     """Non-negative combination weight for one stock representation."""
-    pre = params.w_eta.data @ (params.w_id.data[:, stock] + np.asarray(r))
+    pre = params["w_eta"].data @ (params["w_id"].data[:, stock] + np.asarray(r))
     return float(max(pre, 0.0))
 
 
-def _market_repr_op(reprs: Tensor, params: MarketEncoderParams,
+def _market_repr_op(reprs: Tensor, params: ad.ParamSet,
                     subset: np.ndarray) -> Tensor:
     """Weighted market representation over a stock subset, (P, 2D_e).
 
@@ -153,9 +132,9 @@ def _market_repr_op(reprs: Tensor, params: MarketEncoderParams,
     normalizer would otherwise be 0/0); the event is logged.
     """
     sub = reprs[(slice(None), subset)]                                   # (P, n, 2D)
-    ids = ad.transpose(params.w_id)[(subset,)]                           # (n, 2D)
-    two_d = params.n_features * 2
-    pre = (sub + ids) @ params.w_eta.reshape(two_d, 1)                   # (P, n, 1)
+    ids = ad.transpose(params["w_id"])[(subset,)]                        # (n, 2D)
+    two_d = params["w_eta"].shape[0]
+    pre = (sub + ids) @ params["w_eta"].reshape(two_d, 1)                # (P, n, 1)
     eta = ad.relu(pre)
     totals = eta.data.sum(axis=1)
     if np.any(totals == 0.0):
@@ -170,7 +149,7 @@ def _market_repr_op(reprs: Tensor, params: MarketEncoderParams,
     return (weighted / denom).reshape(p, two_d)
 
 
-def market_repr(panel: MarketPanel, params: MarketEncoderParams,
+def market_repr(panel: MarketPanel, params: ad.ParamSet,
                 subset, t: int, window: int,
                 features: np.ndarray | None = None) -> np.ndarray:
     """Market representation over a stock subset at one period, (2D_e,)."""
@@ -195,29 +174,29 @@ def submarket_split(stock_ids, seed: int, epoch: int) -> tuple[np.ndarray, np.nd
 # -- self-supervised objectives -------------------------------------------
 
 
-def criterion(params: MarketEncoderParams, m1: np.ndarray, m2: np.ndarray,
+def criterion(params: ad.ParamSet, m1: np.ndarray, m2: np.ndarray,
               t: int, t_other: int) -> float:
     """Pair criterion: exp of the joint score damped by the time gap."""
     joint = np.concatenate([np.asarray(m1), np.asarray(m2)])
-    logit = float(params.w_crit.data @ joint + params.b_crit.data)
+    logit = float(params["w_crit"].data @ joint + params["b_crit"].data)
     return float(np.exp(logit / (abs(t - t_other) + 1.0)))
 
 
-def _pair_logits_op(params: MarketEncoderParams, m1: Tensor, m2: Tensor,
+def _pair_logits_op(params: ad.ParamSet, m1: Tensor, m2: Tensor,
                     periods: np.ndarray) -> Tensor:
     """Damped criterion logits for all anchor/candidate pairs, (P, P)."""
-    two_d = params.n_features * 2
-    w1 = params.w_crit[(slice(0, two_d),)].reshape(two_d, 1)
-    w2 = params.w_crit[(slice(two_d, 2 * two_d),)].reshape(two_d, 1)
+    two_d = params["w_eta"].shape[0]
+    w1 = params["w_crit"][(slice(0, two_d),)].reshape(two_d, 1)
+    w2 = params["w_crit"][(slice(two_d, 2 * two_d),)].reshape(two_d, 1)
     p = len(periods)
     u = (m1 @ w1).reshape(p, 1)
     v = (m2 @ w2).reshape(1, p)
     gaps = np.abs(periods[:, None] - periods[None, :]).astype(np.float64)
     damp = ad.constant(1.0 / (gaps + 1.0))
-    return (u + v + params.b_crit) * damp
+    return (u + v + params["b_crit"]) * damp
 
 
-def infonce_loss(params: MarketEncoderParams, panel: MarketPanel,
+def infonce_loss(params: ad.ParamSet, panel: MarketPanel,
                  periods, window: int, seed: int, epoch: int,
                  features: np.ndarray | None = None) -> Tensor:
     """Sub-market contrastive loss over a batch of periods.
@@ -233,23 +212,18 @@ def infonce_loss(params: MarketEncoderParams, panel: MarketPanel,
     reprs = _stock_reprs_op(feats, params, periods, window)
     m1 = _market_repr_op(reprs, params, sub1)
     m2 = _market_repr_op(reprs, params, sub2)
-    return _infonce_from_reprs(params, m1, m2, periods)
-
-
-def _infonce_from_reprs(params: MarketEncoderParams, m1: Tensor, m2: Tensor,
-                        periods: np.ndarray) -> Tensor:
     logits = _pair_logits_op(params, m1, m2, periods)
     idx = np.arange(len(periods))
     positive = logits[(idx, idx)]
     return (ad.logsumexp_row(logits) - positive).mean()
 
 
-def _classifier_logits_op(params: MarketEncoderParams, m: Tensor) -> Tensor:
-    hidden = ad.relu(m @ params.cls_w1 + params.cls_b1)
-    return hidden @ params.cls_w2 + params.cls_b2
+def _classifier_logits_op(params: ad.ParamSet, m: Tensor) -> Tensor:
+    hidden = ad.relu(m @ params["cls_w1"] + params["cls_b1"])
+    return hidden @ params["cls_w2"] + params["cls_b2"]
 
 
-def synchronism_predict(params: MarketEncoderParams, m_prev: np.ndarray) -> np.ndarray:
+def synchronism_predict(params: ad.ParamSet, m_prev: np.ndarray) -> np.ndarray:
     """3-way class distribution for the next period's synchronism label."""
     m = ad.constant(np.asarray(m_prev, dtype=np.float64).reshape(1, -1))
     logits = _classifier_logits_op(params, m)
@@ -263,18 +237,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return (ad.logsumexp_row(logits) - picked).mean()
 
 
-def _prediction_loss_op(params: MarketEncoderParams, feats: np.ndarray,
-                        periods: np.ndarray, window: int, n_stocks: int,
-                        labels: list) -> Tensor:
-    full = np.arange(n_stocks)
-    prev = _stock_reprs_op(feats, params, periods - 1, window)
-    m_prev = _market_repr_op(prev, params, full)
-    logits = _classifier_logits_op(params, m_prev)
-    target = np.array([int(labels[t]) for t in periods], dtype=np.int64)
-    return cross_entropy(logits, target)
-
-
-def loss_P(params: MarketEncoderParams, panel: MarketPanel, periods,
+def loss_P(params: ad.ParamSet, panel: MarketPanel, periods,
            window: int, sync: SynchronismConfig,
            features: np.ndarray | None = None, labels: list | None = None) -> Tensor:
     """Synchronism-prediction loss: cross-entropy of the label of period t
@@ -283,10 +246,14 @@ def loss_P(params: MarketEncoderParams, panel: MarketPanel, periods,
     feats = panel.features if features is None else features
     if labels is None:
         labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
-    return _prediction_loss_op(params, feats, periods, window, panel.n_stocks, labels)
+    prev = _stock_reprs_op(feats, params, periods - 1, window)
+    m_prev = _market_repr_op(prev, params, np.arange(panel.n_stocks))
+    logits = _classifier_logits_op(params, m_prev)
+    target = np.array([int(labels[t]) for t in periods], dtype=np.int64)
+    return cross_entropy(logits, target)
 
 
-def loss_M(params: MarketEncoderParams, panel: MarketPanel, periods,
+def loss_M(params: ad.ParamSet, panel: MarketPanel, periods,
            lambda2: float, window: int, sync: SynchronismConfig,
            seed: int, epoch: int, features: np.ndarray | None = None,
            labels: list | None = None) -> Tensor:
@@ -295,19 +262,9 @@ def loss_M(params: MarketEncoderParams, panel: MarketPanel, periods,
     The prediction term for period t reads the market representation of
     period t - 1 only, so it never sees the period it labels.
     """
-    periods = np.asarray(periods, dtype=np.int64)
-    feats = panel.features if features is None else features
-    if labels is None:
-        labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
-    sub1, sub2 = submarket_split(panel.stock_ids, seed, epoch)
-
-    reprs = _stock_reprs_op(feats, params, periods, window)
-    m1 = _market_repr_op(reprs, params, sub1)
-    m2 = _market_repr_op(reprs, params, sub2)
-    contrastive = _infonce_from_reprs(params, m1, m2, periods)
-    prediction = _prediction_loss_op(params, feats, periods, window,
-                                     panel.n_stocks, labels)
-    return contrastive + lambda2 * prediction
+    contrastive = infonce_loss(params, panel, periods, window, seed, epoch, features)
+    return contrastive + lambda2 * loss_P(params, panel, periods, window, sync,
+                                          features, labels)
 
 
 # -- training --------------------------------------------------------------
@@ -328,7 +285,7 @@ class MarketFactorHyper:
 
 def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
                          train_end: int, features: np.ndarray | None = None
-                         ) -> tuple[MarketEncoderParams, MarketFactorSeries]:
+                         ) -> tuple[ad.ParamSet, MarketFactorSeries]:
     """Minibatch-train the market encoder on the training periods.
 
     Splits the market into fresh halves every epoch, then freezes the
@@ -336,27 +293,24 @@ def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
     test alike). Deterministic given the hyper seed.
     """
     feats = panel.features if features is None else features
-    d = feats.shape[2]
-    hidden = hyper.hidden if hyper.hidden > 0 else 2 * d
-    params = MarketEncoderParams.init(panel.n_stocks, d, hidden,
-                                      stream(hyper.seed, "market", "init"))
+    params = init_params(panel.n_stocks, feats.shape[2], hyper)
     labels = compute_synchronism_labels(compute_deltas(panel.returns, hyper.sync), hyper.sync)
 
     eligible = np.arange(hyper.window, train_end)
     if eligible.size < 2:
         raise ValueError("not enough training periods for the market window")
-    opt = ad.adam_init(params.trainable())
+    opt = ad.adam_init(params)
     # Decaying the prediction head keeps it from memorizing the drifting
     # level coordinates of m on markets where the label is unpredictable;
     # it then settles near the class-prior solution instead.
-    head = [params.cls_w1, params.cls_w2]
+    head = [params["cls_w1"], params["cls_w2"]]
     for epoch in range(hyper.epochs):
         order = stream(hyper.seed, "market", "order", epoch).permutation(eligible)
         for start in range(0, len(order), hyper.batch):
             batch = order[start:start + hyper.batch]
             if batch.size < 2:
                 continue
-            ad.zero_grads(params.trainable())
+            ad.zero_grads(params)
             with Tape() as tape:
                 loss = loss_M(params, panel, batch, hyper.lambda2, hyper.window,
                               hyper.sync, hyper.seed, epoch, features=feats,
@@ -364,7 +318,7 @@ def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
                 if not np.isfinite(loss.data):
                     raise ad.NumericalFailure("market factor loss diverged")
                 tape.backward(loss)
-            ad.adam_step(params.trainable(), opt, lr=hyper.lr)
+            ad.adam_step(params, opt, lr=hyper.lr)
             for p in head:
                 p.data -= hyper.lr * hyper.cls_weight_decay * p.data
 
@@ -372,7 +326,7 @@ def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
     return params, series
 
 
-def market_series(panel: MarketPanel, params: MarketEncoderParams, window: int,
+def market_series(panel: MarketPanel, params: ad.ParamSet, window: int,
                   features: np.ndarray | None = None) -> MarketFactorSeries:
     """Frozen m_t and r_t for every period where the window fits."""
     feats = panel.features if features is None else features
@@ -391,7 +345,7 @@ def market_series(panel: MarketPanel, params: MarketEncoderParams, window: int,
     return MarketFactorSeries(m=m, r=r, window=window)
 
 
-def contrastive_separation(params: MarketEncoderParams, panel: MarketPanel,
+def contrastive_separation(params: ad.ParamSet, panel: MarketPanel,
                            periods, window: int, seed: int,
                            features: np.ndarray | None = None) -> tuple[float, float]:
     """Mean positive-pair and negative-pair criterion values on given periods."""
@@ -409,7 +363,7 @@ def contrastive_separation(params: MarketEncoderParams, panel: MarketPanel,
     return float(np.mean(pos)), float(np.mean(neg))
 
 
-def classifier_accuracy(params: MarketEncoderParams, panel: MarketPanel,
+def classifier_accuracy(params: ad.ParamSet, panel: MarketPanel,
                         periods, window: int,
                         features: np.ndarray | None = None,
                         labels: list | None = None,

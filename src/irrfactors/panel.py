@@ -14,6 +14,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .files import atomic_open
+
 FEATURE_NAMES = ("open", "close", "high", "low", "vwap", "volume")
 CSV_COLUMNS = ("date", "stock_id") + FEATURE_NAMES
 
@@ -244,16 +246,25 @@ def load_panel(path, schema: dict | None = None) -> MarketPanel:
     return MarketPanel.from_prices(stocks, dates, features, prices)
 
 
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write a header and rows as CSV, under an optional '# comment' line.
+
+    The file appears under its name only once it is complete.
+    """
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_panel_csv(panel: MarketPanel, path, header_comment: str | None = None) -> None:
     """Write the panel in the canonical CSV schema (one row per stock-date)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i, sid in enumerate(panel.stock_ids):
-            for t, date in enumerate(panel.periods):
-                writer.writerow([date, sid] + [repr(float(v)) for v in panel.features[i, t]])
+    write_csv(path, CSV_COLUMNS,
+              ([date, sid] + [repr(float(v)) for v in panel.features[i, t]]
+               for i, sid in enumerate(panel.stock_ids)
+               for t, date in enumerate(panel.periods)), header_comment)
 
 
 @dataclass

@@ -18,7 +18,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from dataclasses import dataclass
@@ -28,12 +27,13 @@ import numpy as np
 from . import forecaster as fc
 from . import marketfactor as mf
 from . import stockfactor as sf
+from .autodiff import ParamSet
 from .config import RunConfig
 from .evaluation import BacktestReport, run_backtest
-from .panel import FeatureScaler, MarketPanel, load_panel
+from .files import atomic_open
+from .panel import (FeatureScaler, MarketPanel, compute_deltas, compute_synchronism_labels,
+                    load_panel, write_csv)
 from .synthetic import generate_synthetic
-
-STAGES = ("data", "stock-factors", "market-factors", "forecaster", "backtest")
 
 REPORT_METRIC_ORDER = ("rmse", "mae", "ic", "icir", "rank_ic", "rank_icir",
                        "ar", "av", "sr", "mdd", "cr")
@@ -63,9 +63,9 @@ class TrainedArtifacts:
     panel: MarketPanel
     train_end: int
     scaler: FeatureScaler
-    coint_params: sf.CointegrationParams
-    market_params: mf.MarketEncoderParams
-    fc_params: fc.ForecasterParams
+    coint_params: ParamSet
+    market_params: ParamSet
+    fc_params: ParamSet
     fc_hyper: fc.ForecasterHyper
     prediction: fc.Prediction
     report: BacktestReport
@@ -120,48 +120,29 @@ def _run_stamp(cfg: RunConfig, panel: MarketPanel) -> str:
     return stamp
 
 
-def _save_params(path: str, arrays: dict, stamp: str) -> None:
-    np.savez(path, __stamp__=np.array(stamp), **arrays)
-
-
-def _load_params(path: str, stamp: str) -> dict:
-    with np.load(path) as data:
-        found = str(data["__stamp__"]) if "__stamp__" in data.files else "<unstamped>"
-        if found != stamp:
-            raise ValueError(
-                f"checkpoint {path} belongs to a different run ({found}); "
-                f"clear the run directory to retrain")
-        return {k: data[k] for k in data.files if k != "__stamp__"}
-
-
 @_stage("stock-factors")
 def _stage_stock_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                          run_dir: str, stamp: str
-                         ) -> tuple[sf.CointegrationParams, sf.StockFactorSeries]:
+                         ) -> tuple[ParamSet, sf.StockFactorSeries]:
     ckpt = os.path.join(run_dir, "params_stock.npz")
     hyper = sf.StockFactorHyper(
         lambda1=cfg["factors.lambda1"], lr=cfg["factors.lr"],
         steps=cfg["factors.steps"], seed=cfg["seed"],
         normalize_prices=cfg["factors.normalize_prices"])
     if os.path.exists(ckpt):
-        arrays = _load_params(ckpt, stamp)
-        params = sf.CointegrationParams.init(panel.n_stocks)
-        params.beta.data = arrays["beta"]
-        params.w_att.data = arrays["w_att"]
-        params.rho_raw.data = arrays["rho_raw"]
+        params = sf.init_params(panel.n_stocks)
+        params.load(ckpt, stamp)
         series = sf.residual(panel, params, normalize_prices=hyper.normalize_prices)
     else:
-        params, _ = sf.train_stock_factors(panel, hyper, train_end=train_end)
-        series = sf.residual(panel, params, normalize_prices=hyper.normalize_prices)
-        _save_params(ckpt, {"beta": params.beta.data, "w_att": params.w_att.data,
-                            "rho_raw": params.rho_raw.data}, stamp)
+        params, series = sf.train_stock_factors(panel, hyper, train_end=train_end)
+        params.save(ckpt, stamp)
     return params, series
 
 
 @_stage("market-factors")
 def _stage_market_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                           feats: np.ndarray, run_dir: str, stamp: str
-                          ) -> tuple[mf.MarketEncoderParams, mf.MarketFactorSeries]:
+                          ) -> tuple[ParamSet, mf.MarketFactorSeries]:
     ckpt = os.path.join(run_dir, "params_market.npz")
     hyper = mf.MarketFactorHyper(
         lambda2=cfg["market.lambda2"], window=cfg["model.window"],
@@ -170,33 +151,20 @@ def _stage_market_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
         cls_weight_decay=cfg["market.cls_weight_decay"],
         seed=cfg["seed"], sync=cfg.synchronism())
     if os.path.exists(ckpt):
-        arrays = _load_params(ckpt, stamp)
-        hidden = arrays["cls_w1"].shape[1]
-        params = mf.MarketEncoderParams.init(
-            panel.n_stocks, panel.n_features, hidden,
-            np.random.default_rng(0))
-        for name, tensor in _market_tensors(params).items():
-            tensor.data = arrays[name]
+        params = mf.init_params(panel.n_stocks, panel.n_features, hyper)
+        params.load(ckpt, stamp)
         series = mf.market_series(panel, params, hyper.window, features=feats)
     else:
         params, series = mf.train_market_factors(panel, hyper, train_end, features=feats)
-        _save_params(ckpt, {name: t.data for name, t in _market_tensors(params).items()},
-                     stamp)
+        params.save(ckpt, stamp)
     return params, series
-
-
-def _market_tensors(params: mf.MarketEncoderParams) -> dict:
-    return {"w_s": params.w_s, "b_s": params.b_s, "w_id": params.w_id,
-            "w_eta": params.w_eta, "w_crit": params.w_crit, "b_crit": params.b_crit,
-            "cls_w1": params.cls_w1, "cls_b1": params.cls_b1,
-            "cls_w2": params.cls_w2, "cls_b2": params.cls_b2}
 
 
 @_stage("forecaster")
 def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
                       feats: np.ndarray, factors: sf.StockFactorSeries,
                       mseries: mf.MarketFactorSeries, run_dir: str, stamp: str
-                      ) -> tuple[fc.ForecasterParams, fc.ForecasterHyper, fc.Prediction]:
+                      ) -> tuple[ParamSet, fc.ForecasterHyper, fc.Prediction]:
     ckpt = os.path.join(run_dir, "params_forecaster.npz")
     ablation = cfg["ablation"]
     hyper = fc.ForecasterHyper(
@@ -210,31 +178,15 @@ def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
         use_relation=ablation != "ND",
         seed=cfg["seed"])
     if os.path.exists(ckpt):
-        arrays = _load_params(ckpt, stamp)
-        params = fc.ForecasterParams.init(panel.n_features, hyper,
-                                          np.random.default_rng(0))
-        for name, tensor in zip(_forecaster_names(params), params.trainable()):
-            tensor.data = arrays[name]
-        test_periods = list(range(train_end, panel.n_periods))
-        y_hat = fc.predict_periods(params, hyper, feats, factors.u, mseries, test_periods)
-        prediction = fc.Prediction(periods=test_periods, y_hat=y_hat,
-                                   y_true=panel.returns[:, test_periods])
+        params = fc.init_params(panel.n_features, hyper)
+        params.load(ckpt, stamp)
+        prediction = fc.predict_test(params, hyper, feats, panel.returns, factors.u,
+                                     mseries, train_end)
     else:
         params, prediction = fc.train_forecaster(feats, panel.returns, factors,
                                                  mseries, hyper, train_end)
-        _save_params(ckpt, dict(zip(_forecaster_names(params),
-                                    (t.data for t in params.trainable()))), stamp)
+        params.save(ckpt, stamp)
     return params, hyper, prediction
-
-
-def _forecaster_names(params: fc.ForecasterParams) -> list[str]:
-    names = ["w_in", "b_in"]
-    for i, blk in enumerate(params.blocks):
-        names.extend(f"blk{i}.{key}" for key in blk)
-    if params.p_c is not None:
-        names.extend(["p_c", "w_y"])
-    names.extend(["head_w1", "head_b1", "head_w2", "head_b2"])
-    return names
 
 
 @_stage("backtest")
@@ -245,8 +197,9 @@ def _stage_backtest(cfg: RunConfig, prediction: fc.Prediction) -> BacktestReport
 def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts:
     """Execute all stages and write the run artifacts.
 
-    Writes factors.csv, market_repr.csv, predictions.csv, series.csv and
-    report.txt into the run directory, plus per-stage parameter checkpoints.
+    Writes factors.csv, market_repr.csv, labels.csv, predictions.csv,
+    series.csv and report.txt into the run directory, plus per-stage
+    parameter checkpoints.
     """
     run_dir = cfg["out_dir"] if run_dir is None else run_dir
     os.makedirs(run_dir, exist_ok=True)
@@ -256,18 +209,40 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     feats = scaler.transform(panel.features)
 
     coint_params, factors = _stage_stock_factors(cfg, panel, train_end, run_dir, stamp)
-    _write_factors_csv(os.path.join(run_dir, "factors.csv"), panel, factors, stamp)
+    write_csv(os.path.join(run_dir, "factors.csv"), ["stock_id", "date", "u", "p_tilde"],
+              ([sid, date, repr(float(factors.u[i, t])), repr(float(factors.p_tilde[i, t]))]
+               for i, sid in enumerate(panel.stock_ids)
+               for t, date in enumerate(panel.periods)), stamp)
 
     market_params, mseries = _stage_market_factors(cfg, panel, train_end, feats, run_dir, stamp)
-    _write_market_csv(os.path.join(run_dir, "market_repr.csv"), panel, mseries, stamp)
-    _write_labels_csv(os.path.join(run_dir, "labels.csv"), panel, cfg, stamp)
+    write_csv(os.path.join(run_dir, "market_repr.csv"),
+              ["date"] + [f"m_{j + 1}" for j in range(mseries.m.shape[1])],
+              ([date] + [repr(float(v)) for v in mseries.m[t]]
+               for t, date in enumerate(panel.periods) if not np.isnan(mseries.m[t]).any()),
+              stamp)
+    # Synchronism labels per period, for auditing the prediction task.
+    sync = cfg.synchronism()
+    deltas = compute_deltas(panel.returns, sync)
+    labels = compute_synchronism_labels(deltas, sync)
+    sums = deltas.sum(axis=0)
+    write_csv(os.path.join(run_dir, "labels.csv"), ["date", "sum_delta", "label"],
+              ([date, int(sums[t]), labels[t].name] for t, date in enumerate(panel.periods)),
+              stamp)
 
     fc_params, fc_hyper, prediction = _stage_forecaster(
         cfg, panel, train_end, feats, factors, mseries, run_dir, stamp)
-    _write_predictions_csv(os.path.join(run_dir, "predictions.csv"), panel, prediction, stamp)
+    write_csv(os.path.join(run_dir, "predictions.csv"), ["date", "stock_id", "y_hat", "y_true"],
+              ([panel.periods[t], sid, repr(float(prediction.y_hat[i, k])),
+                repr(float(prediction.y_true[i, k]))]
+               for k, t in enumerate(prediction.periods)
+               for i, sid in enumerate(panel.stock_ids)), stamp)
 
     report = _stage_backtest(cfg, prediction)
-    _write_series_csv(os.path.join(run_dir, "series.csv"), panel, prediction, report, stamp)
+    write_csv(os.path.join(run_dir, "series.csv"),
+              ["date", "y_str", "net_return", "cumulative_wealth"],
+              ([panel.periods[t], repr(float(report.gross[k])), repr(float(report.net[k])),
+                repr(float(report.wealth[k]))] for k, t in enumerate(prediction.periods)),
+              stamp)
     _write_report(os.path.join(run_dir, "report.txt"), cfg, panel, train_end,
                   prediction, report, stamp)
 
@@ -308,70 +283,9 @@ def predict_with_artifacts(artifacts: TrainedArtifacts, panel: MarketPanel,
 # -- artifact files -----------------------------------------------------------
 
 
-def _write_factors_csv(path, panel, factors: sf.StockFactorSeries, stamp: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["stock_id", "date", "u", "p_tilde"])
-        for i, sid in enumerate(panel.stock_ids):
-            for t, date in enumerate(panel.periods):
-                writer.writerow([sid, date, repr(float(factors.u[i, t])),
-                                 repr(float(factors.p_tilde[i, t]))])
-
-
-def _write_market_csv(path, panel, mseries: mf.MarketFactorSeries, stamp: str) -> None:
-    width = mseries.m.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + [f"m_{j + 1}" for j in range(width)])
-        for t, date in enumerate(panel.periods):
-            if np.isnan(mseries.m[t]).any():
-                continue
-            writer.writerow([date] + [repr(float(v)) for v in mseries.m[t]])
-
-
-def _write_labels_csv(path, panel, cfg: RunConfig, stamp: str) -> None:
-    """Synchronism labels per period, for auditing the prediction task."""
-    from .panel import compute_deltas, compute_synchronism_labels
-    sync = cfg.synchronism()
-    deltas = compute_deltas(panel.returns, sync)
-    labels = compute_synchronism_labels(deltas, sync)
-    sums = deltas.sum(axis=0)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date", "sum_delta", "label"])
-        for t, date in enumerate(panel.periods):
-            writer.writerow([date, int(sums[t]), labels[t].name])
-
-
-def _write_predictions_csv(path, panel, prediction: fc.Prediction, stamp: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date", "stock_id", "y_hat", "y_true"])
-        for k, t in enumerate(prediction.periods):
-            for i, sid in enumerate(panel.stock_ids):
-                writer.writerow([panel.periods[t], sid,
-                                 repr(float(prediction.y_hat[i, k])),
-                                 repr(float(prediction.y_true[i, k]))])
-
-
-def _write_series_csv(path, panel, prediction: fc.Prediction,
-                      report: BacktestReport, stamp: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date", "y_str", "net_return", "cumulative_wealth"])
-        for k, t in enumerate(prediction.periods):
-            writer.writerow([panel.periods[t], repr(float(report.gross[k])),
-                             repr(float(report.net[k])), repr(float(report.wealth[k]))])
-
-
 def _write_report(path, cfg: RunConfig, panel, train_end: int,
                   prediction: fc.Prediction, report: BacktestReport, stamp: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {stamp}\n")
         fh.write(f"n_stocks: {panel.n_stocks}\n")
         fh.write(f"n_periods: {panel.n_periods}\n")

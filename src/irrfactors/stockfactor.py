@@ -28,37 +28,27 @@ class TooShortSeries(ValueError):
     """The operation needs more periods than were provided."""
 
 
-@dataclass
-class CointegrationParams:
-    """Learnable combination weights: betas, attention logits, AR coefficients.
+def init_params(n_stocks: int) -> ad.ParamSet:
+    """Learnable combination weights at their fixed start: betas (I, I) = 1,
+    attention logits w_att (I, I) = 0 and AR coefficients rho_raw (I,) = 0;
+    the diagonals of beta and w_att are unused.
 
     rho is stored unconstrained as rho_raw; tanh keeps |rho| < 1 for every
     finite value, so the stationarity constraint holds by construction.
     """
+    if n_stocks < 2:
+        raise TooFewStocks("cointegration attention needs at least 2 stocks")
+    return ad.ParamSet({"beta": np.ones((n_stocks, n_stocks)),
+                        "w_att": np.zeros((n_stocks, n_stocks)),
+                        "rho_raw": np.zeros(n_stocks)})
 
-    beta: Tensor       # (I, I), diagonal unused
-    w_att: Tensor      # (I, I) attention logits, diagonal unused
-    rho_raw: Tensor    # (I,)
 
-    @classmethod
-    def init(cls, n_stocks: int) -> "CointegrationParams":
-        if n_stocks < 2:
-            raise TooFewStocks("cointegration attention needs at least 2 stocks")
-        return cls(
-            beta=ad.parameter(np.ones((n_stocks, n_stocks))),
-            w_att=ad.parameter(np.zeros((n_stocks, n_stocks))),
-            rho_raw=ad.parameter(np.zeros(n_stocks)),
-        )
+def rho(params: ad.ParamSet) -> np.ndarray:
+    return np.tanh(params["rho_raw"].data)
 
-    def trainable(self) -> list[Tensor]:
-        return [self.beta, self.w_att, self.rho_raw]
 
-    @property
-    def rho(self) -> np.ndarray:
-        return np.tanh(self.rho_raw.data)
-
-    def attention(self) -> np.ndarray:
-        return _attention_op(self).data
+def attention(params: ad.ParamSet) -> np.ndarray:
+    return _attention_op(params).data
 
 
 @dataclass
@@ -69,27 +59,18 @@ class StockFactorSeries:
     p_tilde: np.ndarray  # (I, T)
 
 
-def _attention_op(params: CointegrationParams) -> Tensor:
-    n = params.w_att.shape[0]
+def _attention_op(params: ad.ParamSet) -> Tensor:
+    n = params["w_att"].shape[0]
     mask = ad.constant(np.where(np.eye(n, dtype=bool), ATT_MASK, 0.0))
-    return ad.softmax_row(params.w_att + mask)
+    return ad.softmax_row(params["w_att"] + mask)
 
 
-def _virtual_price_op(prices: Tensor, params: CointegrationParams) -> Tensor:
+def _virtual_price_op(prices: Tensor, params: ad.ParamSet) -> Tensor:
     att = _attention_op(params)
-    return (att * params.beta) @ prices
+    return (att * params["beta"]) @ prices
 
 
-def virtual_price(panel: MarketPanel, params: CointegrationParams,
-                  normalize_prices: bool = False) -> np.ndarray:
-    """Virtual rational price for every stock and period, (I, T)."""
-    if panel.n_stocks < 2:
-        raise TooFewStocks("virtual price needs at least 2 stocks")
-    prices = _prepare_prices(panel.prices, normalize_prices)
-    return _virtual_price_op(ad.constant(prices), params).data
-
-
-def residual(panel: MarketPanel, params: CointegrationParams,
+def residual(panel: MarketPanel, params: ad.ParamSet,
              normalize_prices: bool = False) -> StockFactorSeries:
     """Factor series u = p_tilde - p on the panel's (possibly scaled) prices."""
     prices = _prepare_prices(panel.prices, normalize_prices)
@@ -103,29 +84,38 @@ def _prepare_prices(prices: np.ndarray, normalize: bool) -> np.ndarray:
     return prices / prices[:, :1]
 
 
-def loss_beta(panel: MarketPanel, params: CointegrationParams,
-              train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
-    """Mean squared regression error between actual and virtual prices."""
-    prices = _train_prices(panel, train_end, normalize_prices)
-    p = ad.constant(prices)
-    p_tilde = _virtual_price_op(p, params)
+def _fit_op(panel: MarketPanel, params: ad.ParamSet, train_end: int | None,
+            normalize: bool) -> tuple[Tensor, Tensor]:
+    """Actual and virtual prices (p, p_tilde) of the training periods."""
+    if panel.n_stocks < 2:
+        raise TooFewStocks("need at least 2 stocks")
+    end = panel.n_periods if train_end is None else int(train_end)
+    p = ad.constant(_prepare_prices(panel.prices, normalize)[:, :end])
+    return p, _virtual_price_op(p, params)
+
+
+def _mse(p: Tensor, p_tilde: Tensor) -> Tensor:
     diff = p - p_tilde
     return (diff * diff).mean()
 
 
-def loss_rho(panel: MarketPanel, params: CointegrationParams,
+def loss_beta(panel: MarketPanel, params: ad.ParamSet,
+              train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
+    """Mean squared regression error between actual and virtual prices."""
+    return _mse(*_fit_op(panel, params, train_end, normalize_prices))
+
+
+def loss_rho(panel: MarketPanel, params: ad.ParamSet,
              train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
     """AR(1) stationarity penalty on the residual series."""
-    prices = _train_prices(panel, train_end, normalize_prices)
-    if prices.shape[1] < 2:
+    p, p_tilde = _fit_op(panel, params, train_end, normalize_prices)
+    return _rho_penalty(p_tilde - p, params)
+
+
+def _rho_penalty(u: Tensor, params: ad.ParamSet) -> Tensor:
+    if u.shape[1] < 2:
         raise TooShortSeries("stationarity penalty needs at least 2 periods")
-    p = ad.constant(prices)
-    u = _virtual_price_op(p, params) - p
-    return _rho_penalty(u, params)
-
-
-def _rho_penalty(u: Tensor, params: CointegrationParams) -> Tensor:
-    rho = ad.tanh(params.rho_raw).reshape(-1, 1)
+    rho = ad.tanh(params["rho_raw"]).reshape(-1, 1)
     cur = u[(slice(None), slice(1, None))]
     prev = u[(slice(None), slice(0, -1))]
     diff = cur - rho * prev
@@ -144,24 +134,11 @@ def loss_rho_from_u(u: np.ndarray, rho: np.ndarray) -> float:
     return float((diff * diff).mean())
 
 
-def loss_S(panel: MarketPanel, params: CointegrationParams, lambda1: float,
+def loss_S(panel: MarketPanel, params: ad.ParamSet, lambda1: float,
            train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
     """Joint objective: regression loss plus lambda1 times the AR(1) penalty."""
-    prices = _train_prices(panel, train_end, normalize_prices)
-    p = ad.constant(prices)
-    p_tilde = _virtual_price_op(p, params)
-    diff = p - p_tilde
-    reg = (diff * diff).mean()
-    if prices.shape[1] < 2:
-        raise TooShortSeries("joint objective needs at least 2 periods")
-    return reg + lambda1 * _rho_penalty(p_tilde - p, params)
-
-
-def _train_prices(panel: MarketPanel, train_end: int | None, normalize: bool) -> np.ndarray:
-    if panel.n_stocks < 2:
-        raise TooFewStocks("need at least 2 stocks")
-    end = panel.n_periods if train_end is None else int(train_end)
-    return _prepare_prices(panel.prices, normalize)[:, :end]
+    p, p_tilde = _fit_op(panel, params, train_end, normalize_prices)
+    return _mse(p, p_tilde) + lambda1 * _rho_penalty(p_tilde - p, params)
 
 
 @dataclass
@@ -175,24 +152,24 @@ class StockFactorHyper:
 
 def train_stock_factors(panel: MarketPanel, hyper: StockFactorHyper,
                         train_end: int | None = None
-                        ) -> tuple[CointegrationParams, StockFactorSeries]:
+                        ) -> tuple[ad.ParamSet, StockFactorSeries]:
     """Fit the combination parameters on the training periods only.
 
     Full-batch Adam from the fixed initialization (beta = 1, logits = 0,
     rho_raw = 0); deterministic. Returns the fitted parameters and the factor
     series for the whole panel computed with them frozen.
     """
-    params = CointegrationParams.init(panel.n_stocks)
-    opt = ad.adam_init(params.trainable())
+    params = init_params(panel.n_stocks)
+    opt = ad.adam_init(params)
     for _ in range(hyper.steps):
-        ad.zero_grads(params.trainable())
+        ad.zero_grads(params)
         with Tape() as tape:
             loss = loss_S(panel, params, hyper.lambda1,
                           train_end=train_end, normalize_prices=hyper.normalize_prices)
             if not np.isfinite(loss.data):
                 raise ad.NumericalFailure("stock factor loss diverged")
             tape.backward(loss)
-        ad.adam_step(params.trainable(), opt, lr=hyper.lr)
+        ad.adam_step(params, opt, lr=hyper.lr)
     series = residual(panel, params, normalize_prices=hyper.normalize_prices)
     return params, series
 

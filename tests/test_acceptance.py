@@ -40,30 +40,29 @@ def _report(number, name, passed, detail=""):
 
 def _stock_loss_cases(seed):
     panel = random_panel(seed, n_stocks=4, n_periods=7, n_features=3)
-    params = sf.CointegrationParams.init(4)
+    params = sf.init_params(4)
     rng = np.random.default_rng(seed + 100)
-    params.beta.data += rng.normal(scale=0.2, size=(4, 4))
-    params.w_att.data += rng.normal(scale=0.2, size=(4, 4))
-    params.rho_raw.data += rng.normal(scale=0.2, size=4)
+    params["beta"].data += rng.normal(scale=0.2, size=(4, 4))
+    params["w_att"].data += rng.normal(scale=0.2, size=(4, 4))
+    params["rho_raw"].data += rng.normal(scale=0.2, size=4)
     return [
-        ("regression", lambda: sf.loss_beta(panel, params), params.trainable()),
-        ("stationarity", lambda: sf.loss_rho(panel, params), params.trainable()),
-        ("joint-stock", lambda: sf.loss_S(panel, params, 0.5), params.trainable()),
+        ("regression", lambda: sf.loss_beta(panel, params), params),
+        ("stationarity", lambda: sf.loss_rho(panel, params), params),
+        ("joint-stock", lambda: sf.loss_S(panel, params, 0.5), params),
     ]
 
 
 def _market_loss_cases(seed):
     panel = random_panel(seed + 1, n_stocks=5, n_periods=8, n_features=3)
     sync = SynchronismConfig()
-    params = mf.MarketEncoderParams.init(5, 3, 6, stream(seed, "acc", "market"))
+    params = mf.init_params(5, 3, mf.MarketFactorHyper(hidden=6), stream(seed, "acc", "market"))
     periods = np.array([3, 5, 7])
     return [
         ("contrastive", lambda: mf.infonce_loss(params, panel, periods, 2,
-                                                seed=seed, epoch=0), params.trainable()),
-        ("synchronism", lambda: mf.loss_P(params, panel, periods, 2, sync),
-         params.trainable()),
+                                                seed=seed, epoch=0), params),
+        ("synchronism", lambda: mf.loss_P(params, panel, periods, 2, sync), params),
         ("joint-market", lambda: mf.loss_M(params, panel, periods, 1.0, 2, sync,
-                                           seed=seed, epoch=0), params.trainable()),
+                                           seed=seed, epoch=0), params),
     ]
 
 
@@ -76,7 +75,7 @@ def _forecaster_loss_cases(seed):
                                     r=rng.normal(size=(n_stocks, n_periods, 2 * d)),
                                     window=2)
     hyper = fc.ForecasterHyper(window=2, width=8, blocks=1, heads=2, seed=seed)
-    params = fc.ForecasterParams.init(d, hyper, stream(seed, "acc", "fc"))
+    params = fc.init_params(d, hyper, stream(seed, "acc", "fc"))
     g = fc.build_inputs(feats, u, t=5, window=2)
     y = rng.normal(size=n_stocks)
     z = average_ranks(y)
@@ -86,8 +85,8 @@ def _forecaster_loss_cases(seed):
         return fc.loss_total(y_hat, y, z, lambda3)
 
     return [
-        ("mse", lambda: loss(0.0), params.trainable()),
-        ("full-objective", lambda: loss(0.1), params.trainable()),
+        ("mse", lambda: loss(0.0), params),
+        ("full-objective", lambda: loss(0.1), params),
     ]
 
 
@@ -125,8 +124,8 @@ def test_criterion_2_cointegration_recovery():
         panel = generate_synthetic(spec)
         params, series = sf.train_stock_factors(
             panel, sf.StockFactorHyper(lambda1=0.5, lr=0.02, steps=2000, seed=seed))
-        att = params.attention()[0, 1]
-        eff = att * params.beta.data[0, 1]
+        att = sf.attention(params)[0, 1]
+        eff = att * params["beta"].data[0, 1]
         rho_u = abs(sf.stationarity_diagnostic(series.u[0]))
         rho_p = abs(sf.stationarity_diagnostic(panel.prices[0]))
         ok = att >= 0.5 and 0.55 <= eff <= 0.85 and rho_u <= 0.9 and rho_p >= 0.95

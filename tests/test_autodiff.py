@@ -162,25 +162,12 @@ def test_batched_matmul_gradients():
     assert ad.gradient_check(f, [a, b]) <= 1e-6
 
 
-def test_sgd_step_example():
-    p = ad.parameter(1.0)
-    p.grad = np.asarray(2.0)
-    ad.sgd_step([p], lr=0.1)
-    assert p.item() == pytest.approx(0.8)
-
-
-def test_sgd_zero_gradient_leaves_params():
-    p = ad.parameter([1.0, -2.0])
-    p.grad = np.zeros(2)
-    ad.sgd_step([p], lr=0.5)
-    np.testing.assert_array_equal(p.data, [1.0, -2.0])
-
-
 def test_adam_first_step_moves_against_gradient_sign():
-    p = ad.parameter([1.0, 1.0])
+    params = ad.ParamSet({"p": [1.0, 1.0]})
+    p = params["p"]
     p.grad = np.array([3.0, -0.25])
-    state = ad.adam_init([p])
-    ad.adam_step([p], state, lr=0.05)
+    state = ad.adam_init(params)
+    ad.adam_step(params, state, lr=0.05)
     assert p.data[0] < 1.0 and p.data[1] > 1.0
 
 
@@ -207,9 +194,125 @@ def test_distinct_tapes_on_distinct_threads():
 
 
 def test_nonfinite_gradient_raises():
-    p = ad.parameter(1.0)
-    p.grad = np.asarray(np.nan)
+    params = ad.ParamSet({"p": 1.0})
+    params["p"].grad = np.asarray(np.nan)
     with pytest.raises(ad.NumericalFailure):
-        ad.sgd_step([p], lr=0.1)
-    with pytest.raises(ad.NumericalFailure):
-        ad.adam_step([p], ad.adam_init([p]), lr=0.1)
+        ad.adam_step(params, ad.adam_init(params), lr=0.1)
+
+
+# -- parameter sets ----------------------------------------------------------
+
+
+def _random_set(seed=0):
+    rng = np.random.default_rng(seed)
+    return ad.ParamSet({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
+                        "s": rng.normal(), "blk0.w_q": rng.normal(size=(2, 2))})
+
+
+def _zeroed_like(params):
+    return ad.ParamSet({name: np.zeros(t.shape) for name, t in params.items()})
+
+
+def _assert_views(params):
+    for t in params:
+        assert np.shares_memory(t.data, params.flat)
+
+
+def test_param_set_round_trip_is_bit_exact(tmp_path):
+    params = _random_set()
+    path = tmp_path / "params.npz"
+    params.save(path, "run-a")
+    with np.load(path) as data:
+        assert data.files == ["__stamp__", "w", "b", "s", "blk0.w_q"]
+    loaded = _zeroed_like(params)
+    loaded.load(path, "run-a")
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    assert [p.shape for p in loaded] == [p.shape for p in params]
+    assert [p for p in tmp_path.iterdir()] == [path]   # no temporary file left
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda arrays: {("v" if k == "w" else k): a for k, a in arrays.items()}, "'w'"),
+    (lambda arrays: {**arrays, "b": arrays["b"].reshape(2, 2)}, "'b'"),
+    (lambda arrays: {k: a for k, a in arrays.items() if k != "blk0.w_q"}, "'blk0.w_q'"),
+    (lambda arrays: {**arrays, "extra": np.zeros(2)}, "'extra'"),
+])
+def test_param_set_load_names_the_first_mismatching_parameter(tmp_path, change, message):
+    params = _random_set()
+    arrays = {name: t.data for name, t in params.items()}
+    path = tmp_path / "params.npz"
+    np.savez(path, __stamp__=np.array("run-a"), **change(arrays))
+    target = _zeroed_like(params)
+    with pytest.raises(ad.CheckpointMismatch, match=message):
+        target.load(path, "run-a")
+    assert not target.flat.any()          # nothing was half-loaded
+
+
+def test_param_set_load_rejects_another_runs_stamp(tmp_path):
+    params = _random_set()
+    path = tmp_path / "params.npz"
+    params.save(path, "run-a")
+    with pytest.raises(ad.CheckpointMismatch, match="different run"):
+        _zeroed_like(params).load(path, "run-b")
+
+
+def test_param_set_views_survive_adam_restore_and_load(tmp_path):
+    params = _random_set()
+    _assert_views(params)
+    snap = params.snapshot()
+    state = ad.adam_init(params)
+    for p in params:
+        p.grad = np.ones(p.shape)
+    ad.adam_step(params, state, lr=0.1)
+    _assert_views(params)
+    assert not np.array_equal(params.flat, snap)
+    params.restore(snap)
+    _assert_views(params)
+    assert params.flat.tobytes() == snap.tobytes()
+    path = tmp_path / "params.npz"
+    _random_set(1).save(path, "run-a")
+    params.load(path, "run-a")
+    _assert_views(params)
+    assert params.flat.tobytes() == _random_set(1).flat.tobytes()
+
+
+def test_adam_step_names_a_parameter_without_gradient():
+    params = _random_set()
+    for p in params:
+        p.grad = np.zeros(p.shape)
+    params["b"].grad = None
+    with pytest.raises(ad.MissingGradient, match="'b'"):
+        ad.adam_step(params, ad.adam_init(params))
+
+
+def _reference_adam_step(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: Adam as a loop over the tensors, one update per tensor."""
+    state["t"] += 1
+    t = state["t"]
+    for i, (p, g) in enumerate(zip(arrays, grads)):
+        state["m"][i] = beta1 * state["m"][i] + (1.0 - beta1) * g
+        state["v"][i] = beta2 * state["v"][i] + (1.0 - beta2) * g * g
+        m_hat = state["m"][i] / (1.0 - beta1 ** t)
+        v_hat = state["v"][i] / (1.0 - beta2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_flat_adam_matches_per_tensor_loop_bitwise():
+    from irrfactors import forecaster as fc
+    hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
+    params = fc.init_params(6, hyper)
+    assert len(list(params)) == 20
+    arrays = [p.data.copy() for p in params]
+    ref_state = {"t": 0, "m": [np.zeros_like(a) for a in arrays],
+                 "v": [np.zeros_like(a) for a in arrays]}
+    state = ad.adam_init(params)
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        grads = [rng.normal(size=a.shape) * 10.0 ** rng.uniform(-6, 2, size=a.shape)
+                 for a in arrays]
+        for p, g in zip(params, grads):
+            p.grad = g
+        ad.adam_step(params, state, lr=3e-3)
+        _reference_adam_step(arrays, grads, ref_state, lr=3e-3)
+        for p, a in zip(params, arrays):
+            assert p.data.tobytes() == a.tobytes()

@@ -72,6 +72,34 @@ def test_average_ranks_give_each_nan_its_own_top_rank():
                                   [3.0, 1.5, 4.0, 1.5])
 
 
+def test_pearson_perfect_and_inverted():
+    z = ev.average_ranks([1.0, 3.0, 2.0, 5.0])
+    assert ev.pearson(z, z) == pytest.approx(1.0)
+    assert ev.pearson(-z, z) == pytest.approx(-1.0)
+
+
+def test_pearson_constant_forecast_is_zero():
+    assert ev.pearson(np.full(5, 2.0), ev.average_ranks(np.arange(5.0))) == 0.0
+
+
+def test_pearson_matches_two_pass_pearson_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        y_hat = rng.normal(size=8)
+        z = ev.average_ranks(rng.normal(size=8))
+        a, b = y_hat - y_hat.mean(), z - z.mean()
+        oracle = (a * b).mean() / np.sqrt((a * a).mean() * (b * b).mean())
+        assert ev.pearson(y_hat, z) == pytest.approx(oracle, abs=1e-10)
+
+
+def test_pearson_consistent_for_monotone_transforms_of_ranks():
+    z = ev.average_ranks(np.array([0.3, -1.2, 0.9, 2.2, -0.4]))
+    transformed = np.exp(z)       # strictly increasing, nonlinear
+    assert ev.pearson(transformed, z) == pytest.approx(two_pass_pearson(transformed, z),
+                                                       abs=1e-12)
+    assert ev.pearson(2.0 * z + 3.0, z) == pytest.approx(1.0)
+
+
 # -- strategy ----------------------------------------------------------------
 
 

@@ -27,7 +27,7 @@ def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
         window=window)
     hyper = fc.ForecasterHyper(window=window, width=width, blocks=blocks, heads=heads,
                                seed=seed, **flags)
-    params = fc.ForecasterParams.init(n_features, hyper, stream(seed, "fc", "init"))
+    params = fc.init_params(n_features, hyper, stream(seed, "fc", "init"))
     return feats, u, mseries, hyper, params
 
 
@@ -87,7 +87,7 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
                                last_only=last_only)
         return fc.loss_total(y_hat, y, z, 0.1)
 
-    assert ad.gradient_check(f, params.trainable()) <= 1e-4
+    assert ad.gradient_check(f, params) <= 1e-4
 
 
 def test_build_inputs_stacks_period_windows():
@@ -119,7 +119,7 @@ u = rng.normal(size=(I, T))
 mseries = MarketFactorSeries(m=rng.normal(size=(T, 2 * F)),
                              r=rng.normal(size=(I, T, 2 * F)), window=10)
 hyper = fc.ForecasterHyper(window=10, width=64, blocks=2, heads=4)
-params = fc.ForecasterParams.init(F, hyper, stream(5, "fc", "init"))
+params = fc.init_params(F, hyper, stream(5, "fc", "init"))
 y_hat = fc.predict_periods(params, hyper, feats, u, mseries, range(10, T + 1))
 print(hashlib.sha256(y_hat.tobytes()).hexdigest())
 """

@@ -12,8 +12,8 @@ from irrfactors.panel import compute_deltas, compute_synchronism_labels
 
 def _params(panel, seed=0, hidden=None):
     d = panel.n_features
-    return mf.MarketEncoderParams.init(panel.n_stocks, d,
-                                       hidden or 2 * d, stream(seed, "t", "init"))
+    return mf.init_params(panel.n_stocks, d, mf.MarketFactorHyper(hidden=hidden or 2 * d),
+                          stream(seed, "t", "init"))
 
 
 def test_window_of_one_duplicates_current_features(small_panel):
@@ -43,8 +43,8 @@ def test_orthonormal_window_attention_scores():
     from irrfactors.panel import MarketPanel
     panel = MarketPanel.from_prices(["A"], ["d0", "d1", "d2"], feats, prices)
     params = _params(panel, hidden=8)
-    params.w_s.data = np.eye(4)
-    params.b_s.data = np.zeros(4)
+    params["w_s"].data[...] = np.eye(4)
+    params["b_s"].data[...] = 0.0
     r = mf.dynamic_stock_repr(panel, params, stock=0, t=2, window=3)
     weights = np.exp([0.0, 0.0, 0.5])
     weights /= weights.sum()
@@ -60,12 +60,12 @@ def test_window_underflow_raises(small_panel):
 def test_stock_weight_relu_and_id_dependence(small_panel):
     params = _params(small_panel)
     r = np.zeros(2 * small_panel.n_features)
-    params.w_eta.data = np.zeros_like(params.w_eta.data)
+    params["w_eta"].data[...] = 0.0
     assert mf.stock_weight(params, 0, r) == 0.0
-    params.w_eta.data = np.ones_like(params.w_eta.data)
-    params.w_id.data[:, 0] = -3.0 / params.w_id.shape[0]
+    params["w_eta"].data[...] = 1.0
+    params["w_id"].data[:, 0] = -3.0 / params["w_id"].shape[0]
     assert mf.stock_weight(params, 0, r) == 0.0        # negative preactivation
-    params.w_id.data[:, 1] = 1.0
+    params["w_id"].data[:, 1] = 1.0
     assert mf.stock_weight(params, 1, r) > mf.stock_weight(params, 0, r)
 
 
@@ -78,7 +78,7 @@ def test_market_repr_single_stock_equals_its_repr(small_panel):
 
 def test_market_repr_uniform_weights_average(small_panel):
     params = _params(small_panel)
-    params.w_eta.data = np.zeros_like(params.w_eta.data)   # all eta 0 -> fallback
+    params["w_eta"].data[...] = 0.0   # all eta 0 -> fallback
     subset = [0, 1, 3]
     m = mf.market_repr(small_panel, params, subset, t=6, window=3)
     rs = np.stack([mf.dynamic_stock_repr(small_panel, params, s, 6, 3) for s in subset])
@@ -89,7 +89,7 @@ def test_market_repr_scale_invariance(small_panel):
     params = _params(small_panel, seed=4)
     subset = np.arange(small_panel.n_stocks)
     base = mf.market_repr(small_panel, params, subset, t=7, window=4)
-    params.w_eta.data = params.w_eta.data * 2.0
+    params["w_eta"].data *= 2.0
     scaled = mf.market_repr(small_panel, params, subset, t=7, window=4)
     np.testing.assert_allclose(scaled, base, atol=1e-10)
 
@@ -132,27 +132,27 @@ def test_split_needs_two_stocks():
 
 def test_criterion_values(small_panel):
     params = _params(small_panel)
-    params.w_crit.data = np.zeros_like(params.w_crit.data)
-    params.b_crit.data = np.asarray(0.0)
+    params["w_crit"].data[...] = 0.0
+    params["b_crit"].data[...] = 0.0
     m = np.ones(2 * small_panel.n_features)
     assert mf.criterion(params, m, m, 3, 9) == pytest.approx(1.0)
-    params.b_crit.data = np.asarray(2.0)
+    params["b_crit"].data[...] = 2.0
     assert mf.criterion(params, m, m, 5, 5) == pytest.approx(np.exp(2.0))
     assert mf.criterion(params, m, m, 1, 5) == pytest.approx(np.exp(2.0 / 5.0))
 
 
 def test_infonce_uniform_logits_give_log_batch(small_panel):
     params = _params(small_panel)
-    params.w_crit.data = np.zeros_like(params.w_crit.data)
-    params.b_crit.data = np.asarray(0.0)
+    params["w_crit"].data[...] = 0.0
+    params["b_crit"].data[...] = 0.0
     loss = mf.infonce_loss(params, small_panel, [4, 6, 8, 10], window=3, seed=0, epoch=0)
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_infonce_dominant_positive_drives_loss_to_zero(small_panel):
     params = _params(small_panel)
-    params.w_crit.data = np.zeros_like(params.w_crit.data)
-    params.b_crit.data = np.asarray(200.0)     # positives get the full logit
+    params["w_crit"].data[...] = 0.0
+    params["b_crit"].data[...] = 200.0     # positives get the full logit
     loss = mf.infonce_loss(params, small_panel, [4, 6, 8, 10], window=3, seed=0, epoch=0)
     assert loss.item() < 1e-6
 
@@ -181,8 +181,8 @@ def test_infonce_needs_two_periods(small_panel):
 
 def test_synchronism_predict_distribution(small_panel):
     params = _params(small_panel)
-    for t in params.trainable()[-4:]:
-        t.data = np.zeros_like(t.data)
+    for name in ("cls_w1", "cls_b1", "cls_w2", "cls_b2"):
+        params[name].data[...] = 0.0
     probs = mf.synchronism_predict(params, np.ones(2 * small_panel.n_features))
     np.testing.assert_allclose(probs, np.full(3, 1.0 / 3.0), atol=1e-12)
     params2 = _params(small_panel, seed=11)
@@ -221,7 +221,7 @@ def test_loss_m_gradients_match_finite_differences(small_panel):
     err = ad.gradient_check(
         lambda _: mf.loss_M(params, small_panel, np.array([4, 6, 9]), 1.0, 3,
                             sync, seed=7, epoch=0),
-        params.trainable())
+        params)
     assert err <= 1e-4
 
 
@@ -234,9 +234,9 @@ def test_training_improves_loss_and_separates_pairs():
     hyper = mf.MarketFactorHyper(window=10, epochs=6, seed=5, sync=sync)
     eval_periods = np.arange(hyper.window, 60)
 
-    init = mf.MarketEncoderParams.init(panel.n_stocks, panel.n_features,
-                                       2 * panel.n_features,
-                                       stream(5, "market", "init"))
+    init = mf.init_params(panel.n_stocks, panel.n_features,
+                          mf.MarketFactorHyper(hidden=2 * panel.n_features),
+                          stream(5, "market", "init"))
     before = mf.loss_M(init, panel, eval_periods, 1.0, hyper.window, sync,
                        seed=5, epoch=0, features=feats).item()
     params, series = mf.train_market_factors(panel, hyper, train_end, features=feats)

@@ -5,7 +5,7 @@ from irrfactors.panel import (BadPrice, DuplicateRow, FeatureScaler, HoleInPanel
                               SynchronismConfig, SyncClass, TooShort,
                               compute_deltas, compute_returns,
                               compute_synchronism_labels, labels_to_onehot,
-                              load_panel, write_panel_csv)
+                              load_panel, write_csv, write_panel_csv)
 from conftest import random_panel
 
 HEADER = "date,stock_id,open,close,high,low,vwap,volume\n"
@@ -58,6 +58,20 @@ def test_panel_csv_round_trip(tmp_path):
     loaded = load_panel(path)
     np.testing.assert_allclose(loaded.prices, panel.prices, rtol=1e-15)
     np.testing.assert_allclose(loaded.features, panel.features, rtol=1e-15)
+
+
+def test_interrupted_csv_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [[1], [2]], "old")
+
+    def rows():
+        yield [3]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        write_csv(path, ["a"], rows(), "new")
+    assert path.read_bytes() == b"# old\na\r\n1\r\n2\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_compute_returns_hand_values():

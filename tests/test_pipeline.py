@@ -170,6 +170,73 @@ def test_stage_resume_reproduces_downstream(small_run, tmp_path):
             assert a.read() == b.read()
 
 
+ARTIFACTS = ("factors.csv", "market_repr.csv", "labels.csv", "predictions.csv",
+             "series.csv", "report.txt")
+
+
+def _assert_same_artifacts(run_dir, other):
+    for name in ARTIFACTS:
+        with open(os.path.join(run_dir, name), "rb") as a, \
+                open(os.path.join(other, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_full_resume_reproduces_every_artifact(small_run, tmp_path):
+    cfg, run_dir, _ = small_run
+    import shutil
+    clone = str(tmp_path / "resume")
+    shutil.copytree(run_dir, clone)
+    for name in ARTIFACTS:
+        os.remove(os.path.join(clone, name))
+    run_pipeline(cfg, clone)
+    _assert_same_artifacts(run_dir, clone)
+
+
+def _rewrite_checkpoint(path, change):
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    np.savez(path, **change(arrays))
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("params_market.npz",
+     lambda a: {("w_eta_old" if k == "w_eta" else k): v for k, v in a.items()}, "'w_eta'"),
+    ("params_stock.npz", lambda a: {**a, "beta": a["beta"].reshape(-1)}, "'beta'"),
+    ("params_forecaster.npz",
+     lambda a: {**a, "__stamp__": np.array("config_hash=0 seed=7")}, "different run"),
+])
+def test_mismatched_checkpoint_is_rejected(small_run, tmp_path, name, change, message):
+    cfg, run_dir, _ = small_run
+    import shutil
+    clone = str(tmp_path / "tampered")
+    shutil.copytree(run_dir, clone)
+    _rewrite_checkpoint(os.path.join(clone, name), change)
+    with pytest.raises(PipelineStageError, match=message):
+        run_pipeline(cfg, clone)
+
+
+def test_interrupted_checkpoint_write_leaves_no_checkpoint(small_run, tmp_path, monkeypatch):
+    cfg, run_dir, _ = small_run
+    real_savez = np.savez
+
+    def savez_then_fail(file, **arrays):
+        if isinstance(file, str):               # a writer that was given a path
+            file = open(file, "wb")
+        file.write(b"PK partial")
+        file.close()
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    broken = str(tmp_path / "broken")
+    with pytest.raises(PipelineStageError, match="stock-factors"):
+        run_pipeline(cfg, broken)
+    left = os.listdir(broken)
+    assert not [f for f in left if f.startswith("params_") or f.endswith(".tmp")], left
+    monkeypatch.setattr(np, "savez", real_savez)
+    run_pipeline(cfg, broken)
+    _assert_same_artifacts(run_dir, broken)
+
+
 def test_predictions_only_depend_on_the_past(small_run):
     _, _, artifacts = small_run
     panel = artifacts.panel

@@ -20,8 +20,8 @@ def _panel_from_prices(prices):
 def _naive_virtual_price(panel, params):
     """Two-loop oracle for the attention-weighted combination."""
     I, T = panel.prices.shape
-    w = params.w_att.data
-    beta = params.beta.data
+    w = params["w_att"].data
+    beta = params["beta"].data
     out = np.zeros((I, T))
     for i in range(I):
         logits = np.array([w[i, j] for j in range(I) if j != i])
@@ -36,56 +36,56 @@ def _naive_virtual_price(panel, params):
 
 def test_uniform_attention_hand_value():
     panel = _panel_from_prices([[10.0], [20.0], [30.0]])
-    params = sf.CointegrationParams.init(3)
-    assert sf.virtual_price(panel, params)[0, 0] == pytest.approx(25.0)
+    params = sf.init_params(3)
+    assert sf.residual(panel, params).p_tilde[0, 0] == pytest.approx(25.0)
 
 
 def test_attention_saturation():
     panel = _panel_from_prices([[10.0], [20.0], [30.0]])
-    params = sf.CointegrationParams.init(3)
-    params.beta.data[0, 1] = 2.0
-    params.w_att.data[0, 1] = 40.0
-    assert sf.virtual_price(panel, params)[0, 0] == pytest.approx(40.0)
+    params = sf.init_params(3)
+    params["beta"].data[0, 1] = 2.0
+    params["w_att"].data[0, 1] = 40.0
+    assert sf.residual(panel, params).p_tilde[0, 0] == pytest.approx(40.0)
 
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(1)
-    params = sf.CointegrationParams.init(4)
-    params.w_att.data = rng.normal(size=(4, 4)) * 3
-    att = params.attention()
+    params = sf.init_params(4)
+    params["w_att"].data[...] = rng.normal(size=(4, 4)) * 3
+    att = sf.attention(params)
     np.testing.assert_allclose(att.sum(axis=1), np.ones(4), atol=1e-12)
     np.testing.assert_array_equal(np.diag(att), np.zeros(4))
 
 
 def test_too_few_stocks():
     with pytest.raises(sf.TooFewStocks):
-        sf.CointegrationParams.init(1)
+        sf.init_params(1)
 
 
 def test_residual_is_difference():
     panel = random_panel(2)
-    params = sf.CointegrationParams.init(panel.n_stocks)
+    params = sf.init_params(panel.n_stocks)
     series = sf.residual(panel, params)
     np.testing.assert_array_equal(series.u, series.p_tilde - panel.prices)
 
 
 def test_loss_beta_single_cell():
     panel = _panel_from_prices([[1.0], [3.0]])
-    params = sf.CointegrationParams.init(2)
+    params = sf.init_params(2)
     # I=2: each stock's virtual price is the other's price, so both cells err by 2
     assert sf.loss_beta(panel, params).item() == pytest.approx(4.0)
 
 
 def test_loss_beta_matches_naive_oracle():
     panel = random_panel(5)
-    params = sf.CointegrationParams.init(panel.n_stocks)
+    params = sf.init_params(panel.n_stocks)
     rng = np.random.default_rng(8)
-    params.beta.data = rng.normal(size=params.beta.shape)
-    params.w_att.data = rng.normal(size=params.w_att.shape)
+    params["beta"].data[...] = rng.normal(size=params["beta"].shape)
+    params["w_att"].data[...] = rng.normal(size=params["w_att"].shape)
     p_tilde = _naive_virtual_price(panel, params)
     expected = ((panel.prices - p_tilde) ** 2).mean()
     assert sf.loss_beta(panel, params).item() == pytest.approx(expected, rel=1e-12)
-    np.testing.assert_allclose(sf.virtual_price(panel, params), p_tilde, rtol=1e-12)
+    np.testing.assert_allclose(sf.residual(panel, params).p_tilde, p_tilde, rtol=1e-12)
 
 
 def test_loss_rho_hand_values():
@@ -104,10 +104,10 @@ def test_loss_rho_matches_naive_oracle():
 
 def test_loss_s_composition():
     panel = random_panel(6)
-    params = sf.CointegrationParams.init(panel.n_stocks)
+    params = sf.init_params(panel.n_stocks)
     rng = np.random.default_rng(9)
-    params.beta.data = rng.normal(size=params.beta.shape)
-    params.rho_raw.data = rng.normal(size=params.rho_raw.shape)
+    params["beta"].data[...] = rng.normal(size=params["beta"].shape)
+    params["rho_raw"].data[...] = rng.normal(size=params["rho_raw"].shape)
     lb = sf.loss_beta(panel, params).item()
     lr = sf.loss_rho(panel, params).item()
     assert sf.loss_S(panel, params, 0.0).item() == pytest.approx(lb, rel=1e-12)
@@ -115,25 +115,25 @@ def test_loss_s_composition():
 
 
 def test_rho_constraint_by_construction():
-    params = sf.CointegrationParams.init(3)
-    params.rho_raw.data = np.array([-15.0, 0.0, 15.0])
-    assert np.all(np.abs(params.rho) < 1.0)
+    params = sf.init_params(3)
+    params["rho_raw"].data[...] = np.array([-15.0, 0.0, 15.0])
+    assert np.all(np.abs(sf.rho(params)) < 1.0)
 
 
 def test_loss_gradients_match_finite_differences():
     panel = random_panel(7, n_stocks=4, n_periods=6)
-    params = sf.CointegrationParams.init(4)
+    params = sf.init_params(4)
     rng = np.random.default_rng(3)
-    params.beta.data += rng.normal(scale=0.1, size=(4, 4))
-    params.w_att.data += rng.normal(scale=0.1, size=(4, 4))
-    params.rho_raw.data += rng.normal(scale=0.1, size=4)
-    err = ad.gradient_check(lambda _: sf.loss_S(panel, params, 0.5), params.trainable())
+    params["beta"].data += rng.normal(scale=0.1, size=(4, 4))
+    params["w_att"].data += rng.normal(scale=0.1, size=(4, 4))
+    params["rho_raw"].data += rng.normal(scale=0.1, size=4)
+    err = ad.gradient_check(lambda _: sf.loss_S(panel, params, 0.5), params)
     assert err <= 1e-4
 
 
 def test_training_decreases_loss(planted_panel):
     hyper = sf.StockFactorHyper(steps=150, seed=0)
-    initial = sf.loss_S(planted_panel, sf.CointegrationParams.init(8), hyper.lambda1).item()
+    initial = sf.loss_S(planted_panel, sf.init_params(8), hyper.lambda1).item()
     params, _ = sf.train_stock_factors(planted_panel, hyper)
     final = sf.loss_S(planted_panel, params, hyper.lambda1).item()
     assert final <= initial
@@ -142,7 +142,7 @@ def test_training_decreases_loss(planted_panel):
 def test_training_finds_planted_partner(planted_panel):
     params, series = sf.train_stock_factors(
         planted_panel, sf.StockFactorHyper(steps=800, seed=0))
-    att = params.attention()
+    att = sf.attention(params)
     assert att[0].argmax() == 1
     assert abs(sf.stationarity_diagnostic(series.u[0])) < \
         abs(sf.stationarity_diagnostic(planted_panel.prices[0]))
