@@ -11,6 +11,7 @@ A Tape is single-threaded; distinct tapes may run on distinct threads.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from itertools import zip_longest
@@ -269,11 +270,111 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(str(e)) from None
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _record(data, (a, b), vjp)
+
+
+# -- fused primitives ------------------------------------------------------
+#
+# Each records one node in place of a chain of the elementary primitives
+# above. Forward and VJP repeat the chain's numpy expressions in its order,
+# so values and gradients are bit for bit those of the chain; only the
+# per-node bookkeeping is saved.
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b, with b broadcast against the product."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim < 2 or w.data.ndim < 2:
+        raise ShapeError("linear requires operands with ndim >= 2")
+    try:
+        product = x.data @ w.data
+    except ValueError as e:
+        raise ShapeError(str(e)) from None
+    data = product + b.data
+    if data.shape != product.shape:
+        raise ShapeError(f"bias {b.data.shape} does not broadcast to the product "
+                         f"{product.shape}")
+
+    def vjp(g):
+        gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape) if x.requires_grad else None
+        gw = _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape) if w.requires_grad else None
+        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record(data, (x, w, b), vjp)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (..., L, width) inputs.
+
+    q (..., Lq, width) attends over k and v (..., L, width); each is split
+    into `heads` slices of width // heads, and the mixed slices are merged
+    back into (..., Lq, width).
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    width = q.data.shape[-1]
+    if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or width % heads != 0
+            or k.data.shape != v.data.shape
+            or k.data.shape[:-2] + k.data.shape[-1:] != q.data.shape[:-2] + (width,)):
+        raise ShapeError(f"attention needs q (..., Lq, width) and k, v (..., L, width) "
+                         f"with width divisible by {heads} heads; got {q.data.shape}, "
+                         f"{k.data.shape}, {v.data.shape}")
+    dh = width // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a):  # (..., L, width) -> (..., heads, L, dh)
+        return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = _softmax(qh @ kh.swapaxes(-1, -2) * scale)
+    mixed = p @ vh
+    data = mixed.swapaxes(-3, -2).reshape(q.data.shape)
+
+    def vjp(g):
+        g = g.reshape(mixed.swapaxes(-3, -2).shape).swapaxes(-3, -2)
+        gp = g @ vh.swapaxes(-1, -2)
+        gv = p.swapaxes(-1, -2) @ g
+        gs = _softmax_vjp(p, gp) * scale
+        gq = gs @ kh
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        return tuple(gh.swapaxes(-3, -2).reshape(t.data.shape) if t.requires_grad else None
+                     for gh, t in ((gq, q), (gk, k), (gv, v)))
+
+    return _record(data, (q, k, v), vjp)
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """(x - mean) / std * gain + bias over the last axis, std as in tstd."""
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    # ndarray.mean is add.reduce divided by the count; calling them directly
+    # gives the same bits without numpy's Python-level mean wrapper. The
+    # in-place updates below compute the chain's expressions in its order.
+    n = x.data.shape[-1]
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    sd = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n + STD_EPS)
+    normed = centered / sd
+    data = normed * gain.data
+    data += bias.data
+
+    def vjp(g):
+        g_normed = g * gain.data
+        g_centered = g_normed / sd
+        t = -g_normed
+        t *= centered
+        t /= sd * sd
+        g_sd = np.add.reduce(t, axis=-1, keepdims=True)
+        g_mu = np.add.reduce(np.negative(g_centered, out=t), axis=-1, keepdims=True)
+        gx = g_sd * centered
+        gx /= n * sd
+        gx += g_centered    # (g_centered + g_sd * centered / (n * sd)) + g_mu / n
+        gx += g_mu / n
+        return (gx, _unbroadcast(g * normed, gain.data.shape), _unbroadcast(g, bias.data.shape))
+
+    return _record(data, (x, gain, bias), vjp)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -288,17 +389,20 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _record(data, tuple(tensors), vjp)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 def softmax_row(x) -> Tensor:
     """Softmax along the last axis, computed with max subtraction."""
     x = _wrap(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
-
-    return _record(p, (x,), vjp)
+    p = _softmax(x.data)
+    return _record(p, (x,), lambda g: (_softmax_vjp(p, g),))
 
 
 def relu(x) -> Tensor:
@@ -329,7 +433,7 @@ def log(x) -> Tensor:
 
 def _axis_count(shape, axis):
     if axis is None:
-        return int(np.prod(shape)) if shape else 1
+        return math.prod(shape)
     axes = axis if isinstance(axis, tuple) else (axis,)
     n = 1
     for ax in axes:

@@ -117,33 +117,37 @@ class Prediction:
 # -- model pieces ----------------------------------------------------------
 
 
-def build_inputs(features: np.ndarray, u: np.ndarray, t, window: int,
-                 use_stock_factor: bool = True) -> np.ndarray:
-    """Per-stock input window for predicting period t, (I, L, D_in).
-
-    Position l holds features and factor of period t - window + l, the last
-    position holds period t - 1. An array of P periods gives the P windows
-    stacked on a leading axis, (P, I, L, D_in).
-    """
+def augment_features(features: np.ndarray, u: np.ndarray,
+                     use_stock_factor: bool = True) -> np.ndarray:
+    """Per-stock model inputs by period, (I, T, D_in): the features with the
+    factor series as a last column, which the NS ablation leaves out."""
     I, T, _ = features.shape
     if u.shape != (I, T):
         raise AlignmentError(f"factor series {u.shape} does not match panel ({I}, {T})")
+    if not use_stock_factor:
+        return features
+    return np.concatenate([features, u[..., None]], axis=-1)
+
+
+def input_windows(inputs: np.ndarray, t, window: int) -> np.ndarray:
+    """Window of augment_features' inputs for predicting period t, (I, L, D_in).
+
+    Position l holds period t - window + l, the last position period t - 1.
+    An array of P periods gives the P windows stacked on a leading axis,
+    (P, I, L, D_in).
+    """
     t = np.asarray(t)
-    bad = (t < window) | (t > T)
+    bad = (t < window) | (t > inputs.shape[1])
     if bad.any():
         raise ValueError(f"window of {window} does not fit before period {t[bad].flat[0]}")
     idx = t[..., None] + np.arange(-window, 0)          # (..., L)
-    feat_win = np.moveaxis(features[:, idx, :], 0, -3)   # (..., I, L, D_e)
-    if not use_stock_factor:
-        return np.ascontiguousarray(feat_win)
-    u_win = np.moveaxis(u[:, idx], 0, -2)
-    return np.concatenate([feat_win, u_win[..., None]], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(inputs[:, idx, :], 0, -3))
 
 
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    sd = x.std(axis=-1, keepdims=True)
-    return (x - mu) / sd * gain + bias
+def build_inputs(features: np.ndarray, u: np.ndarray, t, window: int,
+                 use_stock_factor: bool = True) -> np.ndarray:
+    """input_windows for period(s) t over augment_features(features, u)."""
+    return input_windows(augment_features(features, u, use_stock_factor), t, window)
 
 
 def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
@@ -153,26 +157,15 @@ def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
     With last_only, queries and everything after them run on position L-1
     alone, (..., 1, width); keys and values still cover all L positions.
     """
-    length, width = x.shape[-2:]
-    dh = width // heads
-    scale = 1.0 / np.sqrt(dh)
-
     def blk(key: str) -> Tensor:
         return params[f"blk{index}.{key}"]
 
-    def split(t: Tensor) -> Tensor:
-        return ad.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
-
-    x_q = x[..., length - 1:, :] if last_only else x
-    q = split(x_q @ blk("w_q"))
-    k = split(x @ blk("w_k"))
-    v = split(x @ blk("w_v"))
-    scores = (q @ ad.swapaxes(k, -1, -2)) * scale
-    mixed = ad.softmax_row(scores) @ v
-    mixed = ad.swapaxes(mixed, -3, -2).reshape(x_q.shape)
-    x = _layer_norm(x_q + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
-    ff = ad.relu(x @ blk("ff_w1") + blk("ff_b1")) @ blk("ff_w2") + blk("ff_b2")
-    return _layer_norm(x + ff, blk("ln2_g"), blk("ln2_b"))
+    x_q = x[..., x.shape[-2] - 1:, :] if last_only else x
+    mixed = ad.attention(x_q @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads)
+    x = ad.layer_norm(x_q + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
+    hidden = ad.relu(ad.linear(x, blk("ff_w1"), blk("ff_b1")))
+    ff = ad.linear(hidden, blk("ff_w2"), blk("ff_b2"))
+    return ad.layer_norm(x + ff, blk("ln2_g"), blk("ln2_b"))
 
 
 def _temporal_encode_op(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
@@ -181,7 +174,7 @@ def _temporal_encode_op(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarr
 
     last_only prunes the final block to the read-out position (frozen use).
     """
-    x = ad.constant(g) @ params["w_in"] + params["b_in"]
+    x = ad.linear(g, params["w_in"], params["b_in"])
     x = x + ad.constant(_sinusoidal(g.shape[-2], hyper.width))
     for i in range(hyper.blocks):
         x = _encoder_block(x, params, i, hyper.heads, last_only and i == hyper.blocks - 1)
@@ -200,7 +193,7 @@ def _relation_op(params: ad.ParamSet, c: Tensor, r_prev: np.ndarray) -> Tensor:
     c is (..., I, width) and r_prev (..., I, 2D_e); stocks mix only within
     their own period.
     """
-    v = c @ params["p_c"] + ad.constant(r_prev)
+    v = ad.linear(c, params["p_c"], r_prev)
     z = v @ ad.swapaxes(params["w_y"], -1, -2)
     scores = z @ ad.swapaxes(z, -1, -2)
     att = ad.softmax_row(scores)
@@ -215,8 +208,8 @@ def relation_attention(params: ad.ParamSet, c: np.ndarray,
 
 def _head_op(params: ad.ParamSet, parts: list[Tensor]) -> Tensor:
     x = ad.concat(parts, axis=-1)
-    hidden = ad.relu(x @ params["head_w1"] + params["head_b1"])
-    out = hidden @ params["head_w2"] + params["head_b2"]
+    hidden = ad.relu(ad.linear(x, params["head_w1"], params["head_b1"]))
+    out = ad.linear(hidden, params["head_w2"], params["head_b2"])
     return out.reshape(out.shape[:-1])
 
 
@@ -305,16 +298,19 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
 
     params = init_params(features.shape[2], hyper)
     opt = ad.adam_init(params)
+    # Per-step invariants, built once per call: the augmented inputs and each
+    # training period's target ranks (reused by every epoch after the first).
+    inputs = augment_features(features, u, hyper.use_stock_factor)
+    ranks = {int(t): average_ranks(returns[:, t]) for t in train_periods}
 
     def step(t: int) -> None:
-        g = build_inputs(features, u, t, hyper.window, hyper.use_stock_factor)
+        g = input_windows(inputs, t, hyper.window)
         y = returns[:, t]
-        z = average_ranks(y)
         ad.zero_grads(params)
         with Tape() as tape:
             y_hat = _predict_op(params, hyper, g, market_factors.r[:, t - 1],
                                 market_factors.m[t - 1], last_only=False)
-            loss = loss_total(y_hat, y, z, hyper.lambda3)
+            loss = loss_total(y_hat, y, ranks[t], hyper.lambda3)
             if not np.isfinite(loss.data):
                 raise ad.NumericalFailure("forecaster loss diverged")
             tape.backward(loss)
@@ -367,9 +363,10 @@ def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
     n_stocks = features.shape[0]
     step = max(1, CHUNK_WINDOWS // n_stocks)
     out = np.empty((n_stocks, periods.size))
+    inputs = augment_features(features, u, hyper.use_stock_factor)
     for lo in range(0, periods.size, step):
         block = periods[lo:lo + step]
-        g = build_inputs(features, u, block, hyper.window, hyper.use_stock_factor)
+        g = input_windows(inputs, block, hyper.window)
         r_prev = np.swapaxes(market_factors.r[:, block - 1], 0, 1)
         out[:, lo:lo + step] = predict(params, hyper, g, r_prev,
                                        market_factors.m[block - 1]).T

@@ -99,7 +99,7 @@ def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
     """Dynamic stock representations for a batch of periods, (P, I, 2D_e)."""
     d = params["w_s"].shape[0]
     win = ad.constant(_window_tensor(features, periods, window))        # (P, I, L, D)
-    proj = win @ ad.transpose(params["w_s"]) + params["b_s"]            # (P, I, L, D)
+    proj = ad.linear(win, ad.transpose(params["w_s"]), params["b_s"])   # (P, I, L, D)
     query = proj[(slice(None), slice(None), slice(window - 1, window))] # (P, I, 1, D)
     scores = (query @ ad.swapaxes(proj, -1, -2)) * (1.0 / np.sqrt(d))   # (P, I, 1, L)
     att = ad.softmax_row(scores)
@@ -219,8 +219,8 @@ def infonce_loss(params: ad.ParamSet, panel: MarketPanel,
 
 
 def _classifier_logits_op(params: ad.ParamSet, m: Tensor) -> Tensor:
-    hidden = ad.relu(m @ params["cls_w1"] + params["cls_b1"])
-    return hidden @ params["cls_w2"] + params["cls_b2"]
+    hidden = ad.relu(ad.linear(m, params["cls_w1"], params["cls_b1"]))
+    return ad.linear(hidden, params["cls_w2"], params["cls_b2"])
 
 
 def synchronism_predict(params: ad.ParamSet, m_prev: np.ndarray) -> np.ndarray:

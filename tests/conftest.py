@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from irrfactors.panel import MarketPanel, compute_returns
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
                                   generate_synthetic)
+
+# Property tests draw the same examples on every run, so two runs of the
+# suite compare like with like; each test keeps its own max_examples.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def random_panel(seed, n_stocks=4, n_periods=12, n_features=3) -> MarketPanel:

@@ -101,6 +101,16 @@ def test_finished_tape_is_freed_by_reference_counting():
     np.testing.assert_allclose(x.grad, np.tanh(x.data) + x.data / np.cosh(x.data) ** 2)
 
 
+def test_matmul_skips_the_gradient_of_a_constant_operand():
+    a = ad.parameter(np.ones((2, 3)))
+    b = ad.constant(np.ones((3, 4)))
+    with ad.Tape() as tape:
+        out = a @ b
+    ga, gb = out._vjp(np.ones((2, 4)))
+    assert gb is None
+    np.testing.assert_array_equal(ga, np.full((2, 3), 4.0))
+
+
 def test_shape_error_on_matmul_mismatch():
     with pytest.raises(ad.ShapeError):
         ad.constant(np.ones((2, 3))) @ ad.constant(np.ones((4, 2)))

@@ -147,6 +147,21 @@ def test_full_loss_gradients_match_finite_differences():
     assert ad.gradient_check(f, params) <= 1e-4
 
 
+def test_training_step_records_at_most_40_tape_nodes():
+    # the demo's shapes: 16 stocks, window 10, width 32, one block, two heads;
+    # the elementary chains the fused primitives replace recorded 67 nodes
+    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=5,
+                                     window=10)
+    hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
+    params = fc.init_params(5, hyper, stream(16, "fc", "init"))
+    g = fc.build_inputs(feats, u, t=11, window=10)
+    y = np.random.default_rng(17).normal(size=16)
+    with ad.Tape() as tape:
+        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, 10], mseries.m[10])
+        tape.backward(fc.loss_total(y_hat, y, average_ranks(y), 0.1))
+    assert len(tape._nodes) <= 40
+
+
 def _quick_train(seed, n_periods=80, **kw):
     rng = np.random.default_rng(seed)
     n_stocks, n_features, window = 5, 3, 3

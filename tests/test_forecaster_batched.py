@@ -105,11 +105,17 @@ def test_build_inputs_rejects_a_period_without_history():
         fc.build_inputs(feats, u, np.array([5, 2, 13]), 3)
 
 
-_THREAD_SCRIPT = """
-import hashlib, sys
+_SCRIPT_PRELUDE = """
+import hashlib, os, sys
 import numpy as np
-sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, os.path.join(sys.argv[1], "src"))
 from irrfactors import forecaster as fc
+
+def digest(array):
+    print(hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest())
+"""
+
+_FROZEN_SCRIPT = _SCRIPT_PRELUDE + """
 from irrfactors.marketfactor import MarketFactorSeries
 from irrfactors.rng import stream
 rng = np.random.default_rng(5)
@@ -120,18 +126,51 @@ mseries = MarketFactorSeries(m=rng.normal(size=(T, 2 * F)),
                              r=rng.normal(size=(I, T, 2 * F)), window=10)
 hyper = fc.ForecasterHyper(window=10, width=64, blocks=2, heads=4)
 params = fc.init_params(F, hyper, stream(5, "fc", "init"))
-y_hat = fc.predict_periods(params, hyper, feats, u, mseries, range(10, T + 1))
-print(hashlib.sha256(y_hat.tobytes()).hexdigest())
+digest(fc.predict_periods(params, hyper, feats, u, mseries, range(10, T + 1)))
+"""
+
+# The three training loops on the demo market at cut budgets.
+_TRAINING_SCRIPT = _SCRIPT_PRELUDE + """
+from irrfactors import marketfactor as mf
+from irrfactors import stockfactor as sf
+from irrfactors.config import RunConfig
+from irrfactors.panel import FeatureScaler
+from irrfactors.synthetic import generate_synthetic
+cfg = RunConfig.from_file(os.path.join(sys.argv[1], "configs", "demo.cfg"))
+panel = generate_synthetic(cfg.synthetic_spec())
+train_end = 330
+feats = FeatureScaler.fit(panel.features, train_end).transform(panel.features)
+sf_params, factors = sf.train_stock_factors(
+    panel, sf.StockFactorHyper(steps=100), train_end=train_end)
+mf_params, mseries = mf.train_market_factors(
+    panel, mf.MarketFactorHyper(window=10, epochs=2, sync=cfg.synchronism()),
+    train_end, features=feats)
+fc_hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2, lr=0.003,
+                              max_epochs=2)
+fc_params, prediction = fc.train_forecaster(feats, panel.returns, factors, mseries,
+                                            fc_hyper, train_end)
+for array in (sf_params.flat, mf_params.flat, fc_params.flat, prediction.y_hat):
+    digest(array)
 """
 
 
-def test_frozen_predictions_do_not_depend_on_blas_threads():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    digests = set()
+def _digests_per_thread_count(script: str) -> set:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
-        result = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT, src], env=env,
+        result = subprocess.run([sys.executable, "-c", script, root], env=env,
                                 capture_output=True, text=True, check=True)
-        digests.add(result.stdout.strip())
-    assert len(digests) == 1
+        outputs.add(result.stdout)
+    return outputs
+
+
+def test_frozen_predictions_do_not_depend_on_blas_threads():
+    assert len(_digests_per_thread_count(_FROZEN_SCRIPT)) == 1
+
+
+def test_training_does_not_depend_on_blas_threads():
+    outputs = _digests_per_thread_count(_TRAINING_SCRIPT)
+    assert len(outputs) == 1
+    assert len(outputs.pop().split()) == 4

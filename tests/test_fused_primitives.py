@@ -1,0 +1,154 @@
+"""Fused linear, attention and layer norm against the elementary chains they replace.
+
+The oracles below are the elementary compositions each primitive replaces.
+A fused primitive repeats their numpy expressions in their order, so its
+forward values and every gradient must match bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from irrfactors import autodiff as ad
+
+
+def _linear_oracle(x, w, b):
+    return x @ w + b
+
+
+def _attention_oracle(q, k, v, heads):
+    width = q.shape[-1]
+    dh = width // heads
+
+    def split(t):
+        return ad.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
+
+    scores = (split(q) @ ad.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(dh))
+    mixed = ad.softmax_row(scores) @ split(v)
+    return ad.swapaxes(mixed, -3, -2).reshape(q.shape)
+
+
+def _layer_norm_oracle(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    sd = x.std(axis=-1, keepdims=True)
+    return (x - mu) / sd * gain + bias
+
+
+def _forward_and_grads(op, arrays, weights):
+    """Output of op on fresh parameters, and each parameter's gradient of
+    sum(output * weights)."""
+    params = [ad.parameter(a) for a in arrays]
+    with ad.Tape() as tape:
+        out = op(*params)
+        tape.backward((out * ad.constant(weights)).sum())
+    return out.data, [p.grad for p in params]
+
+
+def _assert_bitwise(fused, oracle, arrays, rng):
+    weights = rng.normal(size=oracle(*[ad.constant(a) for a in arrays]).shape)
+    if weights.shape[-2] > 1:   # a row that does not reach the loss, as in training's read-out
+        weights[..., 0, :] = 0.0
+    out_f, grads_f = _forward_and_grads(fused, arrays, weights)
+    out_o, grads_o = _forward_and_grads(oracle, arrays, weights)
+    for a_f, a_o in zip([out_f, *grads_f], [out_o, *grads_o]):
+        assert a_f.shape == a_o.shape
+        assert a_f.tobytes() == a_o.tobytes()    # unlike array_equal, tells -0.0 from 0.0
+
+
+batch_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**16), batch=batch_shapes, rows=st.integers(1, 5),
+       d_in=st.integers(1, 6), d_out=st.integers(1, 6),
+       bias=st.sampled_from(["vector", "full"]))
+def test_linear_matches_its_oracle_bitwise(seed, batch, rows, d_in, d_out, bias):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=batch + (rows, d_in)), rng.normal(size=(d_in, d_out)),
+              rng.normal(size=(d_out,) if bias == "vector" else batch + (rows, d_out))]
+    _assert_bitwise(ad.linear, _linear_oracle, arrays, rng)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**16), batch=batch_shapes, length=st.integers(1, 5),
+       heads=st.sampled_from([1, 2, 4]), dh=st.integers(1, 3), last_only=st.booleans())
+def test_attention_matches_its_oracle_bitwise(seed, batch, length, heads, dh, last_only):
+    rng = np.random.default_rng(seed)
+    width = heads * dh
+    q_rows = 1 if last_only else length
+    arrays = [rng.normal(size=batch + (q_rows, width)),
+              rng.normal(size=batch + (length, width)),
+              rng.normal(size=batch + (length, width))]
+
+    def fused(q, k, v):
+        return ad.attention(q, k, v, heads)
+
+    def oracle(q, k, v):
+        return _attention_oracle(q, k, v, heads)
+
+    _assert_bitwise(fused, oracle, arrays, rng)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**16), batch=batch_shapes, rows=st.integers(1, 5),
+       width=st.integers(1, 8), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_layer_norm_matches_its_oracle_bitwise(seed, batch, rows, width, scale):
+    rng = np.random.default_rng(seed)
+    arrays = [scale * rng.normal(size=batch + (rows, width)),
+              rng.normal(size=width), rng.normal(size=width)]
+    _assert_bitwise(ad.layer_norm, _layer_norm_oracle, arrays, rng)
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**16), batch=batch_shapes, length=st.integers(1, 4),
+       heads=st.sampled_from([1, 2, 4]), last_only=st.booleans())
+def test_fused_primitives_pass_the_gradient_check(seed, batch, length, heads, last_only):
+    rng = np.random.default_rng(seed)
+    width = 2 * heads
+    q_rows = 1 if last_only else length
+    q = ad.parameter(rng.normal(size=batch + (q_rows, width)))
+    k = ad.parameter(rng.normal(size=batch + (length, width)))
+    v = ad.parameter(rng.normal(size=batch + (length, width)))
+    w = ad.parameter(rng.normal(size=(width, 3)))
+    b = ad.parameter(rng.normal(size=3))
+    gain = ad.parameter(rng.normal(size=width))
+    bias = ad.parameter(rng.normal(size=width))
+    x = ad.parameter(rng.normal(size=batch + (length, width)))
+    r_att = ad.constant(rng.normal(size=batch + (q_rows, width)))
+    r_lin = ad.constant(rng.normal(size=batch + (length, 3)))
+    r_ln = ad.constant(rng.normal(size=batch + (length, width)))
+
+    assert ad.gradient_check(lambda _: (ad.attention(q, k, v, heads) * r_att).sum(),
+                             [q, k, v]) <= 1e-4
+    assert ad.gradient_check(lambda _: (ad.linear(x, w, b) * r_lin).sum(),
+                             [x, w, b]) <= 1e-4
+    assert ad.gradient_check(lambda _: (ad.layer_norm(x, gain, bias) * r_ln).sum(),
+                             [x, gain, bias]) <= 1e-4
+
+
+def test_fused_primitives_record_one_node_each():
+    rng = np.random.default_rng(0)
+    x = ad.parameter(rng.normal(size=(3, 4, 4)))
+    w = ad.parameter(rng.normal(size=(4, 4)))
+    b = ad.parameter(rng.normal(size=4))
+    with ad.Tape() as tape:
+        h = ad.linear(x, w, b)
+        h = ad.attention(h, h, h, 2)
+        ad.layer_norm(h, b, b)
+    assert len(tape._nodes) == 3
+
+
+def test_fused_primitives_reject_mismatched_shapes():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ad.ShapeError):
+        ad.linear(rng.normal(size=(2, 3)), rng.normal(size=(4, 5)), np.zeros(5))
+    with pytest.raises(ad.ShapeError):    # a bias may not widen the product
+        ad.linear(rng.normal(size=(2, 3)), rng.normal(size=(3, 5)),
+                  rng.normal(size=(4, 2, 5)))
+    with pytest.raises(ad.ShapeError):    # width 6 does not split into 4 heads
+        x = rng.normal(size=(2, 6))
+        ad.attention(x, x, x, 4)
+    with pytest.raises(ad.ShapeError):    # keys and values of different lengths
+        ad.attention(rng.normal(size=(1, 4)), rng.normal(size=(3, 4)),
+                     rng.normal(size=(2, 4)), 2)
