@@ -616,6 +616,21 @@ def adam_step(params: ParamSet, state: dict, lr: float = 1e-3, beta1: float = 0.
     return state
 
 
+def train_step(params: ParamSet, state: dict, loss_fn, lr: float) -> None:
+    """One optimizer step: tape loss_fn(), backpropagate, then Adam.
+
+    Raises NumericalFailure on a non-finite loss before any parameter or
+    optimizer state changes.
+    """
+    zero_grads(params)
+    with Tape() as tape:
+        loss = loss_fn()
+        if not np.isfinite(loss.data):
+            raise NumericalFailure(f"loss diverged ({float(loss.data)})")
+        tape.backward(loss)
+    adam_step(params, state, lr=lr)
+
+
 # -- parameter sets ---------------------------------------------------------
 
 

@@ -231,12 +231,10 @@ def forecast_metrics(y_hat: np.ndarray, y_true: np.ndarray) -> tuple[dict, list]
 # -- full backtest -------------------------------------------------------------
 
 
-def run_backtest(y_hat: np.ndarray, y_true: np.ndarray, cfg: PortfolioConfig,
-                 wealth_on_gross: bool = False) -> BacktestReport:
+def run_backtest(y_hat: np.ndarray, y_true: np.ndarray, cfg: PortfolioConfig) -> BacktestReport:
     """Backtest panel-shaped forecasts (I, T) against percent returns (I, T).
 
-    Cumulative wealth compounds net (cost-adjusted) returns unless
-    wealth_on_gross is set.
+    Cumulative wealth compounds net (cost-adjusted) returns.
     """
     n_periods = y_hat.shape[1]
     gross = np.empty(n_periods)
@@ -246,7 +244,7 @@ def run_backtest(y_hat: np.ndarray, y_true: np.ndarray, cfg: PortfolioConfig,
         gross[t] = g
         memberships.append((longs, shorts))
     net, tc = apply_costs(gross, memberships, cfg)
-    wealth = cumulative_wealth(gross if wealth_on_gross else net)
+    wealth = cumulative_wealth(net)
 
     ar, av, sr, sr_flat = ar_av_sr(net, cfg)
     max_dd = mdd(net)

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .evaluation import average_ranks, rank_ic_series
 from .marketfactor import MarketFactorSeries
+from .panel import windows
 from .rng import stream
 from .stockfactor import StockFactorSeries
 
@@ -129,25 +130,13 @@ def augment_features(features: np.ndarray, u: np.ndarray,
     return np.concatenate([features, u[..., None]], axis=-1)
 
 
-def input_windows(inputs: np.ndarray, t, window: int) -> np.ndarray:
-    """Window of augment_features' inputs for predicting period t, (I, L, D_in).
-
-    Position l holds period t - window + l, the last position period t - 1.
-    An array of P periods gives the P windows stacked on a leading axis,
-    (P, I, L, D_in).
-    """
-    t = np.asarray(t)
-    bad = (t < window) | (t > inputs.shape[1])
-    if bad.any():
-        raise ValueError(f"window of {window} does not fit before period {t[bad].flat[0]}")
-    idx = t[..., None] + np.arange(-window, 0)          # (..., L)
-    return np.ascontiguousarray(np.moveaxis(inputs[:, idx, :], 0, -3))
-
-
 def build_inputs(features: np.ndarray, u: np.ndarray, t, window: int,
                  use_stock_factor: bool = True) -> np.ndarray:
-    """input_windows for period(s) t over augment_features(features, u)."""
-    return input_windows(augment_features(features, u, use_stock_factor), t, window)
+    """Input window(s) for predicting period(s) t, (I, L, D_in) or (P, I, L, D_in).
+
+    Position l holds period t - window + l, the last position period t - 1.
+    """
+    return windows(augment_features(features, u, use_stock_factor), t, window)
 
 
 def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
@@ -275,9 +264,8 @@ def loss_total(y_hat: Tensor, y: np.ndarray, z: np.ndarray, lambda3: float) -> T
 def train_forecaster(features: np.ndarray, returns: np.ndarray,
                      stock_factors: StockFactorSeries,
                      market_factors: MarketFactorSeries,
-                     hyper: ForecasterHyper, train_end: int
-                     ) -> tuple[ad.ParamSet, Prediction]:
-    """Train on periods before train_end, predict every period from it on.
+                     hyper: ForecasterHyper, train_end: int) -> ad.ParamSet:
+    """Train on periods before train_end; `predict_periods` gives the forecasts.
 
     The factor inputs are frozen; one optimization step consumes one period
     (all stocks). A tail slice of the training range serves as validation:
@@ -303,18 +291,10 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     inputs = augment_features(features, u, hyper.use_stock_factor)
     ranks = {int(t): average_ranks(returns[:, t]) for t in train_periods}
 
-    def step(t: int) -> None:
-        g = input_windows(inputs, t, hyper.window)
-        y = returns[:, t]
-        ad.zero_grads(params)
-        with Tape() as tape:
-            y_hat = _predict_op(params, hyper, g, market_factors.r[:, t - 1],
-                                market_factors.m[t - 1], last_only=False)
-            loss = loss_total(y_hat, y, ranks[t], hyper.lambda3)
-            if not np.isfinite(loss.data):
-                raise ad.NumericalFailure("forecaster loss diverged")
-            tape.backward(loss)
-        ad.adam_step(params, opt, lr=hyper.lr)
+    def loss(t: int) -> Tensor:
+        y_hat = _predict_op(params, hyper, windows(inputs, t, hyper.window),
+                            market_factors.r[:, t - 1], market_factors.m[t - 1])
+        return loss_total(y_hat, returns[:, t], ranks[t], hyper.lambda3)
 
     def val_rank_ic() -> float:
         y_hat = predict_periods(params, hyper, features, u, market_factors, val_periods)
@@ -326,7 +306,7 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     for epoch in range(hyper.max_epochs):
         order = stream(hyper.seed, "forecaster", "order", epoch).permutation(train_periods)
         for t in order:
-            step(int(t))
+            ad.train_step(params, opt, lambda: loss(int(t)), hyper.lr)
         metric = val_rank_ic()
         if metric > best_metric + 1e-9:
             best_metric = metric
@@ -337,17 +317,7 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
             if bad_epochs >= hyper.patience:
                 break
     params.restore(best_snap)
-    return params, predict_test(params, hyper, features, returns, u, market_factors,
-                                train_end)
-
-
-def predict_test(params: ad.ParamSet, hyper: ForecasterHyper, features: np.ndarray,
-                 returns: np.ndarray, u: np.ndarray, market_factors: MarketFactorSeries,
-                 train_end: int) -> Prediction:
-    """Frozen forecasts for every period from train_end on."""
-    periods = list(range(train_end, returns.shape[1]))
-    y_hat = predict_periods(params, hyper, features, u, market_factors, periods)
-    return Prediction(periods=periods, y_hat=y_hat, y_true=returns[:, periods])
+    return params
 
 
 def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
@@ -366,7 +336,7 @@ def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
     inputs = augment_features(features, u, hyper.use_stock_factor)
     for lo in range(0, periods.size, step):
         block = periods[lo:lo + step]
-        g = input_windows(inputs, block, hyper.window)
+        g = windows(inputs, block, hyper.window)
         r_prev = np.swapaxes(market_factors.r[:, block - 1], 0, 1)
         out[:, lo:lo + step] = predict(params, hyper, g, r_prev,
                                        market_factors.m[block - 1]).T

@@ -16,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
-from .panel import MarketPanel, SynchronismConfig, compute_deltas, compute_synchronism_labels
+from .autodiff import Tensor
+from .panel import (MarketPanel, SynchronismConfig, compute_deltas, compute_synchronism_labels,
+                    windows)
+from .panel import TooEarly  # noqa: F401  (re-exported: callers catch mf.TooEarly)
 from .rng import stream
 from .stockfactor import TooFewStocks
 
 logger = logging.getLogger(__name__)
-
-
-class TooEarly(ValueError):
-    """The history window does not fit before the requested period."""
 
 
 class EmptySubset(ValueError):
@@ -87,18 +85,11 @@ class MarketFactorSeries:
 # -- representation extraction -------------------------------------------
 
 
-def _window_tensor(features: np.ndarray, periods: np.ndarray, window: int) -> np.ndarray:
-    """(P, I, L, D) stack of history windows ending at each requested period."""
-    if np.any(periods < window - 1):
-        raise TooEarly(f"window of {window} does not fit before period {periods.min()}")
-    return np.stack([features[:, t - window + 1:t + 1, :] for t in periods])
-
-
 def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
                     periods: np.ndarray, window: int) -> Tensor:
     """Dynamic stock representations for a batch of periods, (P, I, 2D_e)."""
     d = params["w_s"].shape[0]
-    win = ad.constant(_window_tensor(features, periods, window))        # (P, I, L, D)
+    win = ad.constant(windows(features, periods + 1, window))           # (P, I, L, D)
     proj = ad.linear(win, ad.transpose(params["w_s"]), params["b_s"])   # (P, I, L, D)
     query = proj[(slice(None), slice(None), slice(window - 1, window))] # (P, I, 1, D)
     scores = (query @ ad.swapaxes(proj, -1, -2)) * (1.0 / np.sqrt(d))   # (P, I, 1, L)
@@ -284,13 +275,11 @@ class MarketFactorHyper:
 
 
 def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
-                         train_end: int, features: np.ndarray | None = None
-                         ) -> tuple[ad.ParamSet, MarketFactorSeries]:
+                         train_end: int, features: np.ndarray | None = None) -> ad.ParamSet:
     """Minibatch-train the market encoder on the training periods.
 
-    Splits the market into fresh halves every epoch, then freezes the
-    parameters and emits m_t / r_t for every period of the panel (train and
-    test alike). Deterministic given the hyper seed.
+    Splits the market into fresh halves every epoch. Deterministic given the
+    hyper seed; `market_series` gives the frozen m_t / r_t.
     """
     feats = panel.features if features is None else features
     params = init_params(panel.n_stocks, feats.shape[2], hyper)
@@ -310,20 +299,12 @@ def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
             batch = order[start:start + hyper.batch]
             if batch.size < 2:
                 continue
-            ad.zero_grads(params)
-            with Tape() as tape:
-                loss = loss_M(params, panel, batch, hyper.lambda2, hyper.window,
-                              hyper.sync, hyper.seed, epoch, features=feats,
-                              labels=labels)
-                if not np.isfinite(loss.data):
-                    raise ad.NumericalFailure("market factor loss diverged")
-                tape.backward(loss)
-            ad.adam_step(params, opt, lr=hyper.lr)
+            ad.train_step(params, opt, lambda: loss_M(
+                params, panel, batch, hyper.lambda2, hyper.window, hyper.sync,
+                hyper.seed, epoch, features=feats, labels=labels), hyper.lr)
             for p in head:
                 p.data -= hyper.lr * hyper.cls_weight_decay * p.data
-
-    series = market_series(panel, params, hyper.window, features=feats)
-    return params, series
+    return params
 
 
 def market_series(panel: MarketPanel, params: ad.ParamSet, window: int,

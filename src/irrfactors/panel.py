@@ -36,8 +36,12 @@ class TooShort(ValueError):
     """Fewer periods than the operation requires."""
 
 
+class TooEarly(ValueError):
+    """A history window does not fit in the panel's periods."""
+
+
 class SyncClass(IntEnum):
-    """Market synchronism label; values index the one-hot encoding."""
+    """Market synchronism label; values index the classifier's logits."""
 
     UP = 0
     DOWN = 1
@@ -181,24 +185,31 @@ def compute_synchronism_labels(deltas: np.ndarray, cfg: SynchronismConfig) -> li
     return labels
 
 
-def labels_to_onehot(labels) -> np.ndarray:
-    out = np.zeros((len(labels), 3), dtype=np.float64)
-    out[np.arange(len(labels)), [int(l) for l in labels]] = 1.0
-    return out
+def windows(x: np.ndarray, t, window: int) -> np.ndarray:
+    """History windows of a (I, T, ...) array: periods t - window .. t - 1.
+
+    A scalar t gives one (I, window, ...) window; an array of periods gives
+    the windows stacked on a leading axis, (P, I, window, ...). Raises
+    TooEarly when a window starts before period 0 or ends past period T - 1.
+    """
+    ts = np.asarray(t)
+    bad = (ts < window) | (ts > x.shape[1])
+    if bad.any():
+        stop = int(ts[bad].flat[0])
+        raise TooEarly(f"window of {window} periods {stop - window}..{stop - 1} before "
+                       f"period {stop} does not fit in periods 0..{x.shape[1] - 1}")
+    if ts.ndim == 0:
+        return x[:, t - window:t]
+    return np.stack([x[:, s - window:s] for s in ts])
 
 
-def load_panel(path, schema: dict | None = None) -> MarketPanel:
+def load_panel(path) -> MarketPanel:
     """Load a dense panel from CSV.
 
     The file must carry a header with the columns date, stock_id, open, high,
-    low, close, vwap, volume (renameable through `schema`, a mapping from the
-    canonical names to the file's column names). Every (stock, date) pair must
-    appear exactly once. Lines starting with '#' are ignored.
+    low, close, vwap, volume. Every (stock, date) pair must appear exactly
+    once. Lines starting with '#' are ignored.
     """
-    colmap = {name: name for name in CSV_COLUMNS}
-    if schema:
-        colmap.update(schema)
-
     rows = {}
     stocks, dates = [], []
     seen_stocks, seen_dates = set(), set()
@@ -207,16 +218,16 @@ def load_panel(path, schema: dict | None = None) -> MarketPanel:
         reader = csv.DictReader(lines)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        missing = [colmap[c] for c in CSV_COLUMNS if colmap[c] not in reader.fieldnames]
+        missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for rec in reader:
-            sid = rec[colmap["stock_id"]]
-            date = rec[colmap["date"]]
+            sid = rec["stock_id"]
+            date = rec["date"]
             key = (sid, date)
             if key in rows:
                 raise DuplicateRow(f"duplicate row for stock {sid} on {date}")
-            rows[key] = tuple(float(rec[colmap[name]]) for name in FEATURE_NAMES)
+            rows[key] = tuple(float(rec[name]) for name in FEATURE_NAMES)
             if sid not in seen_stocks:
                 seen_stocks.add(sid)
                 stocks.append(sid)

@@ -120,44 +120,46 @@ def _run_stamp(cfg: RunConfig, panel: MarketPanel) -> str:
     return stamp
 
 
+def _trained(run_dir: str, name: str, stamp: str, init, train) -> ParamSet:
+    """A stage's parameters: loaded from params_<name>.npz when it exists (into
+    init()'s set), otherwise from train() and then saved there."""
+    ckpt = os.path.join(run_dir, f"params_{name}.npz")
+    if os.path.exists(ckpt):
+        params = init()
+        params.load(ckpt, stamp)
+    else:
+        params = train()
+        params.save(ckpt, stamp)
+    return params
+
+
 @_stage("stock-factors")
 def _stage_stock_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                          run_dir: str, stamp: str
                          ) -> tuple[ParamSet, sf.StockFactorSeries]:
-    ckpt = os.path.join(run_dir, "params_stock.npz")
     hyper = sf.StockFactorHyper(
         lambda1=cfg["factors.lambda1"], lr=cfg["factors.lr"],
         steps=cfg["factors.steps"], seed=cfg["seed"],
         normalize_prices=cfg["factors.normalize_prices"])
-    if os.path.exists(ckpt):
-        params = sf.init_params(panel.n_stocks)
-        params.load(ckpt, stamp)
-        series = sf.residual(panel, params, normalize_prices=hyper.normalize_prices)
-    else:
-        params, series = sf.train_stock_factors(panel, hyper, train_end=train_end)
-        params.save(ckpt, stamp)
-    return params, series
+    params = _trained(run_dir, "stock", stamp, lambda: sf.init_params(panel.n_stocks),
+                      lambda: sf.train_stock_factors(panel, hyper, train_end=train_end))
+    return params, sf.residual(panel, params, normalize_prices=hyper.normalize_prices)
 
 
 @_stage("market-factors")
 def _stage_market_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                           feats: np.ndarray, run_dir: str, stamp: str
                           ) -> tuple[ParamSet, mf.MarketFactorSeries]:
-    ckpt = os.path.join(run_dir, "params_market.npz")
     hyper = mf.MarketFactorHyper(
         lambda2=cfg["market.lambda2"], window=cfg["model.window"],
         lr=cfg["market.lr"], epochs=cfg["market.epochs"],
         batch=cfg["market.batch"], hidden=cfg["market.hidden"],
         cls_weight_decay=cfg["market.cls_weight_decay"],
         seed=cfg["seed"], sync=cfg.synchronism())
-    if os.path.exists(ckpt):
-        params = mf.init_params(panel.n_stocks, panel.n_features, hyper)
-        params.load(ckpt, stamp)
-        series = mf.market_series(panel, params, hyper.window, features=feats)
-    else:
-        params, series = mf.train_market_factors(panel, hyper, train_end, features=feats)
-        params.save(ckpt, stamp)
-    return params, series
+    params = _trained(run_dir, "market", stamp,
+                      lambda: mf.init_params(panel.n_stocks, panel.n_features, hyper),
+                      lambda: mf.train_market_factors(panel, hyper, train_end, features=feats))
+    return params, mf.market_series(panel, params, hyper.window, features=feats)
 
 
 @_stage("forecaster")
@@ -165,7 +167,6 @@ def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
                       feats: np.ndarray, factors: sf.StockFactorSeries,
                       mseries: mf.MarketFactorSeries, run_dir: str, stamp: str
                       ) -> tuple[ParamSet, fc.ForecasterHyper, fc.Prediction]:
-    ckpt = os.path.join(run_dir, "params_forecaster.npz")
     ablation = cfg["ablation"]
     hyper = fc.ForecasterHyper(
         window=cfg["model.window"], width=cfg["forecast.width"],
@@ -177,16 +178,14 @@ def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
         use_market_factor=ablation != "NM",
         use_relation=ablation != "ND",
         seed=cfg["seed"])
-    if os.path.exists(ckpt):
-        params = fc.init_params(panel.n_features, hyper)
-        params.load(ckpt, stamp)
-        prediction = fc.predict_test(params, hyper, feats, panel.returns, factors.u,
-                                     mseries, train_end)
-    else:
-        params, prediction = fc.train_forecaster(feats, panel.returns, factors,
-                                                 mseries, hyper, train_end)
-        params.save(ckpt, stamp)
-    return params, hyper, prediction
+    params = _trained(run_dir, "forecaster", stamp,
+                      lambda: fc.init_params(panel.n_features, hyper),
+                      lambda: fc.train_forecaster(feats, panel.returns, factors, mseries,
+                                                  hyper, train_end))
+    periods = list(range(train_end, panel.n_periods))
+    y_hat = fc.predict_periods(params, hyper, feats, factors.u, mseries, periods)
+    return params, hyper, fc.Prediction(periods=periods, y_hat=y_hat,
+                                        y_true=panel.returns[:, periods])
 
 
 @_stage("backtest")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .panel import MarketPanel
 
 ATT_MASK = -1e30  # additive logit mask that zeroes the diagonal after softmax
@@ -151,27 +151,19 @@ class StockFactorHyper:
 
 
 def train_stock_factors(panel: MarketPanel, hyper: StockFactorHyper,
-                        train_end: int | None = None
-                        ) -> tuple[ad.ParamSet, StockFactorSeries]:
+                        train_end: int | None = None) -> ad.ParamSet:
     """Fit the combination parameters on the training periods only.
 
     Full-batch Adam from the fixed initialization (beta = 1, logits = 0,
-    rho_raw = 0); deterministic. Returns the fitted parameters and the factor
-    series for the whole panel computed with them frozen.
+    rho_raw = 0); deterministic. `residual` gives the factor series.
     """
     params = init_params(panel.n_stocks)
     opt = ad.adam_init(params)
     for _ in range(hyper.steps):
-        ad.zero_grads(params)
-        with Tape() as tape:
-            loss = loss_S(panel, params, hyper.lambda1,
-                          train_end=train_end, normalize_prices=hyper.normalize_prices)
-            if not np.isfinite(loss.data):
-                raise ad.NumericalFailure("stock factor loss diverged")
-            tape.backward(loss)
-        ad.adam_step(params, opt, lr=hyper.lr)
-    series = residual(panel, params, normalize_prices=hyper.normalize_prices)
-    return params, series
+        ad.train_step(params, opt, lambda: loss_S(
+            panel, params, hyper.lambda1, train_end=train_end,
+            normalize_prices=hyper.normalize_prices), hyper.lr)
+    return params
 
 
 def stationarity_diagnostic(series: np.ndarray) -> float:

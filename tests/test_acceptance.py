@@ -122,8 +122,9 @@ def test_criterion_2_cointegration_recovery():
             sentiment=SentimentPlant(event_prob=0.0),
             seed=seed)
         panel = generate_synthetic(spec)
-        params, series = sf.train_stock_factors(
+        params = sf.train_stock_factors(
             panel, sf.StockFactorHyper(lambda1=0.5, lr=0.02, steps=2000, seed=seed))
+        series = sf.residual(panel, params)
         att = sf.attention(params)[0, 1]
         eff = att * params["beta"].data[0, 1]
         rho_u = abs(sf.stationarity_diagnostic(series.u[0]))
@@ -150,7 +151,7 @@ def _classifier_run(seed, strength):
     feats = scaler.transform(panel.features)
     hyper = mf.MarketFactorHyper(window=10, epochs=40, lr=0.01, seed=seed + 100,
                                  sync=sync)
-    params, _ = mf.train_market_factors(panel, hyper, train_end, features=feats)
+    params = mf.train_market_factors(panel, hyper, train_end, features=feats)
     held = np.arange(train_end, panel.n_periods)
     acc = mf.classifier_accuracy(params, panel, held, hyper.window,
                                  features=feats, labels=labels)
@@ -181,7 +182,7 @@ def test_criterion_4_contrastive_separation():
         scaler = FeatureScaler.fit(panel.features, train_end)
         feats = scaler.transform(panel.features)
         hyper = mf.MarketFactorHyper(window=10, epochs=25, lr=0.01, seed=seed)
-        params, _ = mf.train_market_factors(panel, hyper, train_end, features=feats)
+        params = mf.train_market_factors(panel, hyper, train_end, features=feats)
         held = np.arange(train_end, train_end + 60)
         pos, neg = mf.contrastive_separation(params, panel, held, hyper.window,
                                              seed, features=feats)
@@ -270,9 +271,10 @@ def _ablation_run(seed, variant, panel, feats, factors, mseries, train_end):
         use_stock_factor=variant != "NS",
         use_market_factor=variant != "NM",
         use_relation=variant != "ND")
-    _, pred = fc.train_forecaster(feats, panel.returns, factors, mseries,
-                                  hyper, train_end)
-    return float(rank_ic_series(pred.y_hat, pred.y_true).mean())
+    params = fc.train_forecaster(feats, panel.returns, factors, mseries, hyper, train_end)
+    periods = np.arange(train_end, panel.n_periods)
+    y_hat = fc.predict_periods(params, hyper, feats, factors.u, mseries, periods)
+    return float(rank_ic_series(y_hat, panel.returns[:, periods]).mean())
 
 
 def test_criterion_7_ablation_direction():
@@ -283,12 +285,12 @@ def test_criterion_7_ablation_direction():
         train_end = 330
         scaler = FeatureScaler.fit(panel.features, train_end)
         feats = scaler.transform(panel.features)
-        cparams, _ = sf.train_stock_factors(
+        cparams = sf.train_stock_factors(
             panel, sf.StockFactorHyper(steps=1200, seed=seed), train_end=train_end)
         factors = sf.residual(panel, cparams)
-        _, mseries = mf.train_market_factors(
-            panel, mf.MarketFactorHyper(window=10, epochs=30, seed=seed),
-            train_end, features=feats)
+        mhyper = mf.MarketFactorHyper(window=10, epochs=30, seed=seed)
+        mparams = mf.train_market_factors(panel, mhyper, train_end, features=feats)
+        mseries = mf.market_series(panel, mparams, mhyper.window, features=feats)
         for variant in scores:
             scores[variant].append(
                 _ablation_run(seed, variant, panel, feats, factors, mseries, train_end))

@@ -210,6 +210,38 @@ def test_nonfinite_gradient_raises():
         ad.adam_step(params, ad.adam_init(params), lr=0.1)
 
 
+def test_train_step_matches_tape_and_adam_bitwise():
+    params = ad.ParamSet({"w": [0.5, -1.5], "b": 0.25})
+    ref = ad.ParamSet({"w": [0.5, -1.5], "b": 0.25})
+    state, ref_state = ad.adam_init(params), ad.adam_init(ref)
+
+    def loss(p):
+        z = p["w"] * p["w"] + p["b"]
+        return (z * z).sum()
+
+    for _ in range(3):
+        ad.train_step(params, state, lambda: loss(params), 0.1)
+        ad.zero_grads(ref)
+        with ad.Tape() as tape:
+            tape.backward(loss(ref))
+        ad.adam_step(ref, ref_state, lr=0.1)
+    assert params.flat.tobytes() == ref.flat.tobytes()
+    assert state["t"] == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_step_on_a_nonfinite_loss_changes_nothing(bad):
+    params = ad.ParamSet({"w": [0.5, -1.5]})
+    state = ad.adam_init(params)
+    ad.train_step(params, state, lambda: (params["w"] * params["w"]).sum(), 0.1)
+    flat, m, v = params.flat.copy(), state["m"].copy(), state["v"].copy()
+    with pytest.raises(ad.NumericalFailure, match="diverged"):
+        ad.train_step(params, state, lambda: params["w"].sum() * bad, 0.1)
+    assert params.flat.tobytes() == flat.tobytes()
+    assert state["t"] == 1
+    assert state["m"].tobytes() == m.tobytes() and state["v"].tobytes() == v.tobytes()
+
+
 # -- parameter sets ----------------------------------------------------------
 
 

@@ -292,14 +292,12 @@ def test_net_return_never_exceeds_gross_with_costs():
     assert report.turnover[0] == 2 * cfg.portfolio_size(10)
 
 
-def test_wealth_on_gross_flag():
+def test_wealth_compounds_net_returns():
     rng = np.random.default_rng(11)
     cfg = ev.PortfolioConfig(n_fraction=0.2, cost_rate=0.005)
     y_hat, y_true = rng.normal(size=(10, 25)), rng.normal(size=(10, 25))
     net_report = ev.run_backtest(y_hat, y_true, cfg)
-    gross_report = ev.run_backtest(y_hat, y_true, cfg, wealth_on_gross=True)
     np.testing.assert_allclose(net_report.wealth, np.cumprod(1 + net_report.net))
-    np.testing.assert_allclose(gross_report.wealth, np.cumprod(1 + gross_report.gross))
 
 
 def test_portfolio_config_validation():

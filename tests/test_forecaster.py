@@ -179,8 +179,10 @@ def _quick_train(seed, n_periods=80, **kw):
                     max_epochs=4, patience=3, seed=seed)
     settings.update(kw)
     hyper = fc.ForecasterHyper(**settings)
-    return fc.train_forecaster(feats, returns, factors, mseries, hyper,
-                               train_end=60), returns
+    params = fc.train_forecaster(feats, returns, factors, mseries, hyper, train_end=60)
+    periods = list(range(60, n_periods))
+    y_hat = fc.predict_periods(params, hyper, feats, u, mseries, periods)
+    return (params, fc.Prediction(periods, y_hat, returns[:, periods])), returns
 
 
 def test_training_is_deterministic():

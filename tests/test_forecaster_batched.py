@@ -140,16 +140,18 @@ cfg = RunConfig.from_file(os.path.join(sys.argv[1], "configs", "demo.cfg"))
 panel = generate_synthetic(cfg.synthetic_spec())
 train_end = 330
 feats = FeatureScaler.fit(panel.features, train_end).transform(panel.features)
-sf_params, factors = sf.train_stock_factors(
-    panel, sf.StockFactorHyper(steps=100), train_end=train_end)
-mf_params, mseries = mf.train_market_factors(
+sf_params = sf.train_stock_factors(panel, sf.StockFactorHyper(steps=100), train_end=train_end)
+factors = sf.residual(panel, sf_params)
+mf_params = mf.train_market_factors(
     panel, mf.MarketFactorHyper(window=10, epochs=2, sync=cfg.synchronism()),
     train_end, features=feats)
+mseries = mf.market_series(panel, mf_params, 10, features=feats)
 fc_hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2, lr=0.003,
                               max_epochs=2)
-fc_params, prediction = fc.train_forecaster(feats, panel.returns, factors, mseries,
-                                            fc_hyper, train_end)
-for array in (sf_params.flat, mf_params.flat, fc_params.flat, prediction.y_hat):
+fc_params = fc.train_forecaster(feats, panel.returns, factors, mseries, fc_hyper, train_end)
+y_hat = fc.predict_periods(fc_params, fc_hyper, feats, factors.u, mseries,
+                           range(train_end, panel.n_periods))
+for array in (sf_params.flat, mf_params.flat, fc_params.flat, y_hat):
     digest(array)
 """
 

@@ -57,6 +57,19 @@ def test_window_underflow_raises(small_panel):
         mf.dynamic_stock_repr(small_panel, _params(small_panel), stock=0, t=2, window=5)
 
 
+@pytest.mark.parametrize("offset", [0, 5])
+def test_period_past_the_panel_end_raises(small_panel, offset):
+    t = small_panel.n_periods + offset
+    with pytest.raises(mf.TooEarly, match=f"{t - 4}..{t}"):
+        mf.dynamic_stock_repr(small_panel, _params(small_panel), stock=0, t=t, window=5)
+
+
+def test_contrastive_batch_past_the_panel_end_raises(small_panel):
+    with pytest.raises(mf.TooEarly):
+        mf.infonce_loss(_params(small_panel), small_panel, [10, small_panel.n_periods],
+                        window=3, seed=0, epoch=0)
+
+
 def test_stock_weight_relu_and_id_dependence(small_panel):
     params = _params(small_panel)
     r = np.zeros(2 * small_panel.n_features)
@@ -239,7 +252,8 @@ def test_training_improves_loss_and_separates_pairs():
                           stream(5, "market", "init"))
     before = mf.loss_M(init, panel, eval_periods, 1.0, hyper.window, sync,
                        seed=5, epoch=0, features=feats).item()
-    params, series = mf.train_market_factors(panel, hyper, train_end, features=feats)
+    params = mf.train_market_factors(panel, hyper, train_end, features=feats)
+    series = mf.market_series(panel, params, hyper.window, features=feats)
     after = mf.loss_M(params, panel, eval_periods, 1.0, hyper.window, sync,
                       seed=5, epoch=0, features=feats).item()
     assert after <= before

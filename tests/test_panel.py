@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from irrfactors.panel import (BadPrice, DuplicateRow, FeatureScaler, HoleInPanel,
-                              SynchronismConfig, SyncClass, TooShort,
+                              SynchronismConfig, SyncClass, TooEarly, TooShort, windows,
                               compute_deltas, compute_returns,
-                              compute_synchronism_labels, labels_to_onehot,
+                              compute_synchronism_labels,
                               load_panel, write_csv, write_panel_csv)
 from conftest import random_panel
 
@@ -112,14 +112,13 @@ def test_synchronism_label_cases():
     assert labels == [SyncClass.UP, SyncClass.NEUTRAL, SyncClass.NEUTRAL]
 
 
-def test_labels_partition_and_onehot():
+def test_labels_give_one_class_per_period():
     rng = np.random.default_rng(0)
     cfg = SynchronismConfig()
     deltas = rng.integers(-1, 2, size=(9, 40))
     labels = compute_synchronism_labels(deltas, cfg)
-    onehot = labels_to_onehot(labels)
-    np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(40))
-    assert set(int(v) for v in onehot.ravel()) <= {0, 1}
+    assert len(labels) == 40
+    assert all(isinstance(label, SyncClass) for label in labels)
 
 
 def test_scaler_fits_training_slice_only():
@@ -131,3 +130,24 @@ def test_scaler_fits_training_slice_only():
     np.testing.assert_allclose(train.std(axis=1), 1.0, atol=1e-12)
     # later periods use the same constants, so they are generally not centered
     assert abs(scaled[:, 12:, :].mean()) > 0
+
+
+def test_windows_equal_the_fancy_index_windows():
+    x = np.random.default_rng(3).normal(size=(4, 12, 3))
+    periods = np.array([7, 3, 12])
+    stacked = windows(x, periods, 3)
+    idx = periods[:, None] + np.arange(-3, 0)
+    expected = np.moveaxis(x[:, idx, :], 0, 1)
+    assert stacked.shape == (3, 4, 3, 3)
+    assert stacked.tobytes() == np.ascontiguousarray(expected).tobytes()
+    for k, t in enumerate(periods):
+        assert windows(x, int(t), 3).tobytes() == stacked[k].tobytes()
+
+
+@pytest.mark.parametrize("t", [2, 13, 20])
+def test_windows_check_both_bounds(t):
+    x = np.zeros((2, 12, 1))
+    with pytest.raises(TooEarly, match=f"before period {t} "):
+        windows(x, t, 3)
+    with pytest.raises(TooEarly, match=f"before period {t} "):
+        windows(x, np.array([5, t]), 3)

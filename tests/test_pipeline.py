@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from irrfactors.autodiff import NumericalFailure
 from irrfactors.config import ConfigError, RunConfig
 from irrfactors.panel import MarketPanel, write_panel_csv
 from irrfactors.pipeline import (MissingArtifact, PanelMismatch, PipelineStageError,
@@ -235,6 +236,15 @@ def test_interrupted_checkpoint_write_leaves_no_checkpoint(small_run, tmp_path, 
     monkeypatch.setattr(np, "savez", real_savez)
     run_pipeline(cfg, broken)
     _assert_same_artifacts(run_dir, broken)
+
+
+def test_diverging_training_stops_the_stage_that_diverged(tmp_path):
+    cfg = RunConfig.from_file(_write_config(tmp_path, SMALL_CONFIG + "factors.lr = 1e200\n"))
+    run_dir = tmp_path / "diverged"
+    with pytest.raises(PipelineStageError, match=r"\[stock-factors\] loss diverged") as info:
+        run_pipeline(cfg, str(run_dir))
+    assert isinstance(info.value.cause, NumericalFailure)
+    assert not [f for f in os.listdir(run_dir) if f.startswith("params_")]
 
 
 def test_predictions_only_depend_on_the_past(small_run):

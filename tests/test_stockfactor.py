@@ -134,14 +134,14 @@ def test_loss_gradients_match_finite_differences():
 def test_training_decreases_loss(planted_panel):
     hyper = sf.StockFactorHyper(steps=150, seed=0)
     initial = sf.loss_S(planted_panel, sf.init_params(8), hyper.lambda1).item()
-    params, _ = sf.train_stock_factors(planted_panel, hyper)
+    params = sf.train_stock_factors(planted_panel, hyper)
     final = sf.loss_S(planted_panel, params, hyper.lambda1).item()
     assert final <= initial
 
 
 def test_training_finds_planted_partner(planted_panel):
-    params, series = sf.train_stock_factors(
-        planted_panel, sf.StockFactorHyper(steps=800, seed=0))
+    params = sf.train_stock_factors(planted_panel, sf.StockFactorHyper(steps=800, seed=0))
+    series = sf.residual(planted_panel, params)
     att = sf.attention(params)
     assert att[0].argmax() == 1
     assert abs(sf.stationarity_diagnostic(series.u[0])) < \
