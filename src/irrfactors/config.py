@@ -46,13 +46,10 @@ _SCHEMA = {
     "factors.lambda1": (float, 0.5),
     "factors.lr": (float, 0.02),
     "factors.steps": (int, 1200),
-    "factors.normalize_prices": (_parse_bool, False),
     "market.lambda2": (float, 1.0),
     "market.lr": (float, 0.01),
     "market.epochs": (int, 30),
     "market.batch": (int, 32),
-    "market.hidden": (int, 0),
-    "market.cls_weight_decay": (float, 0.1),
     "forecast.lambda3": (float, 0.1),
     "forecast.lr": (float, 0.003),
     "forecast.width": (int, 32),
@@ -67,19 +64,13 @@ _SCHEMA = {
     "ablation": (str, "none"),
     "synthetic.n_stocks": (int, 16),
     "synthetic.n_periods": (int, 460),
-    "synthetic.n_features": (int, 6),
     "synthetic.base_volatility": (float, 1.5),
     "synthetic.volatility_spread": (float, 0.85),
     "synthetic.event_sensitivity_spread": (float, 0.0),
-    "synthetic.price_low": (float, 60.0),
-    "synthetic.price_high": (float, 140.0),
-    "synthetic.vwap_lag": (float, 0.4),
-    "synthetic.start_date": (str, "2020-01-01"),
     "synthetic.events.prob": (float, 0.65),
     "synthetic.events.magnitude": (float, 3.0),
     "synthetic.events.precursor": (float, 0.8),
     "synthetic.events.precursor_noise": (float, 1.5),
-    "synthetic.events.volume_coupling": (float, 0.4),
 }
 
 _PLANT_PREFIX = "synthetic.plant."
@@ -138,6 +129,18 @@ class RunConfig:
             raise ConfigError("split.train_end is required")
         if self["model.window"] < 1:
             raise ConfigError("model.window must be positive")
+        if self["forecast.heads"] < 1 or self["forecast.width"] % self["forecast.heads"]:
+            raise ConfigError("forecast.width must be a multiple of forecast.heads")
+        if not 0.0 < self["forecast.val_fraction"] < 1.0:
+            raise ConfigError("forecast.val_fraction must lie in (0, 1)")
+        if self["market.batch"] < 2:
+            raise ConfigError("market.batch must be at least 2: the contrastive loss "
+                              "needs a negative")
+        for section, build in (("sync", self.synchronism), ("portfolio", self.portfolio)):
+            try:
+                build()
+            except ValueError as e:
+                raise ConfigError(f"{section}.{e}") from None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -212,22 +215,16 @@ class RunConfig:
         spec = SyntheticSpec(
             n_stocks=self["synthetic.n_stocks"],
             n_periods=self["synthetic.n_periods"],
-            n_features=self["synthetic.n_features"],
             plants=[self.plants[i] for i in sorted(self.plants)],
             sentiment=SentimentPlant(
                 event_prob=self["synthetic.events.prob"],
                 event_magnitude=self["synthetic.events.magnitude"],
                 precursor_strength=self["synthetic.events.precursor"],
                 precursor_noise=self["synthetic.events.precursor_noise"],
-                volume_coupling=self["synthetic.events.volume_coupling"],
             ),
             base_volatility=self["synthetic.base_volatility"],
             volatility_spread=self["synthetic.volatility_spread"],
             event_sensitivity_spread=self["synthetic.event_sensitivity_spread"],
-            price_low=self["synthetic.price_low"],
-            price_high=self["synthetic.price_high"],
-            vwap_lag=self["synthetic.vwap_lag"],
-            start_date=self["synthetic.start_date"],
             seed=self["seed"],
         )
         try:

@@ -34,6 +34,10 @@ class AlignmentError(ValueError):
     """Factor series and panel disagree on shape."""
 
 
+class EmptyTrainingSlice(ValueError):
+    """The validation tail leaves no period to train on."""
+
+
 @dataclass
 class ForecasterHyper:
     window: int = 20
@@ -283,6 +287,10 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     n_val = max(2, int(round(hyper.val_fraction * eligible.size)))
     train_periods = eligible[:-n_val]
     val_periods = eligible[-n_val:]
+    if train_periods.size == 0:
+        raise EmptyTrainingSlice(
+            f"val_fraction {hyper.val_fraction} leaves none of the {eligible.size} "
+            f"eligible periods for training")
 
     params = init_params(features.shape[2], hyper)
     opt = ad.adam_init(params)

@@ -17,9 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import (MarketPanel, SynchronismConfig, compute_deltas, compute_synchronism_labels,
-                    windows)
-from .panel import TooEarly  # noqa: F401  (re-exported: callers catch mf.TooEarly)
+from .panel import windows
 from .rng import stream
 from .stockfactor import TooFewStocks
 
@@ -41,14 +39,12 @@ def init_params(n_stocks: int, n_features: int, hyper: MarketFactorHyper,
     w_s (D_e, D_e) and b_s (D_e,) project the window attention; w_id (2D_e, I)
     holds per-stock ID embeddings (columns) and w_eta (2D_e,) is the weight
     head; w_crit (4D_e,) and b_crit () score contrastive pairs; cls_w1
-    (2D_e, H), cls_b1, cls_w2 (H, 3) and cls_b2 classify synchronism. H is
-    hyper.hidden, or 2D_e when that is 0. rng defaults to the hyper seed's
-    market init stream.
+    (2D_e, 2D_e), cls_b1, cls_w2 (2D_e, 3) and cls_b2 classify synchronism.
+    rng defaults to the hyper seed's market init stream.
     """
     rng = stream(hyper.seed, "market", "init") if rng is None else rng
     d = n_features
     two_d = 2 * d
-    hidden = hyper.hidden if hyper.hidden > 0 else two_d
     id_scale = 1.0 / np.sqrt(two_d)
     w_eta = rng.uniform(-1.0, 1.0, size=two_d) / np.sqrt(two_d)
     # Shift the ID embeddings along w_eta so the weight preactivations
@@ -63,9 +59,9 @@ def init_params(n_stocks: int, n_features: int, hyper: MarketFactorHyper,
         "w_eta": w_eta,
         "w_crit": rng.uniform(-1.0, 1.0, size=4 * d) / np.sqrt(4 * d),
         "b_crit": 0.0,
-        "cls_w1": ad.glorot(rng, two_d, hidden),
-        "cls_b1": np.zeros(hidden),
-        "cls_w2": ad.glorot(rng, hidden, 3),
+        "cls_w1": ad.glorot(rng, two_d, two_d),
+        "cls_b1": np.zeros(two_d),
+        "cls_w2": ad.glorot(rng, two_d, 3),
         "cls_b2": np.zeros(3),
     })
 
@@ -100,12 +96,10 @@ def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
     return ad.concat([current, mix.reshape(p, i, d)], axis=-1)
 
 
-def dynamic_stock_repr(panel: MarketPanel, params: ad.ParamSet,
-                       stock: int, t: int, window: int,
-                       features: np.ndarray | None = None) -> np.ndarray:
+def dynamic_stock_repr(features: np.ndarray, params: ad.ParamSet,
+                       stock: int, t: int, window: int) -> np.ndarray:
     """Representation of one stock at one period: e_t || attention mix, (2D_e,)."""
-    feats = panel.features if features is None else features
-    reprs = _stock_reprs_op(feats, params, np.array([t]), window)
+    reprs = _stock_reprs_op(features, params, np.array([t]), window)
     return reprs.data[0, stock]
 
 
@@ -140,21 +134,19 @@ def _market_repr_op(reprs: Tensor, params: ad.ParamSet,
     return (weighted / denom).reshape(p, two_d)
 
 
-def market_repr(panel: MarketPanel, params: ad.ParamSet,
-                subset, t: int, window: int,
-                features: np.ndarray | None = None) -> np.ndarray:
+def market_repr(features: np.ndarray, params: ad.ParamSet,
+                subset, t: int, window: int) -> np.ndarray:
     """Market representation over a stock subset at one period, (2D_e,)."""
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
         raise EmptySubset("market representation needs a nonempty subset")
-    feats = panel.features if features is None else features
-    reprs = _stock_reprs_op(feats, params, np.array([t]), window)
+    reprs = _stock_reprs_op(features, params, np.array([t]), window)
     return _market_repr_op(reprs, params, subset).data[0]
 
 
-def submarket_split(stock_ids, seed: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint exhaustive halves, resampled deterministically per epoch."""
-    n = len(stock_ids)
+def submarket_split(n: int, seed: int, epoch) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint exhaustive halves of stocks 0..n-1, resampled deterministically
+    per epoch."""
     if n < 2:
         raise TooFewStocks("cannot split fewer than 2 stocks")
     perm = stream(seed, "submarket", epoch).permutation(n)
@@ -187,9 +179,8 @@ def _pair_logits_op(params: ad.ParamSet, m1: Tensor, m2: Tensor,
     return (u + v + params["b_crit"]) * damp
 
 
-def infonce_loss(params: ad.ParamSet, panel: MarketPanel,
-                 periods, window: int, seed: int, epoch: int,
-                 features: np.ndarray | None = None) -> Tensor:
+def infonce_loss(params: ad.ParamSet, features: np.ndarray,
+                 periods, window: int, seed: int, epoch: int) -> Tensor:
     """Sub-market contrastive loss over a batch of periods.
 
     Positives pair the two halves of the same period; negatives pair the
@@ -198,9 +189,8 @@ def infonce_loss(params: ad.ParamSet, panel: MarketPanel,
     periods = np.asarray(periods, dtype=np.int64)
     if periods.size < 2:
         raise NoNegatives("contrastive loss needs a batch of at least 2 periods")
-    feats = panel.features if features is None else features
-    sub1, sub2 = submarket_split(panel.stock_ids, seed, epoch)
-    reprs = _stock_reprs_op(feats, params, periods, window)
+    sub1, sub2 = submarket_split(features.shape[0], seed, epoch)
+    reprs = _stock_reprs_op(features, params, periods, window)
     m1 = _market_repr_op(reprs, params, sub1)
     m2 = _market_repr_op(reprs, params, sub2)
     logits = _pair_logits_op(params, m1, m2, periods)
@@ -228,37 +218,33 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return (ad.logsumexp_row(logits) - picked).mean()
 
 
-def loss_P(params: ad.ParamSet, panel: MarketPanel, periods,
-           window: int, sync: SynchronismConfig,
-           features: np.ndarray | None = None, labels: list | None = None) -> Tensor:
+def loss_P(params: ad.ParamSet, features: np.ndarray, labels, periods,
+           window: int) -> Tensor:
     """Synchronism-prediction loss: cross-entropy of the label of period t
     predicted from the full-market representation of period t - 1."""
     periods = np.asarray(periods, dtype=np.int64)
-    feats = panel.features if features is None else features
-    if labels is None:
-        labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
-    prev = _stock_reprs_op(feats, params, periods - 1, window)
-    m_prev = _market_repr_op(prev, params, np.arange(panel.n_stocks))
+    prev = _stock_reprs_op(features, params, periods - 1, window)
+    m_prev = _market_repr_op(prev, params, np.arange(features.shape[0]))
     logits = _classifier_logits_op(params, m_prev)
     target = np.array([int(labels[t]) for t in periods], dtype=np.int64)
     return cross_entropy(logits, target)
 
 
-def loss_M(params: ad.ParamSet, panel: MarketPanel, periods,
-           lambda2: float, window: int, sync: SynchronismConfig,
-           seed: int, epoch: int, features: np.ndarray | None = None,
-           labels: list | None = None) -> Tensor:
+def loss_M(params: ad.ParamSet, features: np.ndarray, labels, periods,
+           lambda2: float, window: int, seed: int, epoch: int) -> Tensor:
     """Joint market objective: contrastive loss plus lambda2 * prediction loss.
 
     The prediction term for period t reads the market representation of
     period t - 1 only, so it never sees the period it labels.
     """
-    contrastive = infonce_loss(params, panel, periods, window, seed, epoch, features)
-    return contrastive + lambda2 * loss_P(params, panel, periods, window, sync,
-                                          features, labels)
+    contrastive = infonce_loss(params, features, periods, window, seed, epoch)
+    return contrastive + lambda2 * loss_P(params, features, labels, periods, window)
 
 
 # -- training --------------------------------------------------------------
+
+
+CLS_WEIGHT_DECAY = 0.1  # decoupled decay on the classifier head
 
 
 @dataclass
@@ -268,23 +254,18 @@ class MarketFactorHyper:
     lr: float = 0.01
     epochs: int = 40
     batch: int = 32
-    hidden: int = 0               # 0 means 2 * D_e
-    cls_weight_decay: float = 0.1  # decoupled decay on the classifier head
     seed: int = 0
-    sync: SynchronismConfig = SynchronismConfig()
 
 
-def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
-                         train_end: int, features: np.ndarray | None = None) -> ad.ParamSet:
-    """Minibatch-train the market encoder on the training periods.
+def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
+                         train_end: int) -> ad.ParamSet:
+    """Minibatch-train the market encoder on features (I, T, D_e) and the
+    per-period synchronism labels, on the periods before train_end.
 
     Splits the market into fresh halves every epoch. Deterministic given the
     hyper seed; `market_series` gives the frozen m_t / r_t.
     """
-    feats = panel.features if features is None else features
-    params = init_params(panel.n_stocks, feats.shape[2], hyper)
-    labels = compute_synchronism_labels(compute_deltas(panel.returns, hyper.sync), hyper.sync)
-
+    params = init_params(features.shape[0], features.shape[2], hyper)
     eligible = np.arange(hyper.window, train_end)
     if eligible.size < 2:
         raise ValueError("not enough training periods for the market window")
@@ -300,18 +281,17 @@ def train_market_factors(panel: MarketPanel, hyper: MarketFactorHyper,
             if batch.size < 2:
                 continue
             ad.train_step(params, opt, lambda: loss_M(
-                params, panel, batch, hyper.lambda2, hyper.window, hyper.sync,
-                hyper.seed, epoch, features=feats, labels=labels), hyper.lr)
+                params, features, labels, batch, hyper.lambda2, hyper.window,
+                hyper.seed, epoch), hyper.lr)
             for p in head:
-                p.data -= hyper.lr * hyper.cls_weight_decay * p.data
+                p.data -= hyper.lr * CLS_WEIGHT_DECAY * p.data
     return params
 
 
-def market_series(panel: MarketPanel, params: ad.ParamSet, window: int,
-                  features: np.ndarray | None = None) -> MarketFactorSeries:
+def market_series(features: np.ndarray, params: ad.ParamSet,
+                  window: int) -> MarketFactorSeries:
     """Frozen m_t and r_t for every period where the window fits."""
-    feats = panel.features if features is None else features
-    I, T, d = feats.shape
+    I, T, d = features.shape
     m = np.full((T, 2 * d), np.nan)
     r = np.full((I, T, 2 * d), np.nan)
     periods = np.arange(window - 1, T)
@@ -319,21 +299,19 @@ def market_series(panel: MarketPanel, params: ad.ParamSet, window: int,
     chunk = 64
     for start in range(0, len(periods), chunk):
         ts = periods[start:start + chunk]
-        reprs = _stock_reprs_op(feats, params, ts, window)
+        reprs = _stock_reprs_op(features, params, ts, window)
         ms = _market_repr_op(reprs, params, full)
         r[:, ts, :] = reprs.data.transpose(1, 0, 2)
         m[ts, :] = ms.data
     return MarketFactorSeries(m=m, r=r, window=window)
 
 
-def contrastive_separation(params: ad.ParamSet, panel: MarketPanel,
-                           periods, window: int, seed: int,
-                           features: np.ndarray | None = None) -> tuple[float, float]:
+def contrastive_separation(params: ad.ParamSet, features: np.ndarray,
+                           periods, window: int, seed: int) -> tuple[float, float]:
     """Mean positive-pair and negative-pair criterion values on given periods."""
     periods = np.asarray(periods, dtype=np.int64)
-    feats = panel.features if features is None else features
-    sub1, sub2 = submarket_split(panel.stock_ids, seed, "eval")
-    reprs = _stock_reprs_op(feats, params, periods, window)
+    sub1, sub2 = submarket_split(features.shape[0], seed, "eval")
+    reprs = _stock_reprs_op(features, params, periods, window)
     m1 = _market_repr_op(reprs, params, sub1).data
     m2 = _market_repr_op(reprs, params, sub2).data
     pos, neg = [], []
@@ -344,19 +322,12 @@ def contrastive_separation(params: ad.ParamSet, panel: MarketPanel,
     return float(np.mean(pos)), float(np.mean(neg))
 
 
-def classifier_accuracy(params: ad.ParamSet, panel: MarketPanel,
-                        periods, window: int,
-                        features: np.ndarray | None = None,
-                        labels: list | None = None,
-                        sync: SynchronismConfig | None = None) -> float:
+def classifier_accuracy(params: ad.ParamSet, features: np.ndarray, labels,
+                        periods, window: int) -> float:
     """Held-out accuracy of the synchronism classifier on the given periods."""
     periods = np.asarray(periods, dtype=np.int64)
-    feats = panel.features if features is None else features
-    if labels is None:
-        sync = sync or SynchronismConfig()
-        labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
-    full = np.arange(panel.n_stocks)
-    reprs = _stock_reprs_op(feats, params, periods - 1, window)
+    full = np.arange(features.shape[0])
+    reprs = _stock_reprs_op(features, params, periods - 1, window)
     m_prev = _market_repr_op(reprs, params, full)
     logits = _classifier_logits_op(params, m_prev).data
     predicted = logits.argmax(axis=1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from datetime import date
 from enum import IntEnum
 
 import numpy as np
@@ -30,6 +31,18 @@ class BadPrice(ValueError):
 
 class DuplicateRow(ValueError):
     """A (stock, date) pair appears more than once."""
+
+
+class BadDate(ValueError):
+    """A date that is not an ISO-8601 calendar date (YYYY-MM-DD)."""
+
+
+class BadCell(ValueError):
+    """A feature cell that is not a number."""
+
+
+class NonFiniteFeature(ValueError):
+    """A NaN or infinite feature value."""
 
 
 class TooShort(ValueError):
@@ -207,15 +220,23 @@ def load_panel(path) -> MarketPanel:
     """Load a dense panel from CSV.
 
     The file must carry a header with the columns date, stock_id, open, high,
-    low, close, vwap, volume. Every (stock, date) pair must appear exactly
-    once. Lines starting with '#' are ignored.
+    low, close, vwap, volume. Dates are ISO-8601 (YYYY-MM-DD) and periods are
+    ordered by date. Every (stock, date) pair must appear exactly once and
+    every feature must be a finite number. Lines starting with '#' are
+    ignored.
     """
     rows = {}
-    stocks, dates = [], []
-    seen_stocks, seen_dates = set(), set()
+    days = {}                     # date label -> datetime.date
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for lineno, ln in enumerate(fh, 1):
+            if not ln.startswith("#"):
+                yield ln
+
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = (ln for ln in fh if not ln.startswith("#"))
-        reader = csv.DictReader(lines)
+        reader = csv.DictReader(data_lines(fh))
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
         missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
@@ -223,31 +244,37 @@ def load_panel(path) -> MarketPanel:
             raise ValueError(f"{path}: missing columns {missing}")
         for rec in reader:
             sid = rec["stock_id"]
-            date = rec["date"]
-            key = (sid, date)
+            label = rec["date"]
+            key = (sid, label)
             if key in rows:
-                raise DuplicateRow(f"duplicate row for stock {sid} on {date}")
-            rows[key] = tuple(float(rec[name]) for name in FEATURE_NAMES)
-            if sid not in seen_stocks:
-                seen_stocks.add(sid)
-                stocks.append(sid)
-            if date not in seen_dates:
-                seen_dates.add(date)
-                dates.append(date)
+                raise DuplicateRow(f"duplicate row for stock {sid} on {label}")
+            try:
+                rows[key] = tuple(float(rec[name]) for name in FEATURE_NAMES)
+            except (TypeError, ValueError):
+                col, name = next((c, n) for c, n in enumerate(reader.fieldnames, 1)
+                                 if n in FEATURE_NAMES and not _is_number(rec[n]))
+                raise BadCell(f"{path}:{lineno}: column {col} ({name}) is not a "
+                              f"number: {rec[name]!r}") from None
+            if label not in days:
+                days[label] = _parse_date(path, lineno, label)
 
-    stocks = sorted(stocks)
-    dates = sorted(dates)
+    stocks = sorted({sid for sid, _ in rows})
+    dates = sorted(days, key=days.__getitem__)
     if len(dates) < 2:
         raise TooShort("panel needs at least 2 periods")
 
     I, T = len(stocks), len(dates)
     features = np.empty((I, T, len(FEATURE_NAMES)), dtype=np.float64)
     for i, sid in enumerate(stocks):
-        for t, date in enumerate(dates):
-            cell = rows.get((sid, date))
+        for t, label in enumerate(dates):
+            cell = rows.get((sid, label))
             if cell is None:
-                raise HoleInPanel(f"missing row for stock {sid} on {date}")
+                raise HoleInPanel(f"missing row for stock {sid} on {label}")
             features[i, t, :] = cell
+    if not np.isfinite(features).all():
+        i, t, j = np.argwhere(~np.isfinite(features))[0]
+        raise NonFiniteFeature(f"{path}: {FEATURE_NAMES[j]} of stock {stocks[i]} on "
+                               f"{dates[t]} is {float(features[i, t, j])!r}")
 
     close_idx = FEATURE_NAMES.index("close")
     prices = features[:, :, close_idx].copy()
@@ -255,6 +282,24 @@ def load_panel(path) -> MarketPanel:
         bad = np.argwhere(prices <= 0)[0]
         raise BadPrice(f"non-positive close for stock {stocks[bad[0]]} on {dates[bad[1]]}")
     return MarketPanel.from_prices(stocks, dates, features, prices)
+
+
+def _parse_date(path, lineno: int, label: str) -> date:
+    try:
+        day = date.fromisoformat(label)
+        if day.isoformat() == label:
+            return day
+    except ValueError:
+        pass
+    raise BadDate(f"{path}:{lineno}: date {label!r} is not YYYY-MM-DD")
+
+
+def _is_number(text) -> bool:
+    try:
+        float(text)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:

@@ -69,7 +69,6 @@ class TrainedArtifacts:
     fc_hyper: fc.ForecasterHyper
     prediction: fc.Prediction
     report: BacktestReport
-    normalize_prices: bool
 
 
 def _stage(name: str):
@@ -137,29 +136,25 @@ def _trained(run_dir: str, name: str, stamp: str, init, train) -> ParamSet:
 def _stage_stock_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                          run_dir: str, stamp: str
                          ) -> tuple[ParamSet, sf.StockFactorSeries]:
-    hyper = sf.StockFactorHyper(
-        lambda1=cfg["factors.lambda1"], lr=cfg["factors.lr"],
-        steps=cfg["factors.steps"], seed=cfg["seed"],
-        normalize_prices=cfg["factors.normalize_prices"])
+    hyper = sf.StockFactorHyper(lambda1=cfg["factors.lambda1"], lr=cfg["factors.lr"],
+                                steps=cfg["factors.steps"])
     params = _trained(run_dir, "stock", stamp, lambda: sf.init_params(panel.n_stocks),
-                      lambda: sf.train_stock_factors(panel, hyper, train_end=train_end))
-    return params, sf.residual(panel, params, normalize_prices=hyper.normalize_prices)
+                      lambda: sf.train_stock_factors(panel.prices, hyper, train_end))
+    return params, sf.residual(panel.prices, params)
 
 
 @_stage("market-factors")
 def _stage_market_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
-                          feats: np.ndarray, run_dir: str, stamp: str
+                          feats: np.ndarray, labels: list, run_dir: str, stamp: str
                           ) -> tuple[ParamSet, mf.MarketFactorSeries]:
     hyper = mf.MarketFactorHyper(
         lambda2=cfg["market.lambda2"], window=cfg["model.window"],
         lr=cfg["market.lr"], epochs=cfg["market.epochs"],
-        batch=cfg["market.batch"], hidden=cfg["market.hidden"],
-        cls_weight_decay=cfg["market.cls_weight_decay"],
-        seed=cfg["seed"], sync=cfg.synchronism())
+        batch=cfg["market.batch"], seed=cfg["seed"])
     params = _trained(run_dir, "market", stamp,
                       lambda: mf.init_params(panel.n_stocks, panel.n_features, hyper),
-                      lambda: mf.train_market_factors(panel, hyper, train_end, features=feats))
-    return params, mf.market_series(panel, params, hyper.window, features=feats)
+                      lambda: mf.train_market_factors(feats, labels, hyper, train_end))
+    return params, mf.market_series(feats, params, hyper.window)
 
 
 @_stage("forecaster")
@@ -213,16 +208,18 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
                for i, sid in enumerate(panel.stock_ids)
                for t, date in enumerate(panel.periods)), stamp)
 
-    market_params, mseries = _stage_market_factors(cfg, panel, train_end, feats, run_dir, stamp)
+    # Synchronism labels per period: the market stage's prediction targets,
+    # also written to labels.csv for auditing.
+    sync = cfg.synchronism()
+    deltas = compute_deltas(panel.returns, sync)
+    labels = compute_synchronism_labels(deltas, sync)
+    market_params, mseries = _stage_market_factors(cfg, panel, train_end, feats, labels,
+                                                   run_dir, stamp)
     write_csv(os.path.join(run_dir, "market_repr.csv"),
               ["date"] + [f"m_{j + 1}" for j in range(mseries.m.shape[1])],
               ([date] + [repr(float(v)) for v in mseries.m[t]]
                for t, date in enumerate(panel.periods) if not np.isnan(mseries.m[t]).any()),
               stamp)
-    # Synchronism labels per period, for auditing the prediction task.
-    sync = cfg.synchronism()
-    deltas = compute_deltas(panel.returns, sync)
-    labels = compute_synchronism_labels(deltas, sync)
     sums = deltas.sum(axis=0)
     write_csv(os.path.join(run_dir, "labels.csv"), ["date", "sum_delta", "label"],
               ([date, int(sums[t]), labels[t].name] for t, date in enumerate(panel.periods)),
@@ -249,8 +246,7 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
         panel=panel, train_end=train_end, scaler=scaler,
         coint_params=coint_params, market_params=market_params,
         fc_params=fc_params, fc_hyper=fc_hyper,
-        prediction=prediction, report=report,
-        normalize_prices=cfg["factors.normalize_prices"])
+        prediction=prediction, report=report)
 
 
 def predict_with_artifacts(artifacts: TrainedArtifacts, panel: MarketPanel,
@@ -271,10 +267,8 @@ def predict_with_artifacts(artifacts: TrainedArtifacts, panel: MarketPanel,
         raise PanelMismatch(f"panel features {tuple(panel.feature_names)} differ from "
                             f"the training panel's {tuple(trained.feature_names)}")
     feats = artifacts.scaler.transform(panel.features)
-    factors = sf.residual(panel, artifacts.coint_params,
-                          normalize_prices=artifacts.normalize_prices)
-    mseries = mf.market_series(panel, artifacts.market_params,
-                               artifacts.fc_hyper.window, features=feats)
+    factors = sf.residual(panel.prices, artifacts.coint_params)
+    mseries = mf.market_series(feats, artifacts.market_params, artifacts.fc_hyper.window)
     return fc.predict_periods(artifacts.fc_params, artifacts.fc_hyper, feats,
                               factors.u, mseries, periods)
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import MarketPanel
 
 ATT_MASK = -1e30  # additive logit mask that zeroes the diagonal after softmax
 
@@ -70,27 +69,15 @@ def _virtual_price_op(prices: Tensor, params: ad.ParamSet) -> Tensor:
     return (att * params["beta"]) @ prices
 
 
-def residual(panel: MarketPanel, params: ad.ParamSet,
-             normalize_prices: bool = False) -> StockFactorSeries:
-    """Factor series u = p_tilde - p on the panel's (possibly scaled) prices."""
-    prices = _prepare_prices(panel.prices, normalize_prices)
+def residual(prices: np.ndarray, params: ad.ParamSet) -> StockFactorSeries:
+    """Factor series u = p_tilde - p of prices (I, T)."""
     p_tilde = _virtual_price_op(ad.constant(prices), params).data
     return StockFactorSeries(u=p_tilde - prices, p_tilde=p_tilde)
 
 
-def _prepare_prices(prices: np.ndarray, normalize: bool) -> np.ndarray:
-    if not normalize:
-        return prices
-    return prices / prices[:, :1]
-
-
-def _fit_op(panel: MarketPanel, params: ad.ParamSet, train_end: int | None,
-            normalize: bool) -> tuple[Tensor, Tensor]:
-    """Actual and virtual prices (p, p_tilde) of the training periods."""
-    if panel.n_stocks < 2:
-        raise TooFewStocks("need at least 2 stocks")
-    end = panel.n_periods if train_end is None else int(train_end)
-    p = ad.constant(_prepare_prices(panel.prices, normalize)[:, :end])
+def _fit_op(prices: np.ndarray, params: ad.ParamSet) -> tuple[Tensor, Tensor]:
+    """Actual and virtual prices (p, p_tilde)."""
+    p = ad.constant(prices)
     return p, _virtual_price_op(p, params)
 
 
@@ -99,16 +86,14 @@ def _mse(p: Tensor, p_tilde: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def loss_beta(panel: MarketPanel, params: ad.ParamSet,
-              train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
+def loss_beta(prices: np.ndarray, params: ad.ParamSet) -> Tensor:
     """Mean squared regression error between actual and virtual prices."""
-    return _mse(*_fit_op(panel, params, train_end, normalize_prices))
+    return _mse(*_fit_op(prices, params))
 
 
-def loss_rho(panel: MarketPanel, params: ad.ParamSet,
-             train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
+def loss_rho(prices: np.ndarray, params: ad.ParamSet) -> Tensor:
     """AR(1) stationarity penalty on the residual series."""
-    p, p_tilde = _fit_op(panel, params, train_end, normalize_prices)
+    p, p_tilde = _fit_op(prices, params)
     return _rho_penalty(p_tilde - p, params)
 
 
@@ -134,10 +119,9 @@ def loss_rho_from_u(u: np.ndarray, rho: np.ndarray) -> float:
     return float((diff * diff).mean())
 
 
-def loss_S(panel: MarketPanel, params: ad.ParamSet, lambda1: float,
-           train_end: int | None = None, normalize_prices: bool = False) -> Tensor:
+def loss_S(prices: np.ndarray, params: ad.ParamSet, lambda1: float) -> Tensor:
     """Joint objective: regression loss plus lambda1 times the AR(1) penalty."""
-    p, p_tilde = _fit_op(panel, params, train_end, normalize_prices)
+    p, p_tilde = _fit_op(prices, params)
     return _mse(p, p_tilde) + lambda1 * _rho_penalty(p_tilde - p, params)
 
 
@@ -146,23 +130,20 @@ class StockFactorHyper:
     lambda1: float = 0.5
     lr: float = 0.02
     steps: int = 2000
-    seed: int = 0
-    normalize_prices: bool = False
 
 
-def train_stock_factors(panel: MarketPanel, hyper: StockFactorHyper,
-                        train_end: int | None = None) -> ad.ParamSet:
-    """Fit the combination parameters on the training periods only.
+def train_stock_factors(prices: np.ndarray, hyper: StockFactorHyper,
+                        train_end: int) -> ad.ParamSet:
+    """Fit the combination parameters on prices (I, T) before train_end.
 
     Full-batch Adam from the fixed initialization (beta = 1, logits = 0,
     rho_raw = 0); deterministic. `residual` gives the factor series.
     """
-    params = init_params(panel.n_stocks)
+    params = init_params(prices.shape[0])
     opt = ad.adam_init(params)
+    train = prices[:, :train_end]
     for _ in range(hyper.steps):
-        ad.train_step(params, opt, lambda: loss_S(
-            panel, params, hyper.lambda1, train_end=train_end,
-            normalize_prices=hyper.normalize_prices), hyper.lr)
+        ad.train_step(params, opt, lambda: loss_S(train, params, hyper.lambda1), hyper.lr)
     return params
 
 

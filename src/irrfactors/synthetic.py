@@ -25,6 +25,12 @@ from .panel import FEATURE_NAMES, MarketPanel, compute_returns
 from .rng import stream
 
 
+START_DATE = "2020-01-01"
+PRICE_RANGE = (60.0, 140.0)   # initial prices are drawn uniformly from this range
+VWAP_LAG = 0.4                # fraction of the day's move missing from vwap
+VOLUME_COUPLING = 0.4         # log-volume shift per percent of precursor
+
+
 class BadSpec(ValueError):
     """Synthetic specification violates its invariants."""
 
@@ -64,7 +70,6 @@ class SentimentPlant:
     event_magnitude: float = 3.0
     precursor_strength: float = 0.0
     precursor_noise: float = 0.6
-    volume_coupling: float = 0.4  # log-volume shift per percent of precursor
 
 
 @dataclass
@@ -73,23 +78,16 @@ class SyntheticSpec:
 
     n_stocks: int = 16
     n_periods: int = 400
-    n_features: int = 6
     plants: list[CointegrationPlant] = field(default_factory=list)
     sentiment: SentimentPlant = field(default_factory=SentimentPlant)
     base_volatility: float = 1.0      # percent daily, mid of the per-stock range
     volatility_spread: float = 0.5    # per-stock vol ~ U(base*(1-s), base*(1+s))
     event_sensitivity_spread: float = 0.5  # per-stock event beta ~ U(1-s, 1+s)
-    price_low: float = 60.0
-    price_high: float = 140.0
-    vwap_lag: float = 0.4             # fraction of the day's move missing from vwap
-    start_date: str = "2020-01-01"
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_stocks < 2 or self.n_periods < 3:
             raise BadSpec("need at least 2 stocks and 3 periods")
-        if self.n_features < 1:
-            raise BadSpec("need at least one feature")
         for plant in self.plants:
             if abs(plant.noise_rho) >= 1.0:
                 raise BadSpec(f"|noise_rho| must be < 1, got {plant.noise_rho}")
@@ -110,8 +108,6 @@ class SyntheticSpec:
             raise BadSpec("event_prob must lie in [0, 1]")
         if sent.event_magnitude < 0 or sent.precursor_strength < 0 or sent.precursor_noise < 0:
             raise BadSpec("sentiment magnitudes must be non-negative")
-        if not 0 < self.price_low <= self.price_high:
-            raise BadSpec("price range must be positive and ordered")
 
 
 def _business_days(start: str, n: int) -> list[str]:
@@ -165,7 +161,7 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketPanel:
     rets[:, 1:] += pre_price[:, 1:]
 
     p0_rng = stream(spec.seed, "synthetic", "prices")
-    p0 = p0_rng.uniform(spec.price_low, spec.price_high, size=I)
+    p0 = p0_rng.uniform(*PRICE_RANGE, size=I)
     prices = np.empty((I, T))
     prices[:, 0] = p0
     for t in range(1, T):
@@ -190,14 +186,9 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketPanel:
     if np.any(prices <= 0):
         raise BadSpec("generated prices hit zero; reduce volatility or noise scale")
 
-    features = _features_from_prices(spec, prices, sent.volume_coupling * pre_volume)
-    panel = MarketPanel.from_prices(
-        [f"S{i:03d}" for i in range(I)],
-        _business_days(spec.start_date, T),
-        features,
-        prices,
-    )
-    return panel
+    features = _features_from_prices(spec, prices, VOLUME_COUPLING * pre_volume)
+    return MarketPanel.from_prices([f"S{i:03d}" for i in range(I)],
+                                   _business_days(START_DATE, T), features, prices)
 
 
 def _features_from_prices(spec: SyntheticSpec, prices: np.ndarray,
@@ -216,16 +207,10 @@ def _features_from_prices(spec: SyntheticSpec, prices: np.ndarray,
     high = np.maximum(open_, close) * (1.0 + hi_pad)
     low = np.minimum(open_, close) * (1.0 - lo_pad)
     # vwap sits partway through the day's move, plus microstructure noise
-    vwap = close * (1.0 - spec.vwap_lag * day_ret
+    vwap = close * (1.0 - VWAP_LAG * day_ret
                     + rng.standard_normal((I, T)) * 0.0005)
     volume = 1e6 * np.exp(rng.standard_normal((I, T)) * 0.3 + log_volume_shift)
 
     canonical = {"open": open_, "close": close, "high": high, "low": low,
                  "vwap": vwap, "volume": volume}
-    channels = []
-    for j in range(spec.n_features):
-        if j < len(FEATURE_NAMES):
-            channels.append(canonical[FEATURE_NAMES[j]])
-        else:
-            channels.append(rng.standard_normal((I, T)))
-    return np.stack(channels, axis=-1)
+    return np.stack([canonical[name] for name in FEATURE_NAMES], axis=-1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from irrfactors.panel import MarketPanel, compute_returns
+from irrfactors.panel import (MarketPanel, SynchronismConfig, compute_deltas, compute_returns,
+                              compute_synchronism_labels)
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
                                   generate_synthetic)
 
@@ -21,6 +22,11 @@ def random_panel(seed, n_stocks=4, n_periods=12, n_features=3) -> MarketPanel:
         [f"S{i}" for i in range(n_stocks)],
         [f"2020-01-{d + 1:02d}" for d in range(n_periods)],
         features, prices)
+
+
+def sync_labels(panel, sync=SynchronismConfig()) -> list:
+    """The panel's per-period synchronism labels."""
+    return compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
 
 
 def ablation_market_spec(seed) -> SyntheticSpec:

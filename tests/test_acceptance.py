@@ -17,13 +17,12 @@ from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
 from irrfactors.config import RunConfig
 from irrfactors.evaluation import average_ranks, rank_ic_series
-from irrfactors.panel import (FeatureScaler, SynchronismConfig, compute_deltas,
-                              compute_synchronism_labels)
+from irrfactors.panel import FeatureScaler
 from irrfactors.pipeline import run_pipeline
 from irrfactors.rng import stream
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
                                   generate_synthetic)
-from conftest import ablation_market_spec, random_panel, sentiment_market_spec
+from conftest import ablation_market_spec, random_panel, sentiment_market_spec, sync_labels
 
 from test_evaluation import (brute_force_long_short, brute_force_mdd,
                              sort_rank_oracle, two_pass_pearson)
@@ -46,22 +45,22 @@ def _stock_loss_cases(seed):
     params["w_att"].data += rng.normal(scale=0.2, size=(4, 4))
     params["rho_raw"].data += rng.normal(scale=0.2, size=4)
     return [
-        ("regression", lambda: sf.loss_beta(panel, params), params),
-        ("stationarity", lambda: sf.loss_rho(panel, params), params),
-        ("joint-stock", lambda: sf.loss_S(panel, params, 0.5), params),
+        ("regression", lambda: sf.loss_beta(panel.prices, params), params),
+        ("stationarity", lambda: sf.loss_rho(panel.prices, params), params),
+        ("joint-stock", lambda: sf.loss_S(panel.prices, params, 0.5), params),
     ]
 
 
 def _market_loss_cases(seed):
     panel = random_panel(seed + 1, n_stocks=5, n_periods=8, n_features=3)
-    sync = SynchronismConfig()
-    params = mf.init_params(5, 3, mf.MarketFactorHyper(hidden=6), stream(seed, "acc", "market"))
+    feats, labels = panel.features, sync_labels(panel)
+    params = mf.init_params(5, 3, mf.MarketFactorHyper(), stream(seed, "acc", "market"))
     periods = np.array([3, 5, 7])
     return [
-        ("contrastive", lambda: mf.infonce_loss(params, panel, periods, 2,
+        ("contrastive", lambda: mf.infonce_loss(params, feats, periods, 2,
                                                 seed=seed, epoch=0), params),
-        ("synchronism", lambda: mf.loss_P(params, panel, periods, 2, sync), params),
-        ("joint-market", lambda: mf.loss_M(params, panel, periods, 1.0, 2, sync,
+        ("synchronism", lambda: mf.loss_P(params, feats, labels, periods, 2), params),
+        ("joint-market", lambda: mf.loss_M(params, feats, labels, periods, 1.0, 2,
                                            seed=seed, epoch=0), params),
     ]
 
@@ -123,8 +122,9 @@ def test_criterion_2_cointegration_recovery():
             seed=seed)
         panel = generate_synthetic(spec)
         params = sf.train_stock_factors(
-            panel, sf.StockFactorHyper(lambda1=0.5, lr=0.02, steps=2000, seed=seed))
-        series = sf.residual(panel, params)
+            panel.prices, sf.StockFactorHyper(lambda1=0.5, lr=0.02, steps=2000),
+            panel.n_periods)
+        series = sf.residual(panel.prices, params)
         att = sf.attention(params)[0, 1]
         eff = att * params["beta"].data[0, 1]
         rho_u = abs(sf.stationarity_diagnostic(series.u[0]))
@@ -144,17 +144,14 @@ def test_criterion_2_cointegration_recovery():
 
 def _classifier_run(seed, strength):
     panel = generate_synthetic(sentiment_market_spec(seed, precursor_strength=strength))
-    sync = SynchronismConfig()
-    labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
+    labels = sync_labels(panel)
     train_end = 300
     scaler = FeatureScaler.fit(panel.features, train_end)
     feats = scaler.transform(panel.features)
-    hyper = mf.MarketFactorHyper(window=10, epochs=40, lr=0.01, seed=seed + 100,
-                                 sync=sync)
-    params = mf.train_market_factors(panel, hyper, train_end, features=feats)
+    hyper = mf.MarketFactorHyper(window=10, epochs=40, lr=0.01, seed=seed + 100)
+    params = mf.train_market_factors(feats, labels, hyper, train_end)
     held = np.arange(train_end, panel.n_periods)
-    acc = mf.classifier_accuracy(params, panel, held, hyper.window,
-                                 features=feats, labels=labels)
+    acc = mf.classifier_accuracy(params, feats, labels, held, hyper.window)
     lab = np.array([int(l) for l in labels])
     majority = np.bincount(lab[held], minlength=3).max() / held.size
     return acc, majority
@@ -182,10 +179,9 @@ def test_criterion_4_contrastive_separation():
         scaler = FeatureScaler.fit(panel.features, train_end)
         feats = scaler.transform(panel.features)
         hyper = mf.MarketFactorHyper(window=10, epochs=25, lr=0.01, seed=seed)
-        params = mf.train_market_factors(panel, hyper, train_end, features=feats)
+        params = mf.train_market_factors(feats, sync_labels(panel), hyper, train_end)
         held = np.arange(train_end, train_end + 60)
-        pos, neg = mf.contrastive_separation(params, panel, held, hyper.window,
-                                             seed, features=feats)
+        pos, neg = mf.contrastive_separation(params, feats, held, hyper.window, seed)
         wins += pos > neg
         details.append(f"s{seed}:{pos:.1f}>{neg:.1f}")
     _report(4, "contrastive separation", wins >= 4,
@@ -277,6 +273,7 @@ def _ablation_run(seed, variant, panel, feats, factors, mseries, train_end):
     return float(rank_ic_series(y_hat, panel.returns[:, periods]).mean())
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_direction():
     started = time.monotonic()
     scores = {v: [] for v in ("full", "NS", "NM", "NR")}
@@ -285,12 +282,12 @@ def test_criterion_7_ablation_direction():
         train_end = 330
         scaler = FeatureScaler.fit(panel.features, train_end)
         feats = scaler.transform(panel.features)
-        cparams = sf.train_stock_factors(
-            panel, sf.StockFactorHyper(steps=1200, seed=seed), train_end=train_end)
-        factors = sf.residual(panel, cparams)
+        cparams = sf.train_stock_factors(panel.prices, sf.StockFactorHyper(steps=1200),
+                                         train_end)
+        factors = sf.residual(panel.prices, cparams)
         mhyper = mf.MarketFactorHyper(window=10, epochs=30, seed=seed)
-        mparams = mf.train_market_factors(panel, mhyper, train_end, features=feats)
-        mseries = mf.market_series(panel, mparams, mhyper.window, features=feats)
+        mparams = mf.train_market_factors(feats, sync_labels(panel), mhyper, train_end)
+        mseries = mf.market_series(feats, mparams, mhyper.window)
         for variant in scores:
             scores[variant].append(
                 _ablation_run(seed, variant, panel, feats, factors, mseries, train_end))

@@ -212,3 +212,8 @@ def test_predictions_ignore_future_data():
     u2[:, 75:] -= 50.0
     after = fc.predict_periods(params, hyper, feats2, u2, mseries, [70, 72, 75])
     np.testing.assert_array_equal(base, after)
+
+
+def test_validation_tail_that_covers_every_period_is_named():
+    with pytest.raises(fc.EmptyTrainingSlice, match="val_fraction 1.5"):
+        _quick_train(24, val_fraction=1.5)

@@ -134,18 +134,19 @@ _TRAINING_SCRIPT = _SCRIPT_PRELUDE + """
 from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
 from irrfactors.config import RunConfig
-from irrfactors.panel import FeatureScaler
+from irrfactors.panel import FeatureScaler, compute_deltas, compute_synchronism_labels
 from irrfactors.synthetic import generate_synthetic
 cfg = RunConfig.from_file(os.path.join(sys.argv[1], "configs", "demo.cfg"))
 panel = generate_synthetic(cfg.synthetic_spec())
 train_end = 330
 feats = FeatureScaler.fit(panel.features, train_end).transform(panel.features)
-sf_params = sf.train_stock_factors(panel, sf.StockFactorHyper(steps=100), train_end=train_end)
-factors = sf.residual(panel, sf_params)
-mf_params = mf.train_market_factors(
-    panel, mf.MarketFactorHyper(window=10, epochs=2, sync=cfg.synchronism()),
-    train_end, features=feats)
-mseries = mf.market_series(panel, mf_params, 10, features=feats)
+sync = cfg.synchronism()
+labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
+sf_params = sf.train_stock_factors(panel.prices, sf.StockFactorHyper(steps=100), train_end)
+factors = sf.residual(panel.prices, sf_params)
+mf_params = mf.train_market_factors(feats, labels, mf.MarketFactorHyper(window=10, epochs=2),
+                                    train_end)
+mseries = mf.market_series(feats, mf_params, 10)
 fc_hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2, lr=0.003,
                               max_epochs=2)
 fc_params = fc.train_forecaster(feats, panel.returns, factors, mseries, fc_hyper, train_end)
@@ -168,10 +169,12 @@ def _digests_per_thread_count(script: str) -> set:
     return outputs
 
 
+@pytest.mark.slow
 def test_frozen_predictions_do_not_depend_on_blas_threads():
     assert len(_digests_per_thread_count(_FROZEN_SCRIPT)) == 1
 
 
+@pytest.mark.slow
 def test_training_does_not_depend_on_blas_threads():
     outputs = _digests_per_thread_count(_TRAINING_SCRIPT)
     assert len(outputs) == 1

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from irrfactors.panel import (BadPrice, DuplicateRow, FeatureScaler, HoleInPanel,
+from irrfactors.panel import (BadCell, BadDate, BadPrice, DuplicateRow, FeatureScaler,
+                              HoleInPanel, NonFiniteFeature,
                               SynchronismConfig, SyncClass, TooEarly, TooShort, windows,
                               compute_deltas, compute_returns,
                               compute_synchronism_labels,
@@ -151,3 +152,33 @@ def test_windows_check_both_bounds(t):
         windows(x, t, 3)
     with pytest.raises(TooEarly, match=f"before period {t} "):
         windows(x, np.array([5, t]), 3)
+
+
+def test_load_panel_orders_periods_by_date_value(tmp_path):
+    rows = [_row(d, "A", 100 + i) for i, d in enumerate(
+        ("2024-01-10", "2024-01-08", "2024-01-11", "2024-01-09"))]
+    panel = load_panel(_write(tmp_path, rows))
+    assert panel.periods == ["2024-01-08", "2024-01-09", "2024-01-10", "2024-01-11"]
+    np.testing.assert_array_equal(panel.prices[0], [101.0, 103.0, 100.0, 102.0])
+
+
+@pytest.mark.parametrize("bad", ["1/8/2024", "2024-1-8", "20240108", "2024-01-08T09:30"])
+def test_load_panel_rejects_a_date_that_is_not_iso(tmp_path, bad):
+    rows = [_row("2024-01-09", "A", 100), _row(bad, "A", 101), _row("2024-01-10", "A", 102)]
+    with pytest.raises(BadDate, match=rf"panel.csv:3: date '{bad}'"):
+        load_panel(_write(tmp_path, rows))
+
+
+def test_load_panel_names_the_cell_that_is_not_a_number(tmp_path):
+    rows = ["# a comment line still counts\n", _row("2024-01-08", "A", 100),
+            "2024-01-09,A,100,x,100,100,100,1000\n"]
+    with pytest.raises(BadCell, match=r"panel.csv:4: column 4 \(close\) is not a number: 'x'"):
+        load_panel(_write(tmp_path, rows))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_panel_names_a_non_finite_feature(tmp_path, value):
+    rows = [_row("2024-01-08", "A", 100), _row("2024-01-08", "B", 100),
+            _row("2024-01-09", "A", 101), f"2024-01-09,B,100,100,100,100,{value},1000\n"]
+    with pytest.raises(NonFiniteFeature, match=f"panel.csv: vwap of stock B on 2024-01-09"):
+        load_panel(_write(tmp_path, rows))

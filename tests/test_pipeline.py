@@ -81,6 +81,31 @@ def test_csv_source_requires_path(tmp_path):
         RunConfig.from_file(_write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("line, key", [
+    ("forecast.heads = 3", "forecast.heads"),
+    ("forecast.heads = 0", "forecast.heads"),
+    ("portfolio.n_fraction = 0.9", "portfolio.n_fraction"),
+    ("portfolio.n_fraction = 0", "portfolio.n_fraction"),
+    ("forecast.val_fraction = 1.5", "forecast.val_fraction"),
+    ("forecast.val_fraction = 0", "forecast.val_fraction"),
+    ("market.batch = 1", "market.batch"),
+    ("sync.hm_ratio = 1.5", "sync.hm_ratio"),
+])
+def test_bad_settings_are_rejected_before_any_stage_runs(tmp_path, line, key):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_file(_write_config(tmp_path, SMALL_CONFIG + f"\n{line}\n"))
+
+
+@pytest.mark.parametrize("key", ["factors.normalize_prices", "market.hidden",
+                                 "market.cls_weight_decay", "synthetic.n_features",
+                                 "synthetic.price_low", "synthetic.price_high",
+                                 "synthetic.vwap_lag", "synthetic.start_date",
+                                 "synthetic.events.volume_coupling"])
+def test_removed_settings_are_unknown_keys(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        RunConfig.from_file(_write_config(tmp_path, SMALL_CONFIG + f"\n{key} = 1\n"))
+
+
 def test_train_end_accepts_dates(tmp_path):
     cfg = RunConfig.from_file(_write_config(tmp_path))
     # boundary may also be given as a period label; bad labels are reported

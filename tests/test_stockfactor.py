@@ -3,23 +3,12 @@ import pytest
 
 from irrfactors import autodiff as ad
 from irrfactors import stockfactor as sf
-from irrfactors.panel import MarketPanel
 from conftest import random_panel
 
 
-def _panel_from_prices(prices):
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape[1] == 1:              # panels need two periods for returns
-        prices = np.repeat(prices, 2, axis=1)
-    n, t = prices.shape
-    features = np.repeat(prices[:, :, None], 3, axis=2)
-    return MarketPanel.from_prices([f"S{i}" for i in range(n)],
-                                   [f"d{k}" for k in range(t)], features, prices)
-
-
-def _naive_virtual_price(panel, params):
+def _naive_virtual_price(prices, params):
     """Two-loop oracle for the attention-weighted combination."""
-    I, T = panel.prices.shape
+    I, T = prices.shape
     w = params["w_att"].data
     beta = params["beta"].data
     out = np.zeros((I, T))
@@ -29,23 +18,23 @@ def _naive_virtual_price(panel, params):
         weights /= weights.sum()
         others = [j for j in range(I) if j != i]
         for t in range(T):
-            out[i, t] = sum(a * beta[i, j] * panel.prices[j, t]
+            out[i, t] = sum(a * beta[i, j] * prices[j, t]
                             for a, j in zip(weights, others))
     return out
 
 
 def test_uniform_attention_hand_value():
-    panel = _panel_from_prices([[10.0], [20.0], [30.0]])
     params = sf.init_params(3)
-    assert sf.residual(panel, params).p_tilde[0, 0] == pytest.approx(25.0)
+    prices = np.array([[10.0], [20.0], [30.0]])
+    assert sf.residual(prices, params).p_tilde[0, 0] == pytest.approx(25.0)
 
 
 def test_attention_saturation():
-    panel = _panel_from_prices([[10.0], [20.0], [30.0]])
     params = sf.init_params(3)
     params["beta"].data[0, 1] = 2.0
     params["w_att"].data[0, 1] = 40.0
-    assert sf.residual(panel, params).p_tilde[0, 0] == pytest.approx(40.0)
+    prices = np.array([[10.0], [20.0], [30.0]])
+    assert sf.residual(prices, params).p_tilde[0, 0] == pytest.approx(40.0)
 
 
 def test_attention_rows_sum_to_one():
@@ -65,15 +54,14 @@ def test_too_few_stocks():
 def test_residual_is_difference():
     panel = random_panel(2)
     params = sf.init_params(panel.n_stocks)
-    series = sf.residual(panel, params)
+    series = sf.residual(panel.prices, params)
     np.testing.assert_array_equal(series.u, series.p_tilde - panel.prices)
 
 
 def test_loss_beta_single_cell():
-    panel = _panel_from_prices([[1.0], [3.0]])
     params = sf.init_params(2)
     # I=2: each stock's virtual price is the other's price, so both cells err by 2
-    assert sf.loss_beta(panel, params).item() == pytest.approx(4.0)
+    assert sf.loss_beta(np.array([[1.0], [3.0]]), params).item() == pytest.approx(4.0)
 
 
 def test_loss_beta_matches_naive_oracle():
@@ -82,10 +70,10 @@ def test_loss_beta_matches_naive_oracle():
     rng = np.random.default_rng(8)
     params["beta"].data[...] = rng.normal(size=params["beta"].shape)
     params["w_att"].data[...] = rng.normal(size=params["w_att"].shape)
-    p_tilde = _naive_virtual_price(panel, params)
+    p_tilde = _naive_virtual_price(panel.prices, params)
     expected = ((panel.prices - p_tilde) ** 2).mean()
-    assert sf.loss_beta(panel, params).item() == pytest.approx(expected, rel=1e-12)
-    np.testing.assert_allclose(sf.residual(panel, params).p_tilde, p_tilde, rtol=1e-12)
+    assert sf.loss_beta(panel.prices, params).item() == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_allclose(sf.residual(panel.prices, params).p_tilde, p_tilde, rtol=1e-12)
 
 
 def test_loss_rho_hand_values():
@@ -108,10 +96,11 @@ def test_loss_s_composition():
     rng = np.random.default_rng(9)
     params["beta"].data[...] = rng.normal(size=params["beta"].shape)
     params["rho_raw"].data[...] = rng.normal(size=params["rho_raw"].shape)
-    lb = sf.loss_beta(panel, params).item()
-    lr = sf.loss_rho(panel, params).item()
-    assert sf.loss_S(panel, params, 0.0).item() == pytest.approx(lb, rel=1e-12)
-    assert sf.loss_S(panel, params, 0.5).item() == pytest.approx(lb + 0.5 * lr, rel=1e-12)
+    lb = sf.loss_beta(panel.prices, params).item()
+    lr = sf.loss_rho(panel.prices, params).item()
+    assert sf.loss_S(panel.prices, params, 0.0).item() == pytest.approx(lb, rel=1e-12)
+    assert sf.loss_S(panel.prices, params, 0.5).item() == pytest.approx(lb + 0.5 * lr,
+                                                                          rel=1e-12)
 
 
 def test_rho_constraint_by_construction():
@@ -127,21 +116,24 @@ def test_loss_gradients_match_finite_differences():
     params["beta"].data += rng.normal(scale=0.1, size=(4, 4))
     params["w_att"].data += rng.normal(scale=0.1, size=(4, 4))
     params["rho_raw"].data += rng.normal(scale=0.1, size=4)
-    err = ad.gradient_check(lambda _: sf.loss_S(panel, params, 0.5), params)
+    err = ad.gradient_check(lambda _: sf.loss_S(panel.prices, params, 0.5), params)
     assert err <= 1e-4
 
 
 def test_training_decreases_loss(planted_panel):
-    hyper = sf.StockFactorHyper(steps=150, seed=0)
-    initial = sf.loss_S(planted_panel, sf.init_params(8), hyper.lambda1).item()
-    params = sf.train_stock_factors(planted_panel, hyper)
-    final = sf.loss_S(planted_panel, params, hyper.lambda1).item()
+    prices = planted_panel.prices
+    hyper = sf.StockFactorHyper(steps=150)
+    initial = sf.loss_S(prices, sf.init_params(8), hyper.lambda1).item()
+    params = sf.train_stock_factors(prices, hyper, planted_panel.n_periods)
+    final = sf.loss_S(prices, params, hyper.lambda1).item()
     assert final <= initial
 
 
 def test_training_finds_planted_partner(planted_panel):
-    params = sf.train_stock_factors(planted_panel, sf.StockFactorHyper(steps=800, seed=0))
-    series = sf.residual(planted_panel, params)
+    prices = planted_panel.prices
+    params = sf.train_stock_factors(prices, sf.StockFactorHyper(steps=800),
+                                    planted_panel.n_periods)
+    series = sf.residual(prices, params)
     att = sf.attention(params)
     assert att[0].argmax() == 1
     assert abs(sf.stationarity_diagnostic(series.u[0])) < \
