@@ -58,84 +58,91 @@ class BacktestReport:
     flags: list = field(default_factory=list)
 
 
-# -- ranking helpers ---------------------------------------------------------
+# -- panel helpers -----------------------------------------------------------
+#
+# These take an (I,) vector (one period) or an (I, P) panel and reduce over
+# axis 0, the stocks. numpy sums a vector, or each row of a C-contiguous
+# array, pairwise, but sums down columns sequentially; reducing over a
+# C-contiguous (P, I) copy gives each period the bits it gets on its own.
+
+
+def _stocks_last(x) -> np.ndarray:
+    """C-contiguous float64 copy with the stock axis moved last."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=np.float64), 0, -1))
 
 
 def average_ranks(values) -> np.ndarray:
-    """Ascending ranks 1..n with ties averaged."""
+    """Ascending ranks 1..I along the stock axis with ties averaged.
+
+    Each NaN ranks above every number and in a group of its own.
+    """
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    s = v[order]
-    new_group = np.empty(v.size, dtype=bool)
-    new_group[:1] = True
-    new_group[1:] = s[1:] != s[:-1]
-    starts = np.flatnonzero(new_group)
-    ends = np.append(starts[1:], v.size)
-    ranks = np.empty(v.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    n = v.shape[0]
+    order = np.argsort(v, axis=0, kind="stable")
+    s = np.take_along_axis(v, order, axis=0)
+    pos = np.arange(n).reshape((n,) + (1,) * (v.ndim - 1))
+    first = np.ones(v.shape, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    last = np.roll(first, -1, axis=0)      # a tie group ends where the next starts
+    starts = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
+    ends = np.minimum.accumulate(np.where(last, pos + 1, n)[::-1], axis=0)[::-1]
+    ranks = np.empty(v.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, (starts + 1 + ends) / 2.0, axis=0)
     return ranks
 
 
-def pearson(a, b) -> float:
-    """Population-moment Pearson correlation; 0 if either vector is constant."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ac = a - a.mean()
-    bc = b - b.mean()
-    sa = np.sqrt((ac * ac).mean())
-    sb = np.sqrt((bc * bc).mean())
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float((ac * bc).mean() / (sa * sb))
+def pearson(a, b):
+    """Per-period population-moment Pearson correlation; 0 where either side is constant."""
+    a, b = _stocks_last(a), _stocks_last(b)
+    ac = a - a.mean(axis=-1, keepdims=True)
+    bc = b - b.mean(axis=-1, keepdims=True)
+    sa = np.sqrt((ac * ac).mean(axis=-1))
+    sb = np.sqrt((bc * bc).mean(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (ac * bc).mean(axis=-1) / (sa * sb)
+    return np.where((sa == 0.0) | (sb == 0.0), 0.0, r)[()]
 
 
 # -- strategy ----------------------------------------------------------------
 
 
-def long_short_return(y_hat_t, y_true_t, cfg: PortfolioConfig
-                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """One period of the hedge: long the top-N forecasts, short the bottom-N.
+def long_short_return(y_hat, y_true, cfg: PortfolioConfig):
+    """The hedge: each period, long the top-N forecasts and short the bottom-N.
 
-    y_true_t is in percent and converted to fractions here. Ties in the
+    y_true is in percent and converted to fractions here. Ties in the
     forecast are broken by stock index (stable sort). Returns the gross
-    strategy return and the long/short index arrays.
+    strategy return per period and the (..., N) long and short index arrays.
     """
-    y_hat_t = np.asarray(y_hat_t, dtype=np.float64)
-    y_frac = np.asarray(y_true_t, dtype=np.float64) / 100.0
-    n_stocks = y_hat_t.size
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    n_stocks = y_hat.shape[0]
     n = cfg.portfolio_size(n_stocks)
     if n_stocks < 2 * n:
         raise UniverseTooSmall(f"need at least {2 * n} stocks, have {n_stocks}")
-    order = np.argsort(-y_hat_t, kind="stable")
-    longs = order[:n]
-    shorts = order[-n:]
-    gross = (y_frac[longs].sum() - y_frac[shorts].sum()) / n
-    return float(gross), longs, shorts
+    order = np.moveaxis(np.argsort(-y_hat, axis=0, kind="stable"), 0, -1)
+    # contiguous legs keep the gathers C-ordered, so each period sums pairwise
+    longs = np.ascontiguousarray(order[..., :n])
+    shorts = np.ascontiguousarray(order[..., -n:])
+    y_frac = _stocks_last(y_true) / 100.0
+    gross = (np.take_along_axis(y_frac, longs, axis=-1).sum(axis=-1)
+             - np.take_along_axis(y_frac, shorts, axis=-1).sum(axis=-1)) / n
+    return gross[()], longs, shorts
 
 
-def apply_costs(gross: np.ndarray, memberships, cfg: PortfolioConfig
+def apply_costs(gross, longs, shorts, cfg: PortfolioConfig
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Net returns after transaction costs.
+    """Net returns after transaction costs, from (P, N) long and short legs.
 
     The transacted count TC sums positions opened and closed on both books;
     the first period opens both full legs, so TC = 2N there. Net return is
     gross - cost_rate * TC / N.
     """
     gross = np.asarray(gross, dtype=np.float64)
-    tc = np.zeros(gross.size)
-    if gross.size == 0:
-        return gross.copy(), tc
-    prev_long: frozenset = frozenset()
-    prev_short: frozenset = frozenset()
-    n = None
-    for t, (longs, shorts) in enumerate(memberships):
-        cur_long = frozenset(int(i) for i in longs)
-        cur_short = frozenset(int(i) for i in shorts)
-        if n is None:
-            n = len(cur_long)
-        tc[t] = (len(cur_long ^ prev_long) + len(cur_short ^ prev_short))
-        prev_long, prev_short = cur_long, cur_short
-    net = gross - cfg.cost_rate * tc / n
+    legs = np.stack([np.asarray(longs), np.asarray(shorts)])     # (2, P, N)
+    held = np.zeros(legs.shape[:2] + (1 + legs.max(initial=-1),), dtype=bool)
+    np.put_along_axis(held, legs, True, axis=-1)
+    # a position is transacted where its holding flips; the book starts empty
+    tc = np.diff(held, axis=1, prepend=False).sum(axis=(0, 2)).astype(np.float64)
+    net = gross - cfg.cost_rate * tc / legs.shape[-1]
     return net, tc
 
 
@@ -178,16 +185,9 @@ def calmar(ar: float, max_drawdown: float) -> tuple[float, bool]:
 # -- forecast metrics ---------------------------------------------------------
 
 
-def ic_series(y_hat: np.ndarray, y_true: np.ndarray) -> np.ndarray:
-    """Per-period correlation between forecasts and true-return ranks."""
-    return np.array([pearson(y_hat[:, t], average_ranks(y_true[:, t]))
-                     for t in range(y_hat.shape[1])])
-
-
 def rank_ic_series(y_hat: np.ndarray, y_true: np.ndarray) -> np.ndarray:
     """Per-period correlation between forecast ranks and true-return ranks."""
-    return np.array([pearson(average_ranks(y_hat[:, t]), average_ranks(y_true[:, t]))
-                     for t in range(y_hat.shape[1])])
+    return pearson(average_ranks(y_hat), average_ranks(y_true))
 
 
 def information_ratio(series: np.ndarray) -> tuple[float, bool]:
@@ -208,7 +208,7 @@ def forecast_metrics(y_hat: np.ndarray, y_true: np.ndarray) -> tuple[dict, list]
     if y_hat.shape != y_true.shape:
         raise ValueError("prediction and target shapes differ")
     err = y_hat - y_true
-    ic = ic_series(y_hat, y_true)
+    ic = pearson(y_hat, average_ranks(y_true))
     rank_ic = rank_ic_series(y_hat, y_true)
     icir, ic_flat = information_ratio(ic)
     rank_icir, rank_flat = information_ratio(rank_ic)
@@ -236,14 +236,10 @@ def run_backtest(y_hat: np.ndarray, y_true: np.ndarray, cfg: PortfolioConfig) ->
 
     Cumulative wealth compounds net (cost-adjusted) returns.
     """
-    n_periods = y_hat.shape[1]
-    gross = np.empty(n_periods)
-    memberships = []
-    for t in range(n_periods):
-        g, longs, shorts = long_short_return(y_hat[:, t], y_true[:, t], cfg)
-        gross[t] = g
-        memberships.append((longs, shorts))
-    net, tc = apply_costs(gross, memberships, cfg)
+    if np.shape(y_hat) != np.shape(y_true):
+        raise ValueError("prediction and target shapes differ")
+    gross, longs, shorts = long_short_return(y_hat, y_true, cfg)
+    net, tc = apply_costs(gross, longs, shorts, cfg)
     wealth = cumulative_wealth(net)
 
     ar, av, sr, sr_flat = ar_av_sr(net, cfg)

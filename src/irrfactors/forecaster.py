@@ -297,12 +297,13 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     # Per-step invariants, built once per call: the augmented inputs and each
     # training period's target ranks (reused by every epoch after the first).
     inputs = augment_features(features, u, hyper.use_stock_factor)
-    ranks = {int(t): average_ranks(returns[:, t]) for t in train_periods}
+    ranks = average_ranks(returns[:, train_periods])
 
     def loss(t: int) -> Tensor:
         y_hat = _predict_op(params, hyper, windows(inputs, t, hyper.window),
                             market_factors.r[:, t - 1], market_factors.m[t - 1])
-        return loss_total(y_hat, returns[:, t], ranks[t], hyper.lambda3)
+        return loss_total(y_hat, returns[:, t], ranks[:, t - train_periods[0]],
+                          hyper.lambda3)
 
     def val_rank_ic() -> float:
         y_hat = predict_periods(params, hyper, features, u, market_factors, val_periods)

@@ -243,13 +243,12 @@ def test_criterion_6_backtest_hand_checks():
                                      np.array([2.0, 0.5, 0.1, -3.0]), cfg)
     hedge_ok = gross == pytest.approx(0.05, abs=1e-15)
 
-    turnover = [(tuple(range(10)), tuple(range(10, 20))),
-                (tuple(range(20, 30)), tuple(range(30, 40)))]
-    net, tc = ev.apply_costs(np.zeros(2), turnover, cfg)
+    longs = [tuple(range(10)), tuple(range(20, 30))]
+    shorts = [tuple(range(10, 20)), tuple(range(30, 40))]
+    net, tc = ev.apply_costs(np.zeros(2), longs, shorts, cfg)
     turnover_ok = tc[1] == 40.0 and net[1] == pytest.approx(-0.004, abs=1e-15)
 
-    first = [(tuple(range(5)), tuple(range(5, 10)))]
-    net0, tc0 = ev.apply_costs(np.array([0.01]), first, cfg)
+    net0, tc0 = ev.apply_costs(np.array([0.01]), [tuple(range(5))], [tuple(range(5, 10))], cfg)
     first_ok = tc0[0] == 10.0 and net0[0] == pytest.approx(0.008, abs=1e-15)
 
     _report(6, "backtest hand-checks", hedge_ok and turnover_ok and first_ok,

@@ -172,6 +172,30 @@ def test_batched_matmul_gradients():
     assert ad.gradient_check(f, [a, b]) <= 1e-6
 
 
+# Broadcast pairs: size-1 axes on either side, missing leading axes, a 0-d
+# parameter, and a plain float (None) that takes no gradient.
+_BROADCAST_SHAPES = [((3, 4), (3, 1)), ((1, 4), (3, 1)), ((2, 3, 4), (4,)),
+                     ((3, 1), (2, 3, 4)), ((2, 3, 4), (3, 1)), ((3, 4), ()),
+                     ((), (2, 3)), ((3, 4), None), (None, (3, 4))]
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("a_shape, b_shape", _BROADCAST_SHAPES)
+def test_broadcasting_vjps_pass_the_gradient_check(op, a_shape, b_shape):
+    rng = np.random.default_rng(0)
+
+    def operand(shape, is_denominator):
+        data = rng.normal(size=() if shape is None else shape)
+        if is_denominator:                 # kept away from zero
+            data = np.sign(data) * (0.5 + np.abs(data))
+        return float(data) if shape is None else ad.parameter(data)
+
+    a, b = operand(a_shape, False), operand(b_shape, op is ad.div)
+    params = [x for x in (a, b) if isinstance(x, ad.Tensor)]
+    weights = ad.constant(rng.normal(size=op(a, b).data.shape))
+    assert ad.gradient_check(lambda _: (op(a, b) * weights).sum(), params) <= 1e-4
+
+
 def test_adam_first_step_moves_against_gradient_sign():
     params = ad.ParamSet({"p": [1.0, 1.0]})
     p = params["p"]

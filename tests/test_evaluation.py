@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrfactors import evaluation as ev
@@ -44,6 +44,146 @@ def brute_force_long_short(y_hat, y_true_pct, n):
     top, bottom = order[:n], order[-n:]
     y = np.asarray(y_true_pct) / 100.0
     return (sum(y[i] for i in top) - sum(y[i] for i in bottom)) / n
+
+
+# -- per-period loop oracles ----------------------------------------------------
+#
+# The earlier one-period-at-a-time implementations, kept verbatim so the panel
+# helpers can be held to their bits.
+
+
+def loop_average_ranks(values):
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    new_group = np.empty(v.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = s[1:] != s[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:], v.size)
+    ranks = np.empty(v.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def loop_pearson(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ac = a - a.mean()
+    bc = b - b.mean()
+    sa = np.sqrt((ac * ac).mean())
+    sb = np.sqrt((bc * bc).mean())
+    if sa == 0.0 or sb == 0.0:
+        return 0.0
+    return float((ac * bc).mean() / (sa * sb))
+
+
+def loop_ic_series(y_hat, y_true):
+    return np.array([loop_pearson(y_hat[:, t], loop_average_ranks(y_true[:, t]))
+                     for t in range(y_hat.shape[1])])
+
+
+def loop_rank_ic_series(y_hat, y_true):
+    return np.array([loop_pearson(loop_average_ranks(y_hat[:, t]),
+                                  loop_average_ranks(y_true[:, t]))
+                     for t in range(y_hat.shape[1])])
+
+
+def loop_long_short_return(y_hat_t, y_true_t, cfg):
+    y_hat_t = np.asarray(y_hat_t, dtype=np.float64)
+    y_frac = np.asarray(y_true_t, dtype=np.float64) / 100.0
+    n = cfg.portfolio_size(y_hat_t.size)
+    order = np.argsort(-y_hat_t, kind="stable")
+    longs = order[:n]
+    shorts = order[-n:]
+    gross = (y_frac[longs].sum() - y_frac[shorts].sum()) / n
+    return float(gross), longs, shorts
+
+
+def loop_apply_costs(gross, memberships, cfg):
+    gross = np.asarray(gross, dtype=np.float64)
+    tc = np.zeros(gross.size)
+    prev_long: frozenset = frozenset()
+    prev_short: frozenset = frozenset()
+    n = None
+    for t, (longs, shorts) in enumerate(memberships):
+        cur_long = frozenset(int(i) for i in longs)
+        cur_short = frozenset(int(i) for i in shorts)
+        if n is None:
+            n = len(cur_long)
+        tc[t] = (len(cur_long ^ prev_long) + len(cur_short ^ prev_short))
+        prev_long, prev_short = cur_long, cur_short
+    net = gross - cfg.cost_rate * tc / n
+    return net, tc
+
+
+def _laid_out(x, layout):
+    """The same values as C-ordered, F-ordered or a column slice of a wider array."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    wide = np.full((x.shape[0], 2 * x.shape[1] + 1), np.inf)
+    wide[:, 1::2] = x
+    return wide[:, 1::2]
+
+
+def _draw_values(rng, shape, tie_levels):
+    """Normal draws, or small integers when tie_levels is set, so ties are common."""
+    if tie_levels:
+        return rng.integers(0, tie_levels, size=shape).astype(np.float64)
+    return rng.normal(size=shape)
+
+
+@given(n_stocks=st.integers(2, 120), n_periods=st.integers(1, 9),
+       n_fraction=st.sampled_from([0.1, 0.2, 0.5]),
+       layout=st.sampled_from(["C", "F", "sliced"]),
+       hat_ties=st.sampled_from([0, 2, 5]), true_ties=st.sampled_from([0, 3]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150)
+def test_panel_helpers_match_the_per_period_loops_bit_for_bit(
+        n_stocks, n_periods, n_fraction, layout, hat_ties, true_ties, seed):
+    rng = np.random.default_rng(seed)
+    cfg = ev.PortfolioConfig(n_fraction=n_fraction, cost_rate=0.001)
+    y_hat = _laid_out(_draw_values(rng, (n_stocks, n_periods), hat_ties), layout)
+    y_true = _laid_out(2.0 * _draw_values(rng, (n_stocks, n_periods), true_ties), layout)
+    columns = range(n_periods)
+
+    ranks = np.stack([loop_average_ranks(y_true[:, t]) for t in columns], axis=1)
+    assert ev.average_ranks(y_true).tobytes() == ranks.tobytes()
+    assert ev.pearson(y_hat, ev.average_ranks(y_true)).tobytes() == \
+        loop_ic_series(y_hat, y_true).tobytes()
+    assert ev.rank_ic_series(y_hat, y_true).tobytes() == \
+        loop_rank_ic_series(y_hat, y_true).tobytes()
+
+    per_period = [loop_long_short_return(y_hat[:, t], y_true[:, t], cfg) for t in columns]
+    gross, longs, shorts = ev.long_short_return(y_hat, y_true, cfg)
+    assert gross.tobytes() == np.array([g for g, _, _ in per_period]).tobytes()
+    assert longs.tobytes() == np.stack([lg for _, lg, _ in per_period]).tobytes()
+    assert shorts.tobytes() == np.stack([sh for _, _, sh in per_period]).tobytes()
+    net, tc = ev.apply_costs(gross, longs, shorts, cfg)
+    loop_net, loop_tc = loop_apply_costs(gross, [(lg, sh) for _, lg, sh in per_period], cfg)
+    assert tc.tobytes() == loop_tc.tobytes()
+    assert net.tobytes() == loop_net.tobytes()
+
+    report = ev.run_backtest(y_hat, y_true, cfg)
+    assert report.gross.tobytes() == gross.tobytes()
+    assert report.net.tobytes() == net.tobytes()
+
+    # one (I,) period gives the loop's scalar
+    g0, longs0, _ = ev.long_short_return(y_hat[:, 0], y_true[:, 0], cfg)
+    assert (g0, longs0.tolist()) == (per_period[0][0], per_period[0][1].tolist())
+    assert ev.pearson(y_hat[:, 0], y_true[:, 0]) == loop_pearson(y_hat[:, 0], y_true[:, 0])
+
+
+def test_panel_ranks_give_each_nan_its_own_top_rank_per_period():
+    rng = np.random.default_rng(13)
+    values = rng.integers(0, 3, size=(11, 6)).astype(float)
+    values[rng.random(values.shape) < 0.3] = np.nan
+    for layout in ("C", "F", "sliced"):
+        panel = _laid_out(values, layout)
+        expected = np.stack([loop_average_ranks(panel[:, t]) for t in range(6)], axis=1)
+        assert ev.average_ranks(panel).tobytes() == expected.tobytes()
 
 
 # -- ranks and correlations ------------------------------------------------
@@ -153,8 +293,7 @@ def test_backtest_invariant_under_monotone_transform_of_forecasts():
 def test_costs_zero_when_portfolio_is_static():
     cfg = ev.PortfolioConfig(n_fraction=0.25, cost_rate=0.001)
     gross = np.array([0.01, 0.02])
-    memberships = [((0, 1), (2, 3)), ((0, 1), (2, 3))]
-    net, tc = ev.apply_costs(gross, memberships, cfg)
+    net, tc = ev.apply_costs(gross, [(0, 1), (0, 1)], [(2, 3), (2, 3)], cfg)
     # first period opens both legs (2N = 4 transacted), second reuses them
     np.testing.assert_array_equal(tc, [4.0, 0.0])
     assert net[1] == pytest.approx(gross[1])
@@ -163,9 +302,9 @@ def test_costs_zero_when_portfolio_is_static():
 def test_costs_full_turnover():
     # N = 10, complete turnover: close 20, open 20 -> TC = 40, cost 0.4%
     cfg = ev.PortfolioConfig(n_fraction=0.25, cost_rate=0.001)
-    first = (tuple(range(10)), tuple(range(10, 20)))
-    second = (tuple(range(20, 30)), tuple(range(30, 40)))
-    net, tc = ev.apply_costs(np.array([0.0, 0.0]), [first, second], cfg)
+    longs = [tuple(range(10)), tuple(range(20, 30))]
+    shorts = [tuple(range(10, 20)), tuple(range(30, 40))]
+    net, tc = ev.apply_costs(np.array([0.0, 0.0]), longs, shorts, cfg)
     assert tc[1] == 40.0
     assert net[1] == pytest.approx(-0.004)
 
@@ -173,8 +312,7 @@ def test_costs_full_turnover():
 def test_costs_first_period_convention():
     # first period, N = 5: TC = 10, cost = 0.1% * 10 / 5 = 0.2%
     cfg = ev.PortfolioConfig(n_fraction=0.25, cost_rate=0.001)
-    memberships = [(tuple(range(5)), tuple(range(5, 10)))]
-    net, tc = ev.apply_costs(np.array([0.01]), memberships, cfg)
+    net, tc = ev.apply_costs(np.array([0.01]), [tuple(range(5))], [tuple(range(5, 10))], cfg)
     assert tc[0] == 10.0
     assert net[0] == pytest.approx(0.01 - 0.002)
 

@@ -1,8 +1,12 @@
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irrfactors.panel import (BadCell, BadDate, BadPrice, DuplicateRow, FeatureScaler,
-                              HoleInPanel, NonFiniteFeature,
+from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadPrice, DuplicateRow,
+                              FeatureScaler, HoleInPanel, MarketPanel, NonFiniteFeature,
                               SynchronismConfig, SyncClass, TooEarly, TooShort, windows,
                               compute_deltas, compute_returns,
                               compute_synchronism_labels,
@@ -59,6 +63,45 @@ def test_panel_csv_round_trip(tmp_path):
     loaded = load_panel(path)
     np.testing.assert_allclose(loaded.prices, panel.prices, rtol=1e-15)
     np.testing.assert_allclose(loaded.features, panel.features, rtol=1e-15)
+
+
+_ids = st.lists(st.text("ABCXYZ019", min_size=1, max_size=4), min_size=1, max_size=4,
+               unique=True)
+_feature = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+_price = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def _draw_array(data, elements, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(elements, min_size=size, max_size=size))).reshape(shape)
+
+
+@given(ids=_ids, first_day=st.dates(date(1990, 1, 1), date(2030, 12, 31)),
+       gaps=st.lists(st.integers(1, 400), min_size=1, max_size=5), data=st.data())
+@settings(max_examples=40)
+def test_panel_csv_round_trip_survives_shuffled_rows_and_comments(tmp_path_factory, ids,
+                                                                  first_day, gaps, data):
+    ids = sorted(ids)
+    days = [first_day + timedelta(days=sum(gaps[:k])) for k in range(len(gaps) + 1)]
+    dates = [d.isoformat() for d in days]
+    shape = (len(ids), len(dates))
+    features = _draw_array(data, _feature, shape + (len(FEATURE_NAMES),))
+    prices = _draw_array(data, _price, shape)
+    features[:, :, FEATURE_NAMES.index("close")] = prices
+    panel = MarketPanel.from_prices(ids, dates, features, prices)
+
+    path = tmp_path_factory.mktemp("round") / "panel.csv"
+    write_panel_csv(panel, path, header_comment="stamp")
+    stamp, header, *rows = path.read_bytes().decode().splitlines(keepends=True)
+    lines = [header] + data.draw(st.permutations(rows))
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(0, len(lines))), "# interleaved comment\r\n")
+    path.write_bytes((stamp + "".join(lines)).encode())
+
+    loaded = load_panel(path)
+    assert loaded.stock_ids == ids and loaded.periods == dates
+    assert loaded.features.tobytes() == panel.features.tobytes()
+    assert loaded.prices.tobytes() == panel.prices.tobytes()
 
 
 def test_interrupted_csv_write_keeps_the_old_file(tmp_path):

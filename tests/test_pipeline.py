@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrfactors.autodiff import NumericalFailure
 from irrfactors.config import ConfigError, RunConfig
@@ -287,6 +289,26 @@ def test_predictions_only_depend_on_the_past(small_run):
     np.testing.assert_array_equal(base, after)
 
 
+@given(t0=st.integers(140, 199), magnitude=st.floats(0.01, 20.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20)
+def test_predictions_up_to_t0_ignore_a_panel_redrawn_from_t0(small_run, t0, magnitude, seed):
+    _, _, artifacts = small_run
+    panel = artifacts.panel
+    periods = np.arange(140, panel.n_periods)
+    base = predict_with_artifacts(artifacts, panel, periods)
+    rng = np.random.default_rng(seed)
+    features = panel.features.copy()
+    prices = panel.prices.copy()
+    features[:, t0:] = magnitude * rng.normal(size=features[:, t0:].shape)
+    steps = np.exp(0.01 * magnitude * rng.normal(size=prices[:, t0:].shape))
+    prices[:, t0:] = prices[:, t0 - 1:t0] * np.cumprod(steps, axis=1)
+    redrawn = MarketPanel.from_prices(panel.stock_ids, panel.periods, features, prices)
+    after = predict_with_artifacts(artifacts, redrawn, periods)
+    assert after[:, periods <= t0].tobytes() == base[:, periods <= t0].tobytes()
+    assert t0 == periods[-1] or not np.array_equal(after[:, periods > t0],
+                                                   base[:, periods > t0])
+
+
 def test_predictions_reject_a_panel_of_other_stocks(small_run):
     _, _, artifacts = small_run
     panel = artifacts.panel
@@ -351,8 +373,11 @@ def test_report_missing_predictions(small_run, tmp_path):
 
 
 def _cli(*args):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "irrfactors.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_cli_synth_writes_panel(tmp_path):
