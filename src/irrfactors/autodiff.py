@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+import zipfile
 from itertools import zip_longest
 
 import numpy as np
@@ -45,6 +46,10 @@ class MissingGradient(RuntimeError):
 
 class CheckpointMismatch(ValueError):
     """A checkpoint's stamp, names or shapes do not fit the parameter set."""
+
+
+class CorruptCheckpoint(CheckpointMismatch):
+    """A checkpoint file that cannot be read: truncated or damaged."""
 
 
 _STATE = threading.local()
@@ -692,21 +697,26 @@ class ParamSet:
         """Fill the set in place from a file written by save().
 
         Raises CheckpointMismatch, before changing any parameter, when the
-        stamp differs or the file's names or shapes differ from the set's.
+        stamp differs or the file's names or shapes differ from the set's,
+        and CorruptCheckpoint when the file cannot be read.
         """
-        with np.load(path) as data:
-            found = str(data["__stamp__"]) if "__stamp__" in data.files else "<unstamped>"
-            if found != stamp:
-                raise CheckpointMismatch(
-                    f"checkpoint {path} belongs to a different run ({found}); "
-                    f"clear the run directory to retrain")
-            stored = [name for name in data.files if name != "__stamp__"]
-            if stored != list(self._tensors):
-                have, want = next(pair for pair in zip_longest(stored, self._tensors)
-                                  if pair[0] != pair[1])
-                raise CheckpointMismatch(f"checkpoint {path} holds parameter {have!r} "
-                                         f"where {want!r} belongs")
-            arrays = [data[name] for name in stored]
+        try:
+            with np.load(path) as data:
+                stored = {name: data[name] for name in data.files}
+        except (zipfile.BadZipFile, EOFError, ValueError) as e:
+            raise CorruptCheckpoint(f"checkpoint {path} is damaged ({e}); delete it "
+                                    f"to retrain") from e
+        found = str(stored.pop("__stamp__", "<unstamped>"))
+        if found != stamp:
+            raise CheckpointMismatch(
+                f"checkpoint {path} belongs to a different run ({found}); "
+                f"clear the run directory to retrain")
+        if list(stored) != list(self._tensors):
+            have, want = next(pair for pair in zip_longest(stored, self._tensors)
+                              if pair[0] != pair[1])
+            raise CheckpointMismatch(f"checkpoint {path} holds parameter {have!r} "
+                                     f"where {want!r} belongs")
+        arrays = list(stored.values())
         for (name, t), array in zip(self.items(), arrays):
             if array.shape != t.shape:
                 raise CheckpointMismatch(f"checkpoint {path}: parameter {name!r} has "

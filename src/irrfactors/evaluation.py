@@ -208,8 +208,9 @@ def forecast_metrics(y_hat: np.ndarray, y_true: np.ndarray) -> tuple[dict, list]
     if y_hat.shape != y_true.shape:
         raise ValueError("prediction and target shapes differ")
     err = y_hat - y_true
-    ic = pearson(y_hat, average_ranks(y_true))
-    rank_ic = rank_ic_series(y_hat, y_true)
+    true_ranks = average_ranks(y_true)
+    ic = pearson(y_hat, true_ranks)
+    rank_ic = pearson(average_ranks(y_hat), true_ranks)
     icir, ic_flat = information_ratio(ic)
     rank_icir, rank_flat = information_ratio(rank_ic)
     flags = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evaluation import average_ranks, rank_ic_series
+from .evaluation import average_ranks, pearson
 from .marketfactor import MarketFactorSeries
 from .panel import windows
 from .rng import stream
@@ -294,10 +294,11 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
 
     params = init_params(features.shape[2], hyper)
     opt = ad.adam_init(params)
-    # Per-step invariants, built once per call: the augmented inputs and each
-    # training period's target ranks (reused by every epoch after the first).
+    # Per-step invariants, built once per call: the augmented inputs and the
+    # target ranks of each training and validation period, which every epoch reuses.
     inputs = augment_features(features, u, hyper.use_stock_factor)
     ranks = average_ranks(returns[:, train_periods])
+    val_ranks = average_ranks(returns[:, val_periods])
 
     def loss(t: int) -> Tensor:
         y_hat = _predict_op(params, hyper, windows(inputs, t, hyper.window),
@@ -307,7 +308,7 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
 
     def val_rank_ic() -> float:
         y_hat = predict_periods(params, hyper, features, u, market_factors, val_periods)
-        return float(rank_ic_series(y_hat, returns[:, val_periods]).mean())
+        return float(pearson(average_ranks(y_hat), val_ranks).mean())
 
     best_metric = -np.inf
     best_snap = params.snapshot()

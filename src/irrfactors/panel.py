@@ -8,10 +8,14 @@ are percent changes of the closing price with period 0 masked as NaN.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from datetime import date
 from enum import IntEnum
+from itertools import chain, filterfalse, islice
+from operator import methodcaller
+from typing import NoReturn
 
 import numpy as np
 
@@ -19,6 +23,9 @@ from .files import atomic_open
 
 FEATURE_NAMES = ("open", "close", "high", "low", "vwap", "volume")
 CSV_COLUMNS = ("date", "stock_id") + FEATURE_NAMES
+# Rows per CSV parse or write pass. Small on purpose: the strings of a larger
+# chunk keep fresh allocator arenas in use and raise the run's peak RSS.
+CSV_CHUNK_ROWS = 128
 
 
 class HoleInPanel(ValueError):
@@ -224,53 +231,62 @@ def load_panel(path) -> MarketPanel:
     ordered by date. Every (stock, date) pair must appear exactly once and
     every feature must be a finite number. Lines starting with '#' are
     ignored.
+
+    Rows are parsed CSV_CHUNK_ROWS at a time, a column per call, so only one
+    chunk's text is held at a time. A faulty row found that way is named,
+    with its path:line, by a second, row-by-row read of the file.
     """
-    rows = {}
-    days = {}                     # date label -> datetime.date
-    lineno = 0
-
-    def data_lines(fh):
-        nonlocal lineno
-        for lineno, ln in enumerate(fh, 1):
-            if not ln.startswith("#"):
-                yield ln
-
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(data_lines(fh))
-        if reader.fieldnames is None:
+        reader = csv.reader(filterfalse(methodcaller("startswith", "#"), fh))
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file")
-        missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        for rec in reader:
-            sid = rec["stock_id"]
-            label = rec["date"]
-            key = (sid, label)
-            if key in rows:
-                raise DuplicateRow(f"duplicate row for stock {sid} on {label}")
+        where = dict(zip(header, range(len(header))))   # a repeated name reads its last column
+        date_col, sid_col, *feature_cols = (where[c] for c in CSV_COLUMNS)
+        width = max(date_col, sid_col, *feature_cols) + 1
+        stock_code, date_code, chunks = {}, {}, []
+        records = filter(None, reader)                  # a blank line is an empty row
+        while rows := list(islice(records, CSV_CHUNK_ROWS)):
+            if min(map(len, rows)) < width:
+                _raise_row_fault(path, header)
+            cols = list(zip(*rows))
+            cells = chain.from_iterable(cols[k] for k in feature_cols)
             try:
-                rows[key] = tuple(float(rec[name]) for name in FEATURE_NAMES)
-            except (TypeError, ValueError):
-                col, name = next((c, n) for c, n in enumerate(reader.fieldnames, 1)
-                                 if n in FEATURE_NAMES and not _is_number(rec[n]))
-                raise BadCell(f"{path}:{lineno}: column {col} ({name}) is not a "
-                              f"number: {rec[name]!r}") from None
-            if label not in days:
-                days[label] = _parse_date(path, lineno, label)
+                values = np.fromiter(map(float, cells), np.float64, len(feature_cols) * len(rows))
+            except ValueError:
+                _raise_row_fault(path, header)
+            chunks.append((_codes(cols[sid_col], stock_code), _codes(cols[date_col], date_code),
+                           values.reshape(len(feature_cols), -1)))
 
-    stocks = sorted({sid for sid, _ in rows})
-    dates = sorted(days, key=days.__getitem__)
-    if len(dates) < 2:
+    if not chunks:
         raise TooShort("panel needs at least 2 periods")
-
+    days = [_parse_date(label) for label in date_code]
+    if None in days:
+        _raise_row_fault(path, header)
+    stocks = sorted(stock_code)
+    by_day = sorted(range(len(days)), key=days.__getitem__)
+    date_labels = list(date_code)
+    dates = [date_labels[k] for k in by_day]
     I, T = len(stocks), len(dates)
-    features = np.empty((I, T, len(FEATURE_NAMES)), dtype=np.float64)
-    for i, sid in enumerate(stocks):
-        for t, label in enumerate(dates):
-            cell = rows.get((sid, label))
-            if cell is None:
-                raise HoleInPanel(f"missing row for stock {sid} on {label}")
-            features[i, t, :] = cell
+    stock_pos = np.empty(I, dtype=np.intp)
+    stock_pos[[stock_code[sid] for sid in stocks]] = np.arange(I)
+    date_pos = np.empty(T, dtype=np.intp)
+    date_pos[by_day] = np.arange(T)
+    cell = np.concatenate([stock_pos[s] * T + date_pos[d] for s, d, _ in chunks])
+    counts = np.bincount(cell, minlength=I * T)
+    if (counts > 1).any():
+        _raise_row_fault(path, header)
+    if T < 2:
+        raise TooShort("panel needs at least 2 periods")
+    if not counts.all():
+        i, t = divmod(int(np.argmin(counts)), T)
+        raise HoleInPanel(f"missing row for stock {stocks[i]} on {dates[t]}")
+    features = np.empty((I * T, len(FEATURE_NAMES)), dtype=np.float64)
+    features[cell] = np.concatenate([values for *_, values in chunks], axis=1).T
+    features = features.reshape(I, T, len(FEATURE_NAMES))
     if not np.isfinite(features).all():
         i, t, j = np.argwhere(~np.isfinite(features))[0]
         raise NonFiniteFeature(f"{path}: {FEATURE_NAMES[j]} of stock {stocks[i]} on "
@@ -284,14 +300,52 @@ def load_panel(path) -> MarketPanel:
     return MarketPanel.from_prices(stocks, dates, features, prices)
 
 
-def _parse_date(path, lineno: int, label: str) -> date:
+def _codes(labels, table: dict) -> np.ndarray:
+    """Each label's code in `table`, where a label not yet there gets the next code."""
+    for label in dict.fromkeys(labels):
+        table.setdefault(label, len(table))
+    return np.fromiter(map(table.__getitem__, labels), np.intp, len(labels))
+
+
+def _raise_row_fault(path, header) -> NoReturn:
+    """Read `path` again row by row and raise its first faulty row's error.
+
+    Each row is checked in a fixed order: its (stock, date) pair against the
+    rows before it, then its cells, then its date. A short row reads None for
+    each missing cell.
+    """
+    pairs = set()
+    with open(path, newline="", encoding="utf-8") as fh:
+        # An emptied '#' line reads as nothing but keeps line_num the file's line.
+        reader = csv.reader("" if ln.startswith("#") else ln for ln in fh)
+        records = filter(None, reader)
+        next(records)                                   # the header
+        for row in records:
+            where = f"{path}:{reader.line_num}"
+            rec = dict(zip(header, row))
+            sid, label = rec.get("stock_id"), rec.get("date")
+            if (sid, label) in pairs:
+                raise DuplicateRow(f"duplicate row for stock {sid} on {label}")
+            pairs.add((sid, label))
+            for col, name in enumerate(header, 1):
+                if name in FEATURE_NAMES and not _is_number(rec.get(name)):
+                    raise BadCell(f"{where}: column {col} ({name}) is not a "
+                                  f"number: {rec.get(name)!r}")
+            if _parse_date(label) is None:
+                raise BadDate(f"{where}: date {label!r} is not YYYY-MM-DD")
+            if sid is None:
+                raise BadCell(f"{where}: column {header.index('stock_id') + 1} "
+                              f"(stock_id) is missing")
+    raise ValueError(f"{path}: the file changed while it was read")
+
+
+def _parse_date(label) -> date | None:
+    """The date an ISO-8601 YYYY-MM-DD label names, or None for any other label."""
     try:
         day = date.fromisoformat(label)
-        if day.isoformat() == label:
-            return day
-    except ValueError:
-        pass
-    raise BadDate(f"{path}:{lineno}: date {label!r} is not YYYY-MM-DD")
+    except (TypeError, ValueError):
+        return None
+    return day if day.isoformat() == label else None
 
 
 def _is_number(text) -> bool:
@@ -302,25 +356,48 @@ def _is_number(text) -> bool:
     return True
 
 
-def write_csv(path, header, rows, comment: str | None = None) -> None:
-    """Write a header and rows as CSV, under an optional '# comment' line.
+def write_csv(path, header, columns, comment: str | None = None) -> None:
+    """Write equal-length columns as CSV under a header and an optional
+    '# comment' line.
 
-    The file appears under its name only once it is complete.
+    A float column is written with repr and an integer column with str. Any
+    other column (stock ids, date labels, names) is written as csv.writer
+    quotes it, each distinct value quoted once. Rows go out CSV_CHUNK_ROWS
+    at a time, and the file appears under its name only once it is complete.
     """
+    columns = [np.asarray(c) for c in columns]
+    quoted = [{} for _ in columns]
     with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            cells = [_cells(c[start:start + CSV_CHUNK_ROWS], q) for c, q in zip(columns, quoted)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _cells(column: np.ndarray, quoted: dict):
+    """The CSV cells of one column chunk; `quoted` keeps the label cells made so far."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return map(repr, values)
+    if column.dtype.kind in "iu":
+        return map(str, values)
+    for value in dict.fromkeys(values):
+        if value not in quoted:
+            line = io.StringIO()
+            csv.writer(line).writerow((value, ""))
+            quoted[value] = line.getvalue()[:-len(",\r\n")]
+    return map(quoted.__getitem__, values)
 
 
 def write_panel_csv(panel: MarketPanel, path, header_comment: str | None = None) -> None:
     """Write the panel in the canonical CSV schema (one row per stock-date)."""
+    I, T = panel.n_stocks, panel.n_periods
     write_csv(path, CSV_COLUMNS,
-              ([date, sid] + [repr(float(v)) for v in panel.features[i, t]]
-               for i, sid in enumerate(panel.stock_ids)
-               for t, date in enumerate(panel.periods)), header_comment)
+              [np.tile(np.array(panel.periods, dtype=object), I),
+               np.array(panel.stock_ids, dtype=object).repeat(T),
+               *panel.features.reshape(I * T, -1).T], header_comment)
 
 
 @dataclass

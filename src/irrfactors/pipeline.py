@@ -203,10 +203,12 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     feats = scaler.transform(panel.features)
 
     coint_params, factors = _stage_stock_factors(cfg, panel, train_end, run_dir, stamp)
+    I, T = panel.n_stocks, panel.n_periods
+    sids = np.array(panel.stock_ids, dtype=object)
+    dates = np.array(panel.periods, dtype=object)
     write_csv(os.path.join(run_dir, "factors.csv"), ["stock_id", "date", "u", "p_tilde"],
-              ([sid, date, repr(float(factors.u[i, t])), repr(float(factors.p_tilde[i, t]))]
-               for i, sid in enumerate(panel.stock_ids)
-               for t, date in enumerate(panel.periods)), stamp)
+              [sids.repeat(T), np.tile(dates, I), factors.u.ravel(), factors.p_tilde.ravel()],
+              stamp)
 
     # Synchronism labels per period: the market stage's prediction targets,
     # also written to labels.csv for auditing.
@@ -215,30 +217,25 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     labels = compute_synchronism_labels(deltas, sync)
     market_params, mseries = _stage_market_factors(cfg, panel, train_end, feats, labels,
                                                    run_dir, stamp)
+    known = ~np.isnan(mseries.m).any(axis=1)
     write_csv(os.path.join(run_dir, "market_repr.csv"),
               ["date"] + [f"m_{j + 1}" for j in range(mseries.m.shape[1])],
-              ([date] + [repr(float(v)) for v in mseries.m[t]]
-               for t, date in enumerate(panel.periods) if not np.isnan(mseries.m[t]).any()),
-              stamp)
-    sums = deltas.sum(axis=0)
+              [dates[known], *mseries.m[known].T], stamp)
+    names = np.array([label.name for label in labels], dtype=object)
     write_csv(os.path.join(run_dir, "labels.csv"), ["date", "sum_delta", "label"],
-              ([date, int(sums[t]), labels[t].name] for t, date in enumerate(panel.periods)),
-              stamp)
+              [dates, deltas.sum(axis=0), names], stamp)
 
     fc_params, fc_hyper, prediction = _stage_forecaster(
         cfg, panel, train_end, feats, factors, mseries, run_dir, stamp)
+    tested = dates[prediction.periods]
     write_csv(os.path.join(run_dir, "predictions.csv"), ["date", "stock_id", "y_hat", "y_true"],
-              ([panel.periods[t], sid, repr(float(prediction.y_hat[i, k])),
-                repr(float(prediction.y_true[i, k]))]
-               for k, t in enumerate(prediction.periods)
-               for i, sid in enumerate(panel.stock_ids)), stamp)
+              [tested.repeat(I), np.tile(sids, len(tested)), prediction.y_hat.T.ravel(),
+               prediction.y_true.T.ravel()], stamp)
 
     report = _stage_backtest(cfg, prediction)
     write_csv(os.path.join(run_dir, "series.csv"),
               ["date", "y_str", "net_return", "cumulative_wealth"],
-              ([panel.periods[t], repr(float(report.gross[k])), repr(float(report.net[k])),
-                repr(float(report.wealth[k]))] for k, t in enumerate(prediction.periods)),
-              stamp)
+              [tested, report.gross, report.net, report.wealth], stamp)
     _write_report(os.path.join(run_dir, "report.txt"), cfg, panel, train_end,
                   prediction, report, stamp)
 

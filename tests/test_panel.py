@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import date, timedelta
 
 import numpy as np
@@ -11,6 +13,7 @@ from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadPrice, Duplica
                               compute_deltas, compute_returns,
                               compute_synchronism_labels,
                               load_panel, write_csv, write_panel_csv)
+from irrfactors import panel as panel_module
 from conftest import random_panel
 
 HEADER = "date,stock_id,open,close,high,low,vwap,volume\n"
@@ -104,16 +107,17 @@ def test_panel_csv_round_trip_survives_shuffled_rows_and_comments(tmp_path_facto
     assert loaded.prices.tobytes() == panel.prices.tobytes()
 
 
-def test_interrupted_csv_write_keeps_the_old_file(tmp_path):
+def test_interrupted_csv_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a"], [[1], [2]], "old")
+    write_csv(path, ["a"], [[1, 2]], "old")
 
-    def rows():
-        yield [3]
-        raise OSError("disk full")
+    class Unwritable:                   # fails as a full disk would, after one row is out
+        def __hash__(self):
+            raise OSError("disk full")
 
+    monkeypatch.setattr(panel_module, "CSV_CHUNK_ROWS", 1)
     with pytest.raises(OSError):
-        write_csv(path, ["a"], rows(), "new")
+        write_csv(path, ["a"], [np.array(["3", Unwritable()], dtype=object)], "new")
     assert path.read_bytes() == b"# old\na\r\n1\r\n2\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -225,3 +229,242 @@ def test_load_panel_names_a_non_finite_feature(tmp_path, value):
             _row("2024-01-09", "A", 101), f"2024-01-09,B,100,100,100,100,{value},1000\n"]
     with pytest.raises(NonFiniteFeature, match=f"panel.csv: vwap of stock B on 2024-01-09"):
         load_panel(_write(tmp_path, rows))
+
+
+# -- oracles: the row-at-a-time loader and writer the column code replaced ------
+
+
+def oracle_load_panel(path) -> MarketPanel:
+    """The loader as it was before it parsed columns, kept as the reference."""
+    rows = {}
+    days = {}
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for lineno, ln in enumerate(fh, 1):
+            if not ln.startswith("#"):
+                yield ln
+
+    def parse_date(lineno, label):
+        try:
+            day = date.fromisoformat(label)
+            if day.isoformat() == label:
+                return day
+        except ValueError:
+            pass
+        raise BadDate(f"{path}:{lineno}: date {label!r} is not YYYY-MM-DD")
+
+    def is_number(text):
+        try:
+            float(text)
+        except (TypeError, ValueError):
+            return False
+        return True
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(data_lines(fh))
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file")
+        missing = [c for c in panel_module.CSV_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        for rec in reader:
+            sid = rec["stock_id"]
+            label = rec["date"]
+            key = (sid, label)
+            if key in rows:
+                raise DuplicateRow(f"duplicate row for stock {sid} on {label}")
+            try:
+                rows[key] = tuple(float(rec[name]) for name in FEATURE_NAMES)
+            except (TypeError, ValueError):
+                col, name = next((c, n) for c, n in enumerate(reader.fieldnames, 1)
+                                 if n in FEATURE_NAMES and not is_number(rec[n]))
+                raise BadCell(f"{path}:{lineno}: column {col} ({name}) is not a "
+                              f"number: {rec[name]!r}") from None
+            if label not in days:
+                days[label] = parse_date(lineno, label)
+
+    stocks = sorted({sid for sid, _ in rows})
+    dates = sorted(days, key=days.__getitem__)
+    if len(dates) < 2:
+        raise TooShort("panel needs at least 2 periods")
+
+    I, T = len(stocks), len(dates)
+    features = np.empty((I, T, len(FEATURE_NAMES)), dtype=np.float64)
+    for i, sid in enumerate(stocks):
+        for t, label in enumerate(dates):
+            cell = rows.get((sid, label))
+            if cell is None:
+                raise HoleInPanel(f"missing row for stock {sid} on {label}")
+            features[i, t, :] = cell
+    if not np.isfinite(features).all():
+        i, t, j = np.argwhere(~np.isfinite(features))[0]
+        raise NonFiniteFeature(f"{path}: {FEATURE_NAMES[j]} of stock {stocks[i]} on "
+                               f"{dates[t]} is {float(features[i, t, j])!r}")
+
+    close_idx = FEATURE_NAMES.index("close")
+    prices = features[:, :, close_idx].copy()
+    if np.any(prices <= 0):
+        bad = np.argwhere(prices <= 0)[0]
+        raise BadPrice(f"non-positive close for stock {stocks[bad[0]]} on {dates[bad[1]]}")
+    return MarketPanel.from_prices(stocks, dates, features, prices)
+
+
+def oracle_write_csv(path, header, rows, comment=None) -> None:
+    """The row writer as it was before it wrote columns."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _csv_record(cells) -> str:
+    line = io.StringIO()
+    csv.writer(line).writerow(cells)
+    return line.getvalue()
+
+
+def _outcome(load, path):
+    try:
+        panel = load(path)
+    except Exception as e:                      # the two loaders must fail alike
+        return type(e), str(e)
+    return (panel.stock_ids, panel.periods, panel.features.tobytes(),
+            panel.prices.tobytes(), panel.returns.tobytes())
+
+
+# Ids with commas, quotes, spaces, '#' and line breaks, which csv.writer quotes.
+_odd_ids = st.lists(st.text('AB,"x #\n', min_size=1, max_size=4), min_size=1, max_size=4,
+                    unique=True)
+_cell = st.one_of(_feature.map(repr), st.sampled_from(["1e-300", "5e-324", "-0.0", " 7 ",
+                                                      "1_5", "0x1", "", "nan", "-inf"]))
+_FAULTS = ("bad cell", "bad date", "duplicate", "hole", "non-finite", "bad price",
+           "missing column", "short row", "long row", "blank line", "one date")
+
+
+@given(ids=_odd_ids, n_dates=st.integers(2, 4), data=st.data(),
+       faults=st.lists(st.sampled_from(_FAULTS), min_size=1, max_size=2))
+@settings(max_examples=300)
+def test_load_panel_matches_the_row_loader(tmp_path_factory, ids, n_dates, data, faults):
+    dates = [(date(2024, 1, 8) + timedelta(days=3 * k)).isoformat() for k in range(n_dates)]
+    header = list(panel_module.CSV_COLUMNS)
+    records = []
+    for sid in ids:
+        for label in dates:
+            cells = [repr(data.draw(_price))] * len(FEATURE_NAMES)
+            cells[2] = repr(data.draw(_feature))
+            records.append([label, sid] + cells)
+
+    def pick():
+        return data.draw(st.integers(0, len(records) - 1))
+
+    for fault in faults:
+        k = pick()
+        if fault == "bad cell":
+            records[k][data.draw(st.integers(2, len(header) - 1))] = data.draw(_cell)
+        elif fault == "bad date":
+            records[k][0] = data.draw(st.sampled_from(["2024-1-8", "20240108", "",
+                                                       "2024-02-30", "x"]))
+        elif fault == "duplicate":
+            records.insert(pick(), list(records[k]))
+        elif fault == "hole" and len(records) > 1:
+            del records[k]
+        elif fault == "non-finite":
+            records[k][data.draw(st.integers(2, len(header) - 1))] = \
+                data.draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+        elif fault == "bad price":
+            records[k][3] = data.draw(st.sampled_from(["0", "-1.5"]))     # the close
+        elif fault == "missing column":
+            header[data.draw(st.integers(0, len(header) - 1))] = "other"
+        elif fault == "short row":
+            del records[k][data.draw(st.integers(1, len(header) - 1)):]
+        elif fault == "long row":
+            records[k].append("9")
+        elif fault == "blank line":
+            records.insert(pick(), [])
+        elif fault == "one date":
+            records = [r for r in records if r[:1] != [dates[1]]]
+    lines = [_csv_record(r) if r else "\r\n" for r in data.draw(st.permutations(records))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        lines.insert(data.draw(st.integers(0, len(lines))), "# interleaved comment\r\n")
+    path = tmp_path_factory.mktemp("load") / "panel.csv"
+    path.write_text("# stamp\n" + _csv_record(header) + "".join(lines), newline="")
+
+    assert _outcome(load_panel, path) == _outcome(oracle_load_panel, path)
+
+
+def test_load_panel_reads_across_chunks_and_names_the_later_fault(tmp_path, monkeypatch):
+    monkeypatch.setattr(panel_module, "CSV_CHUNK_ROWS", 2)
+    rows = [_row(d, s, 100 + i) for i, (s, d) in enumerate(
+        (s, d) for s in ("A", "B", "C") for d in ("2024-01-08", "2024-01-09", "2024-01-10"))]
+    path = _write(tmp_path, rows)
+    assert _outcome(load_panel, path) == _outcome(oracle_load_panel, path)
+    rows[7] = rows[7].replace(",107,", ",x,", 1)
+    rows[8] = rows[3]                                   # a duplicate after the bad cell
+    path = _write(tmp_path, rows)
+    with pytest.raises(BadCell, match=r"panel.csv:9: column 3 \(open\)"):
+        load_panel(path)
+    assert _outcome(load_panel, path) == _outcome(oracle_load_panel, path)
+
+
+_odd_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-7, 1.5e16, 1e22,
+                     123456789012345678.0, 0.1, -1e-05]))
+
+
+@given(labels=st.lists(st.text('S0,"\n\r x#', max_size=4), min_size=1, max_size=6),
+       data=st.data())
+@settings(max_examples=150)
+def test_write_csv_matches_the_row_writer(tmp_path_factory, labels, data):
+    n = data.draw(st.integers(0, 9))
+    rows_label = [data.draw(st.sampled_from(labels)) for _ in range(n)]
+    values = np.array([data.draw(_odd_floats) for _ in range(2 * n)]).reshape(n, 2)
+    counts = np.array([data.draw(st.integers(-40, 40)) for _ in range(n)], dtype=np.int64)
+    header = ["label", "x", "y", "count"]
+    out = tmp_path_factory.mktemp("write")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(panel_module, "CSV_CHUNK_ROWS", data.draw(st.integers(1, 4)))
+        write_csv(out / "new.csv", header,
+                  [np.array(rows_label, dtype=object), values[:, 0], values[:, 1], counts],
+                  "stamp")
+    oracle_write_csv(out / "old.csv", header,
+                     ([rows_label[k], repr(float(values[k, 0])), repr(float(values[k, 1])),
+                       int(counts[k])] for k in range(n)), "stamp")
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@given(ids=_odd_ids, data=st.data())
+@settings(max_examples=60)
+def test_write_panel_csv_matches_the_row_writer(tmp_path_factory, ids, data):
+    dates = ["2024-01-08", "2024-01-09", "2024-01-10"]
+    shape = (len(ids), len(dates))
+    features = _draw_array(data, st.one_of(_feature, st.sampled_from([-0.0, 5e-324, 1e-300])),
+                           shape + (len(FEATURE_NAMES),))
+    prices = _draw_array(data, _price, shape)
+    features[:, :, FEATURE_NAMES.index("close")] = prices
+    panel = MarketPanel.from_prices(ids, dates, features, prices)
+    out = tmp_path_factory.mktemp("panel")
+    write_panel_csv(panel, out / "new.csv", header_comment="stamp")
+    oracle_write_csv(out / "old.csv", panel_module.CSV_COLUMNS,
+                     ([label, sid] + [repr(float(v)) for v in panel.features[i, t]]
+                      for i, sid in enumerate(panel.stock_ids)
+                      for t, label in enumerate(panel.periods)), "stamp")
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("open,close,high,low,vwap,volume,stock_id,date\n1,1,1,1,1,1,A,2024-01-08\n"
+     "1,1,1,1,1,1,A\n", BadDate, r"panel.csv:3: date None is not"),
+    ("open,close,high,low,vwap,volume,date,stock_id\n1,1,1,1,1,1,2024-01-08,A\n"
+     "1,1,1,1,1,1,2024-01-09\n", BadCell, r"panel.csv:3: column 8 \(stock_id\) is missing"),
+])
+def test_load_panel_names_a_row_too_short_for_its_date_or_id(tmp_path, text, error, message):
+    # The row loader failed on these with a bare TypeError.
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        load_panel(path)

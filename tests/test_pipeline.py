@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrfactors.autodiff import NumericalFailure
+from irrfactors import marketfactor as mf
+from irrfactors import stockfactor as sf
+from irrfactors.autodiff import CorruptCheckpoint, NumericalFailure
 from irrfactors.config import ConfigError, RunConfig
-from irrfactors.panel import MarketPanel, write_panel_csv
+from irrfactors.panel import (MarketPanel, compute_deltas, compute_synchronism_labels,
+                              write_panel_csv)
 from irrfactors.pipeline import (MissingArtifact, PanelMismatch, PipelineStageError,
                                  format_report, predict_with_artifacts, read_report,
                                  run_pipeline)
@@ -241,6 +245,72 @@ def test_mismatched_checkpoint_is_rejected(small_run, tmp_path, name, change, me
     _rewrite_checkpoint(os.path.join(clone, name), change)
     with pytest.raises(PipelineStageError, match=message):
         run_pipeline(cfg, clone)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:len(raw) // 2],                                  # truncated
+    lambda raw: raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1])  # one bit flipped
+    + raw[len(raw) // 2 + 1:],
+])
+def test_damaged_checkpoint_is_named(small_run, tmp_path, damage):
+    cfg, run_dir, _ = small_run
+    import shutil
+    clone = str(tmp_path / "damaged")
+    shutil.copytree(run_dir, clone)
+    ckpt = os.path.join(clone, "params_forecaster.npz")
+    with open(ckpt, "rb") as fh:
+        raw = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(damage(raw))
+    with pytest.raises(PipelineStageError, match=r"\[forecaster\] checkpoint .*"
+                       r"params_forecaster.npz is damaged .*delete it") as info:
+        run_pipeline(cfg, clone)
+    assert isinstance(info.value.cause, CorruptCheckpoint)
+
+
+def test_artifacts_match_the_row_writer(small_run, tmp_path):
+    """The column writers give the bytes of the per-row csv.writer code they replaced."""
+    cfg, run_dir, art = small_run
+    panel, prediction, report = art.panel, art.prediction, art.report
+    stamp = f"config_hash={cfg.config_hash()} seed=7"
+    factors = sf.residual(panel.prices, art.coint_params)
+    mseries = mf.market_series(art.scaler.transform(panel.features), art.market_params,
+                               art.fc_hyper.window)
+    sync = cfg.synchronism()
+    deltas = compute_deltas(panel.returns, sync)
+    labels, sums = compute_synchronism_labels(deltas, sync), deltas.sum(axis=0)
+    rows = {
+        "factors.csv": (["stock_id", "date", "u", "p_tilde"],
+                        ([sid, date, repr(float(factors.u[i, t])),
+                          repr(float(factors.p_tilde[i, t]))]
+                         for i, sid in enumerate(panel.stock_ids)
+                         for t, date in enumerate(panel.periods))),
+        "market_repr.csv": (["date"] + [f"m_{j + 1}" for j in range(mseries.m.shape[1])],
+                            ([date] + [repr(float(v)) for v in mseries.m[t]]
+                             for t, date in enumerate(panel.periods)
+                             if not np.isnan(mseries.m[t]).any())),
+        "labels.csv": (["date", "sum_delta", "label"],
+                       ([date, int(sums[t]), labels[t].name]
+                        for t, date in enumerate(panel.periods))),
+        "predictions.csv": (["date", "stock_id", "y_hat", "y_true"],
+                            ([panel.periods[t], sid, repr(float(prediction.y_hat[i, k])),
+                              repr(float(prediction.y_true[i, k]))]
+                             for k, t in enumerate(prediction.periods)
+                             for i, sid in enumerate(panel.stock_ids))),
+        "series.csv": (["date", "y_str", "net_return", "cumulative_wealth"],
+                       ([panel.periods[t], repr(float(report.gross[k])),
+                         repr(float(report.net[k])), repr(float(report.wealth[k]))]
+                        for k, t in enumerate(prediction.periods))),
+    }
+    for name, (header, records) in rows.items():
+        expected = tmp_path / name
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# {stamp}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(records)
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            assert fh.read() == expected.read_bytes(), name
 
 
 def test_interrupted_checkpoint_write_leaves_no_checkpoint(small_run, tmp_path, monkeypatch):
