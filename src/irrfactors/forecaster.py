@@ -31,7 +31,7 @@ CHUNK_WINDOWS = 128  # stock windows per frozen predict call; bounds its peak me
 
 
 class AlignmentError(ValueError):
-    """Factor series and panel disagree on shape."""
+    """Factor series and panel disagree on shape, or a factor row read is missing."""
 
 
 class EmptyTrainingSlice(ValueError):
@@ -337,9 +337,17 @@ def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
 
     Periods are scored in blocks of about CHUNK_WINDOWS stock windows, one
     predict call per block; each block's output equals that of one predict
-    call per period exactly.
+    call per period exactly. A period whose market factor row t - 1 is NaN
+    raises AlignmentError before any predict call.
     """
     periods = np.asarray(periods, dtype=np.int64)
+    # A period outside the panel fails below, in windows(), with TooEarly.
+    inside = periods[(periods >= 1) & (periods <= market_factors.m.shape[0])]
+    unknown = np.isnan(market_factors.m[inside - 1]).any(axis=1)
+    if unknown.any():
+        t = int(inside[unknown.argmax()])
+        raise AlignmentError(f"period {t} reads market factor row {t - 1}, which is NaN "
+                             f"(never computed)")
     n_stocks = features.shape[0]
     step = max(1, CHUNK_WINDOWS // n_stocks)
     out = np.empty((n_stocks, periods.size))

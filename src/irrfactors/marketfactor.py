@@ -70,7 +70,8 @@ def init_params(n_stocks: int, n_features: int, hyper: MarketFactorHyper,
 class MarketFactorSeries:
     """Frozen outputs: market vectors m (T, 2D_e) and stock vectors r (I, T, 2D_e).
 
-    Rows before window - 1 are NaN (the history window does not fit there).
+    Rows before window - 1 are NaN (the history window does not fit there),
+    and so is every row a restricted `market_series` call left out.
     """
 
     m: np.ndarray
@@ -288,13 +289,18 @@ def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
     return params
 
 
-def market_series(features: np.ndarray, params: ad.ParamSet,
-                  window: int) -> MarketFactorSeries:
-    """Frozen m_t and r_t for every period where the window fits."""
+def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
+                  rows=None) -> MarketFactorSeries:
+    """Frozen m_t and r_t for every period where the window fits, or only for
+    those of `rows`; every other row is NaN."""
     I, T, d = features.shape
     m = np.full((T, 2 * d), np.nan)
     r = np.full((I, T, 2 * d), np.nan)
-    periods = np.arange(window - 1, T)
+    if rows is None:
+        periods = np.arange(window - 1, T)
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        periods = rows[rows >= window - 1]
     full = np.arange(I)
     chunk = 64
     for start in range(0, len(periods), chunk):

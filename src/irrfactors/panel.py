@@ -48,6 +48,10 @@ class BadCell(ValueError):
     """A feature cell that is not a number."""
 
 
+class BadLabel(ValueError):
+    """A stock id or date label that a panel CSV cannot carry."""
+
+
 class NonFiniteFeature(ValueError):
     """A NaN or infinite feature value."""
 
@@ -392,7 +396,17 @@ def _cells(column: np.ndarray, quoted: dict):
 
 
 def write_panel_csv(panel: MarketPanel, path, header_comment: str | None = None) -> None:
-    """Write the panel in the canonical CSV schema (one row per stock-date)."""
+    """Write the panel in the canonical CSV schema (one row per stock-date).
+
+    A stock id or date label holding a line break raises BadLabel before the
+    file is opened: load_panel reads a file line by line and could not read
+    it back.
+    """
+    for kind, labels in (("stock id", panel.stock_ids), ("date label", panel.periods)):
+        for label in labels:
+            if "\r" in label or "\n" in label:
+                raise BadLabel(f"{path}: {kind} {label!r} holds a line break, which a "
+                               f"panel CSV cannot carry")
     I, T = panel.n_stocks, panel.n_periods
     write_csv(path, CSV_COLUMNS,
               [np.tile(np.array(panel.periods, dtype=object), I),

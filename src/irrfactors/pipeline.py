@@ -265,7 +265,10 @@ def predict_with_artifacts(artifacts: TrainedArtifacts, panel: MarketPanel,
                             f"the training panel's {tuple(trained.feature_names)}")
     feats = artifacts.scaler.transform(panel.features)
     factors = sf.residual(panel.prices, artifacts.coint_params)
-    mseries = mf.market_series(feats, artifacts.market_params, artifacts.fc_hyper.window)
+    periods = np.asarray(periods, dtype=np.int64)
+    # A forecast for period t reads the factor rows of t - 1 only.
+    mseries = mf.market_series(feats, artifacts.market_params, artifacts.fc_hyper.window,
+                               rows=periods - 1)
     return fc.predict_periods(artifacts.fc_params, artifacts.fc_hyper, feats,
                               factors.u, mseries, periods)
 

@@ -90,6 +90,16 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
     assert ad.gradient_check(f, params) <= 1e-4
 
 
+def test_predict_periods_names_a_market_row_never_computed(monkeypatch):
+    feats, u, mseries, hyper, params = _model(0, 4, 30, 2, 3, 8, 2, 1)
+    mseries.m[20] = np.nan
+    calls = []
+    monkeypatch.setattr(fc, "predict", lambda *args: calls.append(args))
+    with pytest.raises(fc.AlignmentError, match="period 21 reads market factor row 20"):
+        fc.predict_periods(params, hyper, feats, u, mseries, [10, 25, 21, 22])
+    assert calls == []
+
+
 def test_build_inputs_stacks_period_windows():
     feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
     periods = np.array([7, 3, 12])

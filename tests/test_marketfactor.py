@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
 from irrfactors import marketfactor as mf
@@ -266,3 +268,24 @@ def test_training_improves_loss_and_separates_pairs():
     te = np.arange(train_end, panel.n_periods)
     acc = linear_probe_accuracy(series.m[tr], labels[tr], series.m[te], labels[te])
     assert acc > 0.5
+
+
+_T = 150
+
+
+@settings(max_examples=40)
+@given(window=st.integers(1, 12), rows=st.one_of(
+    st.lists(st.integers(0, _T - 1), max_size=_T),
+    st.integers(0, _T - 70).flatmap(lambda lo: st.permutations(range(lo, lo + 70)))))
+def test_market_series_on_rows_matches_the_full_series(window, rows):
+    # Unsorted rows, repeats, rows whose window does not fit and sets that
+    # span more than one 64-period chunk.
+    feats = np.random.default_rng(3).normal(size=(4, _T, 3))
+    params = _params(feats)
+    full = mf.market_series(feats, params, window)
+    part = mf.market_series(feats, params, window, rows=rows)
+    kept = sorted({t for t in rows if t >= window - 1})
+    assert part.m[kept].tobytes() == full.m[kept].tobytes()
+    assert part.r[:, kept].tobytes() == full.r[:, kept].tobytes()
+    others = sorted(set(range(_T)) - set(kept))
+    assert np.isnan(part.m[others]).all() and np.isnan(part.r[:, others]).all()

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadPrice, DuplicateRow,
-                              FeatureScaler, HoleInPanel, MarketPanel, NonFiniteFeature,
-                              SynchronismConfig, SyncClass, TooEarly, TooShort, windows,
+from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadLabel, BadPrice,
+                              DuplicateRow, FeatureScaler, HoleInPanel, MarketPanel,
+                              NonFiniteFeature, SynchronismConfig, SyncClass, TooEarly,
+                              TooShort, windows,
                               compute_deltas, compute_returns,
                               compute_synchronism_labels,
                               load_panel, write_csv, write_panel_csv)
@@ -448,12 +449,34 @@ def test_write_panel_csv_matches_the_row_writer(tmp_path_factory, ids, data):
     features[:, :, FEATURE_NAMES.index("close")] = prices
     panel = MarketPanel.from_prices(ids, dates, features, prices)
     out = tmp_path_factory.mktemp("panel")
+    if any("\n" in sid for sid in ids):        # load_panel could not read it back
+        with pytest.raises(BadLabel, match="stock id"):
+            write_panel_csv(panel, out / "new.csv", header_comment="stamp")
+        assert not (out / "new.csv").exists()
+        return
     write_panel_csv(panel, out / "new.csv", header_comment="stamp")
     oracle_write_csv(out / "old.csv", panel_module.CSV_COLUMNS,
                      ([label, sid] + [repr(float(v)) for v in panel.features[i, t]]
                       for i, sid in enumerate(panel.stock_ids)
                       for t, label in enumerate(panel.periods)), "stamp")
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stock_ids, periods, message", [
+    (["A", "x\n#y"], ["2024-01-08", "2024-01-09"], r"stock id 'x\\n#y'"),
+    (["A", "B"], ["2024-01-08", "2024-01-09\r"], r"date label '2024-01-09\\r'"),
+])
+def test_write_panel_csv_names_a_label_with_a_line_break(tmp_path, stock_ids, periods,
+                                                          message):
+    # Such an id was written quoted, and load_panel then failed on the file
+    # with a misleading BadCell.
+    prices = np.full((2, 2), 100.0)
+    features = np.repeat(prices[..., None], len(FEATURE_NAMES), axis=2)
+    panel = MarketPanel.from_prices(stock_ids, periods, features, prices)
+    path = tmp_path / "panel.csv"
+    with pytest.raises(BadLabel, match=message):
+        write_panel_csv(panel, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text, error, message", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irrfactors import forecaster as fc
 from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
 from irrfactors.autodiff import CorruptCheckpoint, NumericalFailure
@@ -357,6 +358,29 @@ def test_predictions_only_depend_on_the_past(small_run):
     perturbed = MarketPanel.from_prices(panel.stock_ids, panel.periods, bumped, prices)
     after = predict_with_artifacts(artifacts, perturbed, periods)
     np.testing.assert_array_equal(base, after)
+
+
+def test_frozen_scoring_encodes_only_the_rows_its_forecasts_read(small_run, monkeypatch):
+    _, _, artifacts = small_run
+    panel = artifacts.panel
+    periods = np.array([190, 150, 151, 175, 199])
+    feats = artifacts.scaler.transform(panel.features)
+    full = fc.predict_periods(
+        artifacts.fc_params, artifacts.fc_hyper, feats,
+        sf.residual(panel.prices, artifacts.coint_params).u,
+        mf.market_series(feats, artifacts.market_params, artifacts.fc_hyper.window),
+        periods)
+    encoded = []
+    encode = mf._stock_reprs_op
+
+    def spy(features, params, rows, window):
+        encoded.append(rows)
+        return encode(features, params, rows, window)
+
+    monkeypatch.setattr(mf, "_stock_reprs_op", spy)
+    y_hat = predict_with_artifacts(artifacts, panel, periods)
+    assert np.concatenate(encoded).tolist() == (periods - 1).tolist()
+    assert y_hat.tobytes() == full.tobytes()
 
 
 @given(t0=st.integers(140, 199), magnitude=st.floats(0.01, 20.0), seed=st.integers(0, 2**32 - 1))
