@@ -189,9 +189,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, *shape)
 
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
     def swapaxes(self, a, b):
         return swapaxes(self, a, b)
 
@@ -500,20 +497,6 @@ def tstd(x, axis=None, keepdims=False) -> Tensor:
     def vjp(g):
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
         return (g * centered / (n * std_k),)
-
-    return _record(data, (x,), vjp)
-
-
-def transpose(x, axes=None) -> Tensor:
-    x = _wrap(x)
-    data = x.data.transpose(axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (g.transpose(inv),)
 
     return _record(data, (x,), vjp)
 

@@ -1,10 +1,12 @@
 """Run configuration: flat `key = value` files with dotted section prefixes.
 
 The format is one assignment per line, `#` comments, blank lines ignored.
-Every key is declared in _SCHEMA with its type and default; unknown keys and
-uncoercible values raise ConfigError naming the key. Cointegration plants
-use numbered keys (`synthetic.plant.0 = target=0 sources=6,7 betas=0.5,0.2
-rho=0.4 scale=1.2 kick=0.0`).
+Every key is declared in _SCHEMA with its type and default; unknown keys,
+uncoercible values and keys set twice raise ConfigError naming the key (a
+repeat also names both lines). Cointegration plants use numbered keys
+(`synthetic.plant.0 = target=0 sources=6,7 betas=0.5,0.2 rho=0.4 scale=1.2
+kick=0.0`); a plant without rho, scale or kick keeps CointegrationPlant's
+default for it.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ _SCHEMA = {
 }
 
 _PLANT_PREFIX = "synthetic.plant."
-_PLANT_FIELDS = ("target", "sources", "betas", "rho", "scale", "kick")
+_PLANT_OPTIONAL = {"rho": "noise_rho", "scale": "noise_scale", "kick": "event_kick"}
+_PLANT_FIELDS = ("target", "sources", "betas", *_PLANT_OPTIONAL)
 
 
 def _parse_plant(key: str, text: str) -> CointegrationPlant:
@@ -91,9 +94,7 @@ def _parse_plant(key: str, text: str) -> CointegrationPlant:
             target=int(fields["target"]),
             sources=tuple(int(s) for s in fields["sources"].split(",")),
             betas=tuple(float(b) for b in fields["betas"].split(",")),
-            noise_rho=float(fields.get("rho", 0.5)),
-            noise_scale=float(fields.get("scale", 1.5)),
-            event_kick=float(fields.get("kick", 0.0)),
+            **{_PLANT_OPTIONAL[n]: float(v) for n, v in fields.items() if n in _PLANT_OPTIONAL},
         )
     except (KeyError, ValueError) as e:
         raise ConfigError(f"{key}: {e}") from None
@@ -144,7 +145,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        values, plants = {}, {}
+        values, plants, first_line = {}, {}, {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -153,14 +154,21 @@ class RunConfig:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key.startswith(_PLANT_PREFIX):
+                plant = key.startswith(_PLANT_PREFIX)
+                if plant:
                     suffix = key[len(_PLANT_PREFIX):]
                     if not suffix.isdigit():
                         raise ConfigError(f"unknown config key {key!r}")
+                    key = f"{_PLANT_PREFIX}{int(suffix)}"     # plant.01 is plant.1
+                elif key not in _SCHEMA:
+                    raise ConfigError(f"unknown config key {key!r}")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: {key!r} is set again; line "
+                                      f"{first_line[key]} set it first")
+                first_line[key] = lineno
+                if plant:
                     plants[int(suffix)] = _parse_plant(key, value)
                     continue
-                if key not in _SCHEMA:
-                    raise ConfigError(f"unknown config key {key!r}")
                 coerce, _ = _SCHEMA[key]
                 try:
                     values[key] = coerce(value)

@@ -134,15 +134,6 @@ def augment_features(features: np.ndarray, u: np.ndarray,
     return np.concatenate([features, u[..., None]], axis=-1)
 
 
-def build_inputs(features: np.ndarray, u: np.ndarray, t, window: int,
-                 use_stock_factor: bool = True) -> np.ndarray:
-    """Input window(s) for predicting period(s) t, (I, L, D_in) or (P, I, L, D_in).
-
-    Position l holds period t - window + l, the last position period t - 1.
-    """
-    return windows(augment_features(features, u, use_stock_factor), t, window)
-
-
 def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
                    last_only: bool) -> Tensor:
     """Transformer block `index` over (..., L, width) windows.
@@ -174,12 +165,6 @@ def _temporal_encode_op(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarr
     return x[..., -1, :]
 
 
-def temporal_encode(params: ad.ParamSet, hyper: ForecasterHyper,
-                    g: np.ndarray) -> np.ndarray:
-    """Frozen-parameter encoding of one batch of windows."""
-    return _temporal_encode_op(params, hyper, np.asarray(g, dtype=np.float64)).data
-
-
 def _relation_op(params: ad.ParamSet, c: Tensor, r_prev: np.ndarray) -> Tensor:
     """Relation-attention context: softmax over pairwise scores, mixing c.
 
@@ -191,12 +176,6 @@ def _relation_op(params: ad.ParamSet, c: Tensor, r_prev: np.ndarray) -> Tensor:
     scores = z @ ad.swapaxes(z, -1, -2)
     att = ad.softmax_row(scores)
     return att @ c
-
-
-def relation_attention(params: ad.ParamSet, c: np.ndarray,
-                       r_prev: np.ndarray) -> np.ndarray:
-    """Frozen-parameter relation context for per-stock encodings (I, width)."""
-    return _relation_op(params, ad.constant(c), np.asarray(r_prev)).data
 
 
 def _head_op(params: ad.ParamSet, parts: list[Tensor]) -> Tensor:

@@ -24,10 +24,6 @@ from .stockfactor import TooFewStocks
 logger = logging.getLogger(__name__)
 
 
-class EmptySubset(ValueError):
-    """A market representation needs a nonempty stock subset."""
-
-
 class NoNegatives(ValueError):
     """Contrastive loss needs at least 2 periods in the batch."""
 
@@ -87,7 +83,7 @@ def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
     """Dynamic stock representations for a batch of periods, (P, I, 2D_e)."""
     d = params["w_s"].shape[0]
     win = ad.constant(windows(features, periods + 1, window))           # (P, I, L, D)
-    proj = ad.linear(win, ad.transpose(params["w_s"]), params["b_s"])   # (P, I, L, D)
+    proj = ad.linear(win, ad.swapaxes(params["w_s"], 0, 1), params["b_s"])  # (P, I, L, D)
     query = proj[(slice(None), slice(None), slice(window - 1, window))] # (P, I, 1, D)
     scores = (query @ ad.swapaxes(proj, -1, -2)) * (1.0 / np.sqrt(d))   # (P, I, 1, L)
     att = ad.softmax_row(scores)
@@ -95,19 +91,6 @@ def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
     p, i = win.shape[0], win.shape[1]
     current = ad.constant(np.ascontiguousarray(win.data[:, :, window - 1, :]))
     return ad.concat([current, mix.reshape(p, i, d)], axis=-1)
-
-
-def dynamic_stock_repr(features: np.ndarray, params: ad.ParamSet,
-                       stock: int, t: int, window: int) -> np.ndarray:
-    """Representation of one stock at one period: e_t || attention mix, (2D_e,)."""
-    reprs = _stock_reprs_op(features, params, np.array([t]), window)
-    return reprs.data[0, stock]
-
-
-def stock_weight(params: ad.ParamSet, stock: int, r: np.ndarray) -> float:
-    """Non-negative combination weight for one stock representation."""
-    pre = params["w_eta"].data @ (params["w_id"].data[:, stock] + np.asarray(r))
-    return float(max(pre, 0.0))
 
 
 def _market_repr_op(reprs: Tensor, params: ad.ParamSet,
@@ -118,7 +101,7 @@ def _market_repr_op(reprs: Tensor, params: ad.ParamSet,
     normalizer would otherwise be 0/0); the event is logged.
     """
     sub = reprs[(slice(None), subset)]                                   # (P, n, 2D)
-    ids = ad.transpose(params["w_id"])[(subset,)]                        # (n, 2D)
+    ids = ad.swapaxes(params["w_id"], 0, 1)[(subset,)]                   # (n, 2D)
     two_d = params["w_eta"].shape[0]
     pre = (sub + ids) @ params["w_eta"].reshape(two_d, 1)                # (P, n, 1)
     eta = ad.relu(pre)
@@ -135,16 +118,6 @@ def _market_repr_op(reprs: Tensor, params: ad.ParamSet,
     return (weighted / denom).reshape(p, two_d)
 
 
-def market_repr(features: np.ndarray, params: ad.ParamSet,
-                subset, t: int, window: int) -> np.ndarray:
-    """Market representation over a stock subset at one period, (2D_e,)."""
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size == 0:
-        raise EmptySubset("market representation needs a nonempty subset")
-    reprs = _stock_reprs_op(features, params, np.array([t]), window)
-    return _market_repr_op(reprs, params, subset).data[0]
-
-
 def submarket_split(n: int, seed: int, epoch) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint exhaustive halves of stocks 0..n-1, resampled deterministically
     per epoch."""
@@ -156,14 +129,6 @@ def submarket_split(n: int, seed: int, epoch) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- self-supervised objectives -------------------------------------------
-
-
-def criterion(params: ad.ParamSet, m1: np.ndarray, m2: np.ndarray,
-              t: int, t_other: int) -> float:
-    """Pair criterion: exp of the joint score damped by the time gap."""
-    joint = np.concatenate([np.asarray(m1), np.asarray(m2)])
-    logit = float(params["w_crit"].data @ joint + params["b_crit"].data)
-    return float(np.exp(logit / (abs(t - t_other) + 1.0)))
 
 
 def _pair_logits_op(params: ad.ParamSet, m1: Tensor, m2: Tensor,
@@ -180,36 +145,39 @@ def _pair_logits_op(params: ad.ParamSet, m1: Tensor, m2: Tensor,
     return (u + v + params["b_crit"]) * damp
 
 
+def _submarket_logits_op(params: ad.ParamSet, features: np.ndarray,
+                         periods: np.ndarray, window: int, seed: int, epoch) -> Tensor:
+    """Damped criterion logits (P, P) of first-half market representations
+    against second-half ones, on the halves drawn for (seed, epoch)."""
+    sub1, sub2 = submarket_split(features.shape[0], seed, epoch)
+    reprs = _stock_reprs_op(features, params, periods, window)
+    m1 = _market_repr_op(reprs, params, sub1)
+    m2 = _market_repr_op(reprs, params, sub2)
+    return _pair_logits_op(params, m1, m2, periods)
+
+
 def infonce_loss(params: ad.ParamSet, features: np.ndarray,
                  periods, window: int, seed: int, epoch: int) -> Tensor:
     """Sub-market contrastive loss over a batch of periods.
 
     Positives pair the two halves of the same period; negatives pair the
-    anchor's first half with other periods' second halves within the batch.
+    anchor's first half with other periods' second halves within the batch,
+    so the loss is the cross-entropy of each anchor's own period.
     """
     periods = np.asarray(periods, dtype=np.int64)
     if periods.size < 2:
         raise NoNegatives("contrastive loss needs a batch of at least 2 periods")
-    sub1, sub2 = submarket_split(features.shape[0], seed, epoch)
-    reprs = _stock_reprs_op(features, params, periods, window)
-    m1 = _market_repr_op(reprs, params, sub1)
-    m2 = _market_repr_op(reprs, params, sub2)
-    logits = _pair_logits_op(params, m1, m2, periods)
-    idx = np.arange(len(periods))
-    positive = logits[(idx, idx)]
-    return (ad.logsumexp_row(logits) - positive).mean()
+    logits = _submarket_logits_op(params, features, periods, window, seed, epoch)
+    return cross_entropy(logits, np.arange(len(periods)))
 
 
-def _classifier_logits_op(params: ad.ParamSet, m: Tensor) -> Tensor:
-    hidden = ad.relu(ad.linear(m, params["cls_w1"], params["cls_b1"]))
+def _sync_logits_op(params: ad.ParamSet, features: np.ndarray, periods: np.ndarray,
+                    window: int) -> Tensor:
+    """Synchronism class logits (P, 3) of periods t from the market of t - 1."""
+    reprs = _stock_reprs_op(features, params, periods - 1, window)
+    m_prev = _market_repr_op(reprs, params, np.arange(features.shape[0]))
+    hidden = ad.relu(ad.linear(m_prev, params["cls_w1"], params["cls_b1"]))
     return ad.linear(hidden, params["cls_w2"], params["cls_b2"])
-
-
-def synchronism_predict(params: ad.ParamSet, m_prev: np.ndarray) -> np.ndarray:
-    """3-way class distribution for the next period's synchronism label."""
-    m = ad.constant(np.asarray(m_prev, dtype=np.float64).reshape(1, -1))
-    logits = _classifier_logits_op(params, m)
-    return ad.softmax_row(logits).data[0]
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -224,9 +192,7 @@ def loss_P(params: ad.ParamSet, features: np.ndarray, labels, periods,
     """Synchronism-prediction loss: cross-entropy of the label of period t
     predicted from the full-market representation of period t - 1."""
     periods = np.asarray(periods, dtype=np.int64)
-    prev = _stock_reprs_op(features, params, periods - 1, window)
-    m_prev = _market_repr_op(prev, params, np.arange(features.shape[0]))
-    logits = _classifier_logits_op(params, m_prev)
+    logits = _sync_logits_op(params, features, periods, window)
     target = np.array([int(labels[t]) for t in periods], dtype=np.int64)
     return cross_entropy(logits, target)
 
@@ -314,28 +280,19 @@ def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
 
 def contrastive_separation(params: ad.ParamSet, features: np.ndarray,
                            periods, window: int, seed: int) -> tuple[float, float]:
-    """Mean positive-pair and negative-pair criterion values on given periods."""
+    """Mean positive-pair and negative-pair criterion values, exp of the
+    training logits on the "eval" halves, over the given periods."""
     periods = np.asarray(periods, dtype=np.int64)
-    sub1, sub2 = submarket_split(features.shape[0], seed, "eval")
-    reprs = _stock_reprs_op(features, params, periods, window)
-    m1 = _market_repr_op(reprs, params, sub1).data
-    m2 = _market_repr_op(reprs, params, sub2).data
-    pos, neg = [], []
-    for a, ta in enumerate(periods):
-        for b, tb in enumerate(periods):
-            value = criterion(params, m1[a], m2[b], int(ta), int(tb))
-            (pos if a == b else neg).append(value)
-    return float(np.mean(pos)), float(np.mean(neg))
+    values = np.exp(_submarket_logits_op(params, features, periods, window, seed,
+                                         "eval").data)
+    positive = np.eye(len(periods), dtype=bool)
+    return float(values[positive].mean()), float(values[~positive].mean())
 
 
 def classifier_accuracy(params: ad.ParamSet, features: np.ndarray, labels,
                         periods, window: int) -> float:
     """Held-out accuracy of the synchronism classifier on the given periods."""
     periods = np.asarray(periods, dtype=np.int64)
-    full = np.arange(features.shape[0])
-    reprs = _stock_reprs_op(features, params, periods - 1, window)
-    m_prev = _market_repr_op(reprs, params, full)
-    logits = _classifier_logits_op(params, m_prev).data
-    predicted = logits.argmax(axis=1)
+    predicted = _sync_logits_op(params, features, periods, window).data.argmax(axis=1)
     target = np.array([int(labels[t]) for t in periods])
     return float((predicted == target).mean())

@@ -48,6 +48,10 @@ class BadCell(ValueError):
     """A feature cell that is not a number."""
 
 
+class WideRow(ValueError):
+    """A CSV row with more cells than its header."""
+
+
 class BadLabel(ValueError):
     """A stock id or date label that a panel CSV cannot carry."""
 
@@ -121,41 +125,23 @@ class MarketPanel:
     def n_features(self) -> int:
         return self.features.shape[2]
 
-    def validate(self) -> None:
-        I, T = self.n_stocks, self.n_periods
-        if self.features.shape[:2] != (I, T) or self.prices.shape != (I, T) \
-                or self.returns.shape != (I, T):
-            raise ValueError("panel tensors have inconsistent shapes")
-        if not np.isfinite(self.features).all() or not np.isfinite(self.prices).all():
-            raise ValueError("panel contains non-finite features or prices")
-        if np.any(self.prices <= 0):
-            raise BadPrice("panel prices must be strictly positive")
-        if T >= 2:
-            expected = compute_returns(self.prices)
-            if not np.allclose(self.returns[:, 1:], expected[:, 1:], rtol=1e-12, atol=1e-12):
-                raise ValueError("returns do not match prices")
-        if not np.isnan(self.returns[:, 0]).all():
-            raise ValueError("returns at period 0 must be masked")
-
     @classmethod
     def from_prices(cls, stock_ids, periods, features, prices,
                     feature_names: tuple[str, ...] | None = None) -> "MarketPanel":
+        """The panel of these prices and their returns; all values must be finite."""
         features = np.asarray(features, dtype=np.float64)
         prices = np.asarray(prices, dtype=np.float64)
         if feature_names is None:
             d = features.shape[2]
             feature_names = tuple(FEATURE_NAMES[j] if j < len(FEATURE_NAMES) else f"x{j}"
                                   for j in range(d))
-        panel = cls(
-            stock_ids=list(stock_ids),
-            periods=list(periods),
-            features=features,
-            prices=prices,
-            returns=compute_returns(prices),
-            feature_names=feature_names,
-        )
-        panel.validate()
-        return panel
+        returns = compute_returns(prices)
+        if features.shape[:2] != prices.shape or prices.shape != (len(stock_ids), len(periods)):
+            raise ValueError("panel tensors have inconsistent shapes")
+        if not np.isfinite(features).all() or not np.isfinite(prices).all():
+            raise ValueError("panel contains non-finite features or prices")
+        return cls(stock_ids=list(stock_ids), periods=list(periods), features=features,
+                   prices=prices, returns=returns, feature_names=feature_names)
 
     def resolve_period(self, boundary) -> int:
         """Map a period label or integer index to an integer index."""
@@ -232,9 +218,9 @@ def load_panel(path) -> MarketPanel:
 
     The file must carry a header with the columns date, stock_id, open, high,
     low, close, vwap, volume. Dates are ISO-8601 (YYYY-MM-DD) and periods are
-    ordered by date. Every (stock, date) pair must appear exactly once and
-    every feature must be a finite number. Lines starting with '#' are
-    ignored.
+    ordered by date. Every (stock, date) pair must appear exactly once,
+    every feature must be a finite number and no row may have more cells than
+    the header. Lines starting with '#' are ignored.
 
     Rows are parsed CSV_CHUNK_ROWS at a time, a column per call, so only one
     chunk's text is held at a time. A faulty row found that way is named,
@@ -254,7 +240,7 @@ def load_panel(path) -> MarketPanel:
         stock_code, date_code, chunks = {}, {}, []
         records = filter(None, reader)                  # a blank line is an empty row
         while rows := list(islice(records, CSV_CHUNK_ROWS)):
-            if min(map(len, rows)) < width:
+            if min(map(len, rows)) < width or max(map(len, rows)) > len(header):
                 _raise_row_fault(path, header)
             cols = list(zip(*rows))
             cells = chain.from_iterable(cols[k] for k in feature_cols)
@@ -314,9 +300,9 @@ def _codes(labels, table: dict) -> np.ndarray:
 def _raise_row_fault(path, header) -> NoReturn:
     """Read `path` again row by row and raise its first faulty row's error.
 
-    Each row is checked in a fixed order: its (stock, date) pair against the
-    rows before it, then its cells, then its date. A short row reads None for
-    each missing cell.
+    Each row is checked in a fixed order: its width against the header's, its
+    (stock, date) pair against the rows before it, then its cells, then its
+    date. A short row reads None for each missing cell.
     """
     pairs = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -326,6 +312,8 @@ def _raise_row_fault(path, header) -> NoReturn:
         next(records)                                   # the header
         for row in records:
             where = f"{path}:{reader.line_num}"
+            if len(row) > len(header):
+                raise WideRow(f"{where}: {len(row)} cells under a header of {len(header)}")
             rec = dict(zip(header, row))
             sid, label = rec.get("stock_id"), rec.get("date")
             if (sid, label) in pairs:

@@ -46,10 +46,6 @@ def rho(params: ad.ParamSet) -> np.ndarray:
     return np.tanh(params["rho_raw"].data)
 
 
-def attention(params: ad.ParamSet) -> np.ndarray:
-    return _attention_op(params).data
-
-
 @dataclass
 class StockFactorSeries:
     """Residual factor u and the virtual price it came from; u = p_tilde - p."""
@@ -105,18 +101,6 @@ def _rho_penalty(u: Tensor, params: ad.ParamSet) -> Tensor:
     prev = u[(slice(None), slice(0, -1))]
     diff = cur - rho * prev
     return (diff * diff).mean()
-
-
-def loss_rho_from_u(u: np.ndarray, rho: np.ndarray) -> float:
-    """The stationarity penalty evaluated on a fixed residual series."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[None, :]
-    if u.shape[1] < 2:
-        raise TooShortSeries("need at least 2 periods")
-    rho = np.asarray(rho, dtype=np.float64).reshape(-1, 1)
-    diff = u[:, 1:] - rho * u[:, :-1]
-    return float((diff * diff).mean())
 
 
 def loss_S(prices: np.ndarray, params: ad.ParamSet, lambda1: float) -> Tensor:

@@ -17,7 +17,7 @@ from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
 from irrfactors.config import RunConfig
 from irrfactors.evaluation import average_ranks, rank_ic_series
-from irrfactors.panel import FeatureScaler
+from irrfactors.panel import FeatureScaler, windows
 from irrfactors.pipeline import run_pipeline
 from irrfactors.rng import stream
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
@@ -75,7 +75,7 @@ def _forecaster_loss_cases(seed):
                                     window=2)
     hyper = fc.ForecasterHyper(window=2, width=8, blocks=1, heads=2, seed=seed)
     params = fc.init_params(d, hyper, stream(seed, "acc", "fc"))
-    g = fc.build_inputs(feats, u, t=5, window=2)
+    g = windows(fc.augment_features(feats, u), 5, 2)
     y = rng.normal(size=n_stocks)
     z = average_ranks(y)
 
@@ -125,7 +125,7 @@ def test_criterion_2_cointegration_recovery():
             panel.prices, sf.StockFactorHyper(lambda1=0.5, lr=0.02, steps=2000),
             panel.n_periods)
         series = sf.residual(panel.prices, params)
-        att = sf.attention(params)[0, 1]
+        att = sf._attention_op(params).data[0, 1]
         eff = att * params["beta"].data[0, 1]
         rho_u = abs(sf.stationarity_diagnostic(series.u[0]))
         rho_p = abs(sf.stationarity_diagnostic(panel.prices[0]))

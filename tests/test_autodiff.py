@@ -133,7 +133,7 @@ def test_quadratic_form_gradient_matches_closed_form():
 
     def f(params):
         (p,) = params
-        return (ad.transpose(p) @ ad.constant(a) @ p).reshape(())
+        return (ad.swapaxes(p, 0, 1) @ ad.constant(a) @ p).reshape(())
 
     err = ad.gradient_check(f, [x])
     assert err <= 1e-9

@@ -5,6 +5,7 @@ from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
 from irrfactors.evaluation import average_ranks
 from irrfactors.marketfactor import MarketFactorSeries
+from irrfactors.panel import windows
 from irrfactors.rng import stream
 from irrfactors.stockfactor import StockFactorSeries
 
@@ -25,7 +26,7 @@ def _setup(seed=0, n_stocks=4, n_periods=12, n_features=3, window=3, **kw):
 
 def test_build_inputs_appends_factor_column():
     feats, u, *_ = _setup(n_features=6)
-    g = fc.build_inputs(feats, u, t=5, window=3)
+    g = windows(fc.augment_features(feats, u), 5, 3)
     assert g.shape == (4, 3, 7)
     np.testing.assert_array_equal(g[:, :, :6], feats[:, 2:5, :])
     np.testing.assert_array_equal(g[:, :, 6], u[:, 2:5])
@@ -33,42 +34,42 @@ def test_build_inputs_appends_factor_column():
 
 def test_build_inputs_zero_factor_reduces_to_features():
     feats, u, *_ = _setup()
-    g = fc.build_inputs(feats, np.zeros_like(u), t=5, window=3)
+    g = windows(fc.augment_features(feats, np.zeros_like(u)), 5, 3)
     np.testing.assert_array_equal(g[:, :, -1], 0.0)
 
 
 def test_build_inputs_ns_ablation_drops_the_column():
     feats, u, *_ = _setup()
-    g = fc.build_inputs(feats, u, t=5, window=3, use_stock_factor=False)
+    g = windows(fc.augment_features(feats, u, False), 5, 3)
     assert g.shape == (4, 3, 3)
 
 
 def test_build_inputs_alignment_error():
     feats, u, *_ = _setup()
     with pytest.raises(fc.AlignmentError):
-        fc.build_inputs(feats, u[:, :-1], t=5, window=3)
+        windows(fc.augment_features(feats, u[:, :-1]), 5, 3)
 
 
 def test_temporal_encode_shape_and_position_sensitivity():
     feats, u, mseries, hyper, params = _setup(seed=3)
-    g = fc.build_inputs(feats, u, t=6, window=3)
-    c = fc.temporal_encode(params, hyper, g)
+    g = windows(fc.augment_features(feats, u), 6, 3)
+    c = fc._temporal_encode_op(params, hyper, g).data
     assert c.shape == (4, 8)
     permuted = g[:, ::-1, :].copy()
-    c_perm = fc.temporal_encode(params, hyper, permuted)
+    c_perm = fc._temporal_encode_op(params, hyper, permuted).data
     assert not np.allclose(c, c_perm)      # positional encoding is active
 
 
 def test_temporal_encode_single_step_window():
     feats, u, mseries, hyper, params = _setup(seed=4, window=1)
-    g = fc.build_inputs(feats, u, t=6, window=1)
-    assert fc.temporal_encode(params, hyper, g).shape == (4, 8)
+    g = windows(fc.augment_features(feats, u), 6, 1)
+    assert fc._temporal_encode_op(params, hyper, g).shape == (4, 8)
 
 
 def test_relation_attention_single_stock_is_identity():
     feats, u, mseries, hyper, params = _setup(seed=5, n_stocks=1)
     c = np.random.default_rng(0).normal(size=(1, 8))
-    d = fc.relation_attention(params, c, mseries.r[:, 4])
+    d = fc._relation_op(params, ad.constant(c), mseries.r[:, 4]).data
     np.testing.assert_allclose(d, c, atol=1e-12)
 
 
@@ -76,7 +77,7 @@ def test_relation_attention_uniform_when_scores_equal():
     feats, u, mseries, hyper, params = _setup(seed=6)
     params["w_y"].data[...] = 0.0   # all scores 0
     c = np.random.default_rng(1).normal(size=(4, 8))
-    d = fc.relation_attention(params, c, mseries.r[:, 4])
+    d = fc._relation_op(params, ad.constant(c), mseries.r[:, 4]).data
     np.testing.assert_allclose(d, np.tile(c.mean(axis=0), (4, 1)), atol=1e-12)
 
 
@@ -84,8 +85,8 @@ def test_relation_attention_rows_sum_to_one():
     feats, u, mseries, hyper, params = _setup(seed=7)
     c = ad.constant(np.random.default_rng(2).normal(size=(4, 8)))
     v = c @ params["p_c"] + ad.constant(mseries.r[:, 4])
-    z = v @ ad.transpose(params["w_y"])
-    att = ad.softmax_row(z @ ad.transpose(z))
+    z = v @ ad.swapaxes(params["w_y"], 0, 1)
+    att = ad.softmax_row(z @ ad.swapaxes(z, 0, 1))
     np.testing.assert_allclose(att.data.sum(axis=1), np.ones(4), atol=1e-12)
 
 
@@ -95,14 +96,14 @@ def test_predict_with_zero_head_is_bias():
     params["head_b1"].data[...] = 0.0
     params["head_w2"].data[...] = 0.0
     params["head_b2"].data[...] = 0.7
-    g = fc.build_inputs(feats, u, t=6, window=3)
+    g = windows(fc.augment_features(feats, u), 6, 3)
     y_hat = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
     np.testing.assert_allclose(y_hat, np.full(4, 0.7))
 
 
 def test_nm_ablation_ignores_market_vector():
     feats, u, mseries, hyper, params = _setup(seed=9, use_market_factor=False)
-    g = fc.build_inputs(feats, u, t=6, window=3)
+    g = windows(fc.augment_features(feats, u), 6, 3)
     a = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
     b = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5] * 100.0)
     np.testing.assert_array_equal(a, b)
@@ -135,7 +136,7 @@ def test_loss_total_perfect_rank_linear_prediction():
 
 def test_full_loss_gradients_match_finite_differences():
     feats, u, mseries, hyper, params = _setup(seed=14)
-    g = fc.build_inputs(feats, u, t=6, window=3)
+    g = windows(fc.augment_features(feats, u), 6, 3)
     rng = np.random.default_rng(15)
     y = rng.normal(size=4)
     z = average_ranks(y)
@@ -154,7 +155,7 @@ def test_training_step_records_at_most_40_tape_nodes():
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
     params = fc.init_params(5, hyper, stream(16, "fc", "init"))
-    g = fc.build_inputs(feats, u, t=11, window=10)
+    g = windows(fc.augment_features(feats, u), 11, 10)
     y = np.random.default_rng(17).normal(size=16)
     with ad.Tape() as tape:
         y_hat = fc._predict_op(params, hyper, g, mseries.r[:, 10], mseries.m[10])

@@ -13,6 +13,7 @@ from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
 from irrfactors.evaluation import average_ranks
 from irrfactors.marketfactor import MarketFactorSeries
+from irrfactors.panel import windows
 from irrfactors.rng import stream
 
 
@@ -55,14 +56,14 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
 
     batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
 
-    def windows(t):
-        return fc.build_inputs(feats, u, t, window, hyper.use_stock_factor)
-
-    single = np.stack([fc.predict(params, hyper, windows(t), mseries.r[:, t - 1],
-                                  mseries.m[t - 1]) for t in periods], axis=1)
+    inputs = fc.augment_features(feats, u, hyper.use_stock_factor)
+    single = np.stack([fc.predict(params, hyper, windows(inputs, t, window),
+                                  mseries.r[:, t - 1], mseries.m[t - 1])
+                       for t in periods], axis=1)
     np.testing.assert_array_equal(batched, single)
-    full = np.stack([fc._predict_op(params, hyper, windows(t), mseries.r[:, t - 1],
-                                    mseries.m[t - 1], last_only=False).data
+    full = np.stack([fc._predict_op(params, hyper, windows(inputs, t, window),
+                                    mseries.r[:, t - 1], mseries.m[t - 1],
+                                    last_only=False).data
                      for t in periods], axis=1)
     np.testing.assert_allclose(batched, full, rtol=1e-12,
                                atol=1e-12 * np.abs(full).max())
@@ -78,7 +79,7 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
     feats, u, mseries, hyper, params = _model(seed, n_stocks, window + 2, 2, window,
                                               width, heads, 2, **flags)
     t = window + 1
-    g = fc.build_inputs(feats, u, t, window, hyper.use_stock_factor)
+    g = windows(fc.augment_features(feats, u, hyper.use_stock_factor), t, window)
     y = np.random.default_rng(seed).normal(size=n_stocks)
     z = average_ranks(y)
 
@@ -103,16 +104,17 @@ def test_predict_periods_names_a_market_row_never_computed(monkeypatch):
 def test_build_inputs_stacks_period_windows():
     feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
     periods = np.array([7, 3, 12])
-    stacked = fc.build_inputs(feats, u, periods, 3)
+    inputs = fc.augment_features(feats, u)
+    stacked = windows(inputs, periods, 3)
     assert stacked.shape == (3, 4, 3, 4)
     for k, t in enumerate(periods):
-        np.testing.assert_array_equal(stacked[k], fc.build_inputs(feats, u, int(t), 3))
+        np.testing.assert_array_equal(stacked[k], windows(inputs, int(t), 3))
 
 
 def test_build_inputs_rejects_a_period_without_history():
     feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
     with pytest.raises(ValueError, match="period 2"):
-        fc.build_inputs(feats, u, np.array([5, 2, 13]), 3)
+        windows(fc.augment_features(feats, u), np.array([5, 2, 13]), 3)
 
 
 _SCRIPT_PRELUDE = """
@@ -127,6 +129,7 @@ def digest(array):
 
 _FROZEN_SCRIPT = _SCRIPT_PRELUDE + """
 from irrfactors.marketfactor import MarketFactorSeries
+from irrfactors.panel import windows
 from irrfactors.rng import stream
 rng = np.random.default_rng(5)
 I, T, F = 100, 60, 5

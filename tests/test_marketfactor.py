@@ -16,6 +16,24 @@ def _params(feats, seed=0):
                           stream(seed, "t", "init"))
 
 
+def _reprs(feats, params, t, window):
+    """Stock representations at period t, (I, 2D_e)."""
+    return mf._stock_reprs_op(feats, params, np.array([t]), window).data[0]
+
+
+def _market(feats, params, subset, t, window):
+    """Market representation over a stock subset at period t, (2D_e,)."""
+    reprs = mf._stock_reprs_op(feats, params, np.array([t]), window)
+    return mf._market_repr_op(reprs, params, np.asarray(subset)).data[0]
+
+
+def naive_criterion(params, m1, m2, t, t_other):
+    """Pair criterion: exp of one dot product over [m1, m2], damped by the time gap."""
+    joint = np.concatenate([m1, m2])
+    logit = float(params["w_crit"].data @ joint + params["b_crit"].data)
+    return float(np.exp(logit / (abs(t - t_other) + 1.0)))
+
+
 @pytest.fixture
 def feats(small_panel):
     return small_panel.features
@@ -28,7 +46,7 @@ def labels(small_panel):
 
 def test_window_of_one_duplicates_current_features(feats):
     params = _params(feats)
-    r = mf.dynamic_stock_repr(feats, params, stock=1, t=5, window=1)
+    r = _reprs(feats, params, 5, 1)[1]
     e = feats[1, 5]
     np.testing.assert_allclose(r, np.concatenate([e, e]), atol=1e-12)
 
@@ -37,7 +55,7 @@ def test_identical_window_features_average_to_current(feats):
     feats = feats.copy()
     feats[2, 3:7, :] = feats[2, 6, :]          # constant window for stock 2
     params = _params(feats)
-    r = mf.dynamic_stock_repr(feats, params, stock=2, t=6, window=4)
+    r = _reprs(feats, params, 6, 4)[2]
     np.testing.assert_allclose(r[feats.shape[2]:], feats[2, 6], atol=1e-12)
 
 
@@ -51,7 +69,7 @@ def test_orthonormal_window_attention_scores():
     params = _params(feats)
     params["w_s"].data[...] = np.eye(4)
     params["b_s"].data[...] = 0.0
-    r = mf.dynamic_stock_repr(feats, params, stock=0, t=2, window=3)
+    r = _reprs(feats, params, 2, 3)[0]
     weights = np.exp([0.0, 0.0, 0.5])
     weights /= weights.sum()
     expected = weights[0] * feats[0, 0] + weights[1] * feats[0, 1] + weights[2] * feats[0, 2]
@@ -60,14 +78,14 @@ def test_orthonormal_window_attention_scores():
 
 def test_window_underflow_raises(feats):
     with pytest.raises(TooEarly):
-        mf.dynamic_stock_repr(feats, _params(feats), stock=0, t=2, window=5)
+        _reprs(feats, _params(feats), 2, 5)
 
 
 @pytest.mark.parametrize("offset", [0, 5])
 def test_period_past_the_panel_end_raises(feats, offset):
     t = feats.shape[1] + offset
     with pytest.raises(TooEarly, match=f"{t - 4}..{t}"):
-        mf.dynamic_stock_repr(feats, _params(feats), stock=0, t=t, window=5)
+        _reprs(feats, _params(feats), t, 5)
 
 
 def test_contrastive_batch_past_the_panel_end_raises(feats):
@@ -77,21 +95,28 @@ def test_contrastive_batch_past_the_panel_end_raises(feats):
 
 
 def test_stock_weight_relu_and_id_dependence(feats):
+    # Stock i weighs relu(w_eta . (w_id[:, i] + r_i)). The two representations
+    # are orthogonal to an all-ones w_eta, so the ID embeddings set the weights.
     params = _params(feats)
-    r = np.zeros(2 * feats.shape[2])
-    params["w_eta"].data[...] = 0.0
-    assert mf.stock_weight(params, 0, r) == 0.0
+    two_d = 2 * feats.shape[2]
+    r = np.zeros((1, 2, two_d))
+    r[0, 0, :2] = [1.0, -1.0]
+    r[0, 1, 2:4] = [2.0, -2.0]
+    both = np.arange(2)
+    params["w_eta"].data[...] = 0.0           # every weight 0: the uniform fallback
+    m = mf._market_repr_op(ad.constant(r), params, both).data[0]
+    np.testing.assert_array_equal(m, r[0].mean(axis=0))
     params["w_eta"].data[...] = 1.0
-    params["w_id"].data[:, 0] = -3.0 / params["w_id"].shape[0]
-    assert mf.stock_weight(params, 0, r) == 0.0        # negative preactivation
+    params["w_id"].data[:, 0] = -3.0 / two_d  # negative preactivation: weight 0
     params["w_id"].data[:, 1] = 1.0
-    assert mf.stock_weight(params, 1, r) > mf.stock_weight(params, 0, r)
+    m = mf._market_repr_op(ad.constant(r), params, both).data[0]
+    np.testing.assert_allclose(m, r[0, 1], rtol=0, atol=1e-15)   # stock 1 alone
 
 
 def test_market_repr_single_stock_equals_its_repr(feats):
     params = _params(feats)
-    r = mf.dynamic_stock_repr(feats, params, stock=2, t=6, window=3)
-    m = mf.market_repr(feats, params, [2], t=6, window=3)
+    r = _reprs(feats, params, 6, 3)[2]
+    m = _market(feats, params, [2], 6, 3)
     np.testing.assert_allclose(m, r, atol=1e-12)
 
 
@@ -99,32 +124,27 @@ def test_market_repr_uniform_weights_average(feats):
     params = _params(feats)
     params["w_eta"].data[...] = 0.0   # all eta 0 -> fallback
     subset = [0, 1, 3]
-    m = mf.market_repr(feats, params, subset, t=6, window=3)
-    rs = np.stack([mf.dynamic_stock_repr(feats, params, s, 6, 3) for s in subset])
+    m = _market(feats, params, subset, 6, 3)
+    rs = _reprs(feats, params, 6, 3)[subset]
     np.testing.assert_allclose(m, rs.mean(axis=0), atol=1e-12)
 
 
 def test_market_repr_scale_invariance(feats):
     params = _params(feats, seed=4)
     subset = np.arange(feats.shape[0])
-    base = mf.market_repr(feats, params, subset, t=7, window=4)
+    base = _market(feats, params, subset, 7, 4)
     params["w_eta"].data *= 2.0
-    scaled = mf.market_repr(feats, params, subset, t=7, window=4)
+    scaled = _market(feats, params, subset, 7, 4)
     np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 
 def test_market_repr_is_convex_combination(feats):
     params = _params(feats, seed=5)
     subset = np.arange(feats.shape[0])
-    m = mf.market_repr(feats, params, subset, t=7, window=4)
-    rs = np.stack([mf.dynamic_stock_repr(feats, params, s, 7, 4) for s in subset])
+    m = _market(feats, params, subset, 7, 4)
+    rs = _reprs(feats, params, 7, 4)[subset]
     assert np.all(m >= rs.min(axis=0) - 1e-12)
     assert np.all(m <= rs.max(axis=0) + 1e-12)
-
-
-def test_empty_subset_raises(feats):
-    with pytest.raises(mf.EmptySubset):
-        mf.market_repr(feats, _params(feats), [], t=6, window=3)
 
 
 def test_submarket_split_properties():
@@ -152,10 +172,18 @@ def test_criterion_values(feats):
     params["w_crit"].data[...] = 0.0
     params["b_crit"].data[...] = 0.0
     m = np.ones(2 * feats.shape[2])
-    assert mf.criterion(params, m, m, 3, 9) == pytest.approx(1.0)
+
+    def criterion(t, t_other):
+        pair = ad.constant(np.stack([m, m]))
+        logits = mf._pair_logits_op(params, pair, pair, np.array([t, t_other]))
+        value = float(np.exp(logits.data[0, 1]))
+        assert value == pytest.approx(naive_criterion(params, m, m, t, t_other), rel=1e-12)
+        return value
+
+    assert criterion(3, 9) == pytest.approx(1.0)
     params["b_crit"].data[...] = 2.0
-    assert mf.criterion(params, m, m, 5, 5) == pytest.approx(np.exp(2.0))
-    assert mf.criterion(params, m, m, 1, 5) == pytest.approx(np.exp(2.0 / 5.0))
+    assert criterion(5, 5) == pytest.approx(np.exp(2.0))
+    assert criterion(1, 5) == pytest.approx(np.exp(2.0 / 5.0))
 
 
 def test_infonce_uniform_logits_give_log_batch(feats):
@@ -179,15 +207,41 @@ def test_infonce_matches_naive_oracle(feats):
     periods = np.array([4, 6, 7, 10])
     loss = mf.infonce_loss(params, feats, periods, window=3, seed=2, epoch=5)
     sub1, sub2 = mf.submarket_split(feats.shape[0], 2, 5)
-    m1 = np.stack([mf.market_repr(feats, params, sub1, int(t), 3) for t in periods])
-    m2 = np.stack([mf.market_repr(feats, params, sub2, int(t), 3) for t in periods])
+    m1 = np.stack([_market(feats, params, sub1, int(t), 3) for t in periods])
+    m2 = np.stack([_market(feats, params, sub2, int(t), 3) for t in periods])
     total = 0.0
     for a, ta in enumerate(periods):
-        pos = mf.criterion(params, m1[a], m2[a], int(ta), int(ta))
-        denom = pos + sum(mf.criterion(params, m1[a], m2[b], int(ta), int(tb))
+        pos = naive_criterion(params, m1[a], m2[a], int(ta), int(ta))
+        denom = pos + sum(naive_criterion(params, m1[a], m2[b], int(ta), int(tb))
                           for b, tb in enumerate(periods) if b != a)
         total += -np.log(pos / denom)
     assert loss.item() == pytest.approx(total / len(periods), abs=1e-10)
+
+
+_periods = st.lists(st.integers(3, 11), min_size=2, max_size=6)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**16), split_seed=st.integers(0, 50), periods=st.one_of(
+    _periods, _periods.map(lambda p: p + p[:1])))
+def test_contrastive_separation_matches_the_naive_pair_loop(seed, split_seed, periods):
+    # A pair is positive by its place in the list, so a repeated period also
+    # forms negatives with itself.
+    feats = np.random.default_rng(seed).normal(size=(5, 12, 3))
+    params = _params(feats, seed=seed)
+    pos, neg = mf.contrastive_separation(params, feats, periods, 3, split_seed)
+    sub1, sub2 = mf.submarket_split(5, split_seed, "eval")
+    m1 = [_market(feats, params, sub1, t, 3) for t in periods]
+    m2 = [_market(feats, params, sub2, t, 3) for t in periods]
+    pairs = [(a == b, naive_criterion(params, m1[a], m2[b], ta, tb))
+             for a, ta in enumerate(periods) for b, tb in enumerate(periods)]
+    assert pos == pytest.approx(np.mean([v for same, v in pairs if same]), rel=1e-12)
+    assert neg == pytest.approx(np.mean([v for same, v in pairs if not same]), rel=1e-12)
+    # the values are those of the training logits, bit for bit
+    values = np.exp(mf._submarket_logits_op(params, feats, np.array(periods), 3,
+                                            split_seed, "eval").data)
+    assert (pos, neg) == (values.diagonal().mean(),
+                          values[~np.eye(len(periods), dtype=bool)].mean())
 
 
 def test_infonce_needs_two_periods(feats):
@@ -197,14 +251,15 @@ def test_infonce_needs_two_periods(feats):
 
 
 def test_synchronism_predict_distribution(feats):
+    def probs(params):
+        logits = mf._sync_logits_op(params, feats, np.array([7]), 3)
+        return ad.softmax_row(logits).data[0]
+
     params = _params(feats)
     for name in ("cls_w1", "cls_b1", "cls_w2", "cls_b2"):
         params[name].data[...] = 0.0
-    probs = mf.synchronism_predict(params, np.ones(2 * feats.shape[2]))
-    np.testing.assert_allclose(probs, np.full(3, 1.0 / 3.0), atol=1e-12)
-    params2 = _params(feats, seed=11)
-    probs2 = mf.synchronism_predict(params2, np.ones(2 * feats.shape[2]) * 0.3)
-    assert probs2.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(probs(params), np.full(3, 1.0 / 3.0), atol=1e-12)
+    assert probs(_params(feats, seed=11)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_entropy_of_perfect_prediction_is_zero():

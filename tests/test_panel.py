@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadLabel, BadPrice,
                               DuplicateRow, FeatureScaler, HoleInPanel, MarketPanel,
                               NonFiniteFeature, SynchronismConfig, SyncClass, TooEarly,
-                              TooShort, windows,
+                              TooShort, WideRow, windows,
                               compute_deltas, compute_returns,
                               compute_synchronism_labels,
                               load_panel, write_csv, write_panel_csv)
 from irrfactors import panel as panel_module
+from irrfactors.synthetic import SyntheticSpec, generate_synthetic
 from conftest import random_panel
 
 HEADER = "date,stock_id,open,close,high,low,vwap,volume\n"
@@ -271,6 +272,10 @@ def oracle_load_panel(path) -> MarketPanel:
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for rec in reader:
+            if None in rec:                     # DictReader's key for the extra cells
+                width = len(reader.fieldnames)
+                raise WideRow(f"{path}:{lineno}: {width + len(rec[None])} cells under a "
+                              f"header of {width}")
             sid = rec["stock_id"]
             label = rec["date"]
             key = (sid, label)
@@ -395,6 +400,19 @@ def test_load_panel_matches_the_row_loader(tmp_path_factory, ids, n_dates, data,
     path.write_text("# stamp\n" + _csv_record(header) + "".join(lines), newline="")
 
     assert _outcome(load_panel, path) == _outcome(oracle_load_panel, path)
+
+
+def test_load_panel_names_a_comma_inside_a_cell(tmp_path):
+    # "51.193" written as "51.,193" shifts every later cell of its row one
+    # column to the right, which would read 193 as the close.
+    path = tmp_path / "panel.csv"
+    write_panel_csv(generate_synthetic(SyntheticSpec(n_stocks=3, n_periods=6)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    date, sid, open_, rest = lines[5].split(",", 3)
+    lines[5] = ",".join([date, sid, open_.replace(".", ".,", 1), rest])
+    path.write_text("".join(lines))
+    with pytest.raises(WideRow, match=r"panel.csv:6: 9 cells under a header of 8"):
+        load_panel(path)
 
 
 def test_load_panel_reads_across_chunks_and_names_the_later_fault(tmp_path, monkeypatch):

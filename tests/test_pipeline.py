@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -65,8 +66,20 @@ def test_unknown_key_is_named(tmp_path):
 
 
 def test_bad_value_is_named(tmp_path):
-    path = _write_config(tmp_path, SMALL_CONFIG + "\nmarket.epochs = many\n")
+    text = SMALL_CONFIG.replace("market.epochs = 4", "market.epochs = many")
     with pytest.raises(ConfigError, match="market.epochs"):
+        RunConfig.from_file(_write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("line, key, first", [
+    ("seed = 2", "seed", 2),
+    ("synthetic.plant.1 = target=2 sources=7 betas=0.5", "synthetic.plant.1", 17),
+    ("synthetic.plant.01 = target=2 sources=7 betas=0.5", "synthetic.plant.1", 17),
+])
+def test_a_repeated_key_names_both_lines(tmp_path, line, key, first):
+    path = _write_config(tmp_path, SMALL_CONFIG + f"{line}\n")
+    with pytest.raises(ConfigError, match=f"run.cfg:18: '{key}' is set again; "
+                                          f"line {first} set it first"):
         RunConfig.from_file(path)
 
 
@@ -99,8 +112,12 @@ def test_csv_source_requires_path(tmp_path):
     ("sync.hm_ratio = 1.5", "sync.hm_ratio"),
 ])
 def test_bad_settings_are_rejected_before_any_stage_runs(tmp_path, line, key):
+    # a key SMALL_CONFIG sets has its line replaced, since a repeat is an error
+    text = re.sub(f"^{re.escape(key)} = .*$", line, SMALL_CONFIG, flags=re.M)
+    if text == SMALL_CONFIG:
+        text += f"\n{line}\n"
     with pytest.raises(ConfigError, match=key):
-        RunConfig.from_file(_write_config(tmp_path, SMALL_CONFIG + f"\n{line}\n"))
+        RunConfig.from_file(_write_config(tmp_path, text))
 
 
 @pytest.mark.parametrize("key", ["factors.normalize_prices", "market.hidden",

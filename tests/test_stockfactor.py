@@ -41,7 +41,7 @@ def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(1)
     params = sf.init_params(4)
     params["w_att"].data[...] = rng.normal(size=(4, 4)) * 3
-    att = sf.attention(params)
+    att = sf._attention_op(params).data
     np.testing.assert_allclose(att.sum(axis=1), np.ones(4), atol=1e-12)
     np.testing.assert_array_equal(np.diag(att), np.zeros(4))
 
@@ -76,9 +76,16 @@ def test_loss_beta_matches_naive_oracle():
     np.testing.assert_allclose(sf.residual(panel.prices, params).p_tilde, p_tilde, rtol=1e-12)
 
 
+def _rho_penalty(u, rho):
+    """The stationarity penalty on a fixed residual series u (I, T) at the
+    AR(1) coefficients rho."""
+    params = ad.ParamSet({"rho_raw": np.arctanh(rho)})
+    return sf._rho_penalty(ad.constant(u), params).item()
+
+
 def test_loss_rho_hand_values():
-    assert sf.loss_rho_from_u(np.array([1.0, 1.0]), np.array([0.5])) == pytest.approx(0.25)
-    assert sf.loss_rho_from_u(np.zeros(6), np.array([0.9])) == 0.0
+    assert _rho_penalty(np.array([[1.0, 1.0]]), np.array([0.5])) == pytest.approx(0.25)
+    assert _rho_penalty(np.zeros((1, 6)), np.array([0.9])) == 0.0
 
 
 def test_loss_rho_matches_naive_oracle():
@@ -87,7 +94,7 @@ def test_loss_rho_matches_naive_oracle():
     rho = rng.uniform(-0.9, 0.9, size=3)
     expected = np.mean([(u[i, t] - rho[i] * u[i, t - 1]) ** 2
                         for i in range(3) for t in range(1, 7)])
-    assert sf.loss_rho_from_u(u, rho) == pytest.approx(expected, rel=1e-12)
+    assert _rho_penalty(u, rho) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_s_composition():
@@ -134,7 +141,7 @@ def test_training_finds_planted_partner(planted_panel):
     params = sf.train_stock_factors(prices, sf.StockFactorHyper(steps=800),
                                     planted_panel.n_periods)
     series = sf.residual(prices, params)
-    att = sf.attention(params)
+    att = sf._attention_op(params).data
     assert att[0].argmax() == 1
     assert abs(sf.stationarity_diagnostic(series.u[0])) < \
         abs(sf.stationarity_diagnostic(planted_panel.prices[0]))
