@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .config import ConfigError, RunConfig
+from .forecaster import ABLATIONS
 from .panel import write_panel_csv
 from .pipeline import MissingArtifact, PipelineStageError, format_report, run_pipeline
 from .synthetic import generate_synthetic
@@ -27,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--config", required=True, help="run configuration file")
     pipe.add_argument("--seed", type=int, default=None, help="override the config seed")
     pipe.add_argument("--out", default=None, help="run directory (default: config out_dir)")
-    pipe.add_argument("--ablation", choices=["none", "NS", "NM", "NR", "ND"],
+    pipe.add_argument("--ablation", choices=ABLATIONS,
                       default=None, help="override the config ablation variant")
 
     rep = sub.add_parser("report", help="print the metric block of a finished run")
@@ -38,8 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     cfg = RunConfig.from_file(args.config).with_overrides(seed=args.seed)
     panel = generate_synthetic(cfg.synthetic_spec())
-    stamp = f"config_hash={cfg.config_hash()} seed={cfg['seed']}"
-    write_panel_csv(panel, args.out, header_comment=stamp)
+    write_panel_csv(panel, args.out, header_comment=cfg.stamp())
     print(f"wrote {panel.n_stocks} stocks x {panel.n_periods} periods to {args.out}")
     return 0
 

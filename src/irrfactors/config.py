@@ -1,24 +1,27 @@
 """Run configuration: flat `key = value` files with dotted section prefixes.
 
-The format is one assignment per line, `#` comments, blank lines ignored.
-Every key is declared in _SCHEMA with its type and default; unknown keys,
-uncoercible values and keys set twice raise ConfigError naming the key (a
-repeat also names both lines). Cointegration plants use numbered keys
-(`synthetic.plant.0 = target=0 sources=6,7 betas=0.5,0.2 rho=0.4 scale=1.2
-kick=0.0`); a plant without rho, scale or kick keeps CointegrationPlant's
-default for it.
+One assignment per line, `#` comments, blank lines ignored. A section's keys
+are the int and float fields of its settings class (SECTIONS), which declare
+their types, defaults and bounds; _SCHEMA holds the run-level keys. Unknown
+keys, uncoercible values, keys set twice and values out of bounds raise
+ConfigError naming the key. Plants use numbered keys (`synthetic.plant.0 =
+target=0 sources=6,7 betas=0.5,0.2 rho=0.4 scale=1.2 kick=0.0`); one without
+rho, scale or kick keeps CointegrationPlant's default for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
-from .panel import SynchronismConfig
 from .evaluation import PortfolioConfig
-from .synthetic import BadSpec, CointegrationPlant, SentimentPlant, SyntheticSpec
-
-ABLATIONS = ("none", "NS", "NM", "NR", "ND")
+from .forecaster import ForecasterHyper
+from .marketfactor import MarketFactorHyper
+from .panel import SynchronismConfig
+from .settings import BadSetting
+from .stockfactor import StockFactorHyper
+from .synthetic import CointegrationPlant, SentimentPlant, SyntheticSpec
 
 
 class ConfigError(ValueError):
@@ -27,53 +30,51 @@ class ConfigError(ValueError):
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    if low not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return low in ("true", "1", "yes", "on")
 
 
-# key -> (coercion, default); None default means required-when-relevant
+# section -> the settings class whose fields its keys set
+SECTIONS = {
+    "factors": StockFactorHyper,
+    "market": MarketFactorHyper,
+    "forecast": ForecasterHyper,
+    "sync": SynchronismConfig,
+    "portfolio": PortfolioConfig,
+    "synthetic": SyntheticSpec,
+    "synthetic.events": SentimentPlant,
+}
+
+# run-level key -> (coercion, default); a key that sets fields takes their default
 _SCHEMA = {
-    "seed": (int, 42),
+    "seed": (int, SyntheticSpec.seed),
     "out_dir": (str, "runs/latest"),
     "data.source": (str, "synthetic"),
     "data.csv_path": (str, ""),
     "data.normalize_features": (_parse_bool, True),
     "split.train_end": (str, ""),
-    "sync.delta_threshold": (float, 0.5),
-    "sync.hm_ratio": (float, 0.7),
-    "model.window": (int, 10),
-    "factors.lambda1": (float, 0.5),
-    "factors.lr": (float, 0.02),
-    "factors.steps": (int, 1200),
-    "market.lambda2": (float, 1.0),
-    "market.lr": (float, 0.01),
-    "market.epochs": (int, 30),
-    "market.batch": (int, 32),
-    "forecast.lambda3": (float, 0.1),
-    "forecast.lr": (float, 0.003),
-    "forecast.width": (int, 32),
-    "forecast.blocks": (int, 1),
-    "forecast.heads": (int, 2),
-    "forecast.max_epochs": (int, 40),
-    "forecast.patience": (int, 10),
-    "forecast.val_fraction": (float, 0.15),
-    "portfolio.n_fraction": (float, 0.10),
-    "portfolio.cost_rate": (float, 0.001),
-    "portfolio.trading_days": (int, 252),
-    "ablation": (str, "none"),
-    "synthetic.n_stocks": (int, 16),
-    "synthetic.n_periods": (int, 460),
-    "synthetic.base_volatility": (float, 1.5),
-    "synthetic.volatility_spread": (float, 0.85),
-    "synthetic.event_sensitivity_spread": (float, 0.0),
-    "synthetic.events.prob": (float, 0.65),
-    "synthetic.events.magnitude": (float, 3.0),
-    "synthetic.events.precursor": (float, 0.8),
-    "synthetic.events.precursor_noise": (float, 1.5),
+    "model.window": (int, ForecasterHyper.window),
+    "ablation": (str, ForecasterHyper.ablation),
 }
+_RUN_FIELDS = {"seed": "seed", "window": "model.window", "ablation": "ablation"}
+
+
+def _declare(section: str, cls) -> dict:
+    """{field: key} for the fields of `cls` that keys set; adds the section's
+    own keys to _KEYS."""
+    keyed = {}
+    for name, kind in get_type_hints(cls).items():
+        if name in _RUN_FIELDS:
+            keyed[name] = _RUN_FIELDS[name]
+        elif kind in (int, float):
+            keyed[name] = f"{section}.{name}"
+            _KEYS[keyed[name]] = (kind, kind(getattr(cls, name)))
+    return keyed
+
+
+_KEYS = dict(_SCHEMA)                   # every key -> (coercion, default)
+_FIELD_KEYS = {section: _declare(section, cls) for section, cls in SECTIONS.items()}
 
 _PLANT_PREFIX = "synthetic.plant."
 _PLANT_OPTIONAL = {"rho": "noise_rho", "scale": "noise_scale", "kick": "event_kick"}
@@ -108,9 +109,7 @@ class RunConfig:
     plants: dict = field(default_factory=dict)   # index -> CointegrationPlant
 
     def __post_init__(self):
-        merged = {k: default for k, (_, default) in _SCHEMA.items()}
-        merged.update(self.values)
-        self.values = merged
+        self.values = {**{k: default for k, (_, default) in _KEYS.items()}, **self.values}
         self._validate()
 
     def __getitem__(self, key: str):
@@ -121,27 +120,11 @@ class RunConfig:
             raise ConfigError("data.source must be 'synthetic' or 'csv'")
         if self["data.source"] == "csv" and not self["data.csv_path"]:
             raise ConfigError("data.csv_path is required when data.source = csv")
-        if self["ablation"] not in ABLATIONS:
-            raise ConfigError(f"ablation must be one of {ABLATIONS}")
-        for key in ("factors.lambda1", "market.lambda2", "forecast.lambda3"):
-            if self[key] < 0:
-                raise ConfigError(f"{key} must be non-negative")
         if not self["split.train_end"]:
             raise ConfigError("split.train_end is required")
-        if self["model.window"] < 1:
-            raise ConfigError("model.window must be positive")
-        if self["forecast.heads"] < 1 or self["forecast.width"] % self["forecast.heads"]:
-            raise ConfigError("forecast.width must be a multiple of forecast.heads")
-        if not 0.0 < self["forecast.val_fraction"] < 1.0:
-            raise ConfigError("forecast.val_fraction must lie in (0, 1)")
-        if self["market.batch"] < 2:
-            raise ConfigError("market.batch must be at least 2: the contrastive loss "
-                              "needs a negative")
-        for section, build in (("sync", self.synchronism), ("portfolio", self.portfolio)):
-            try:
-                build()
-            except ValueError as e:
-                raise ConfigError(f"{section}.{e}") from None
+        for section in SECTIONS:
+            if section != "synthetic.events":     # building synthetic builds it
+                self.build(section)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -160,7 +143,7 @@ class RunConfig:
                     if not suffix.isdigit():
                         raise ConfigError(f"unknown config key {key!r}")
                     key = f"{_PLANT_PREFIX}{int(suffix)}"     # plant.01 is plant.1
-                elif key not in _SCHEMA:
+                elif key not in _KEYS:
                     raise ConfigError(f"unknown config key {key!r}")
                 if key in first_line:
                     raise ConfigError(f"{path}:{lineno}: {key!r} is set again; line "
@@ -169,7 +152,7 @@ class RunConfig:
                 if plant:
                     plants[int(suffix)] = _parse_plant(key, value)
                     continue
-                coerce, _ = _SCHEMA[key]
+                coerce, _ = _KEYS[key]
                 try:
                     values[key] = coerce(value)
                 except ValueError as e:
@@ -177,13 +160,8 @@ class RunConfig:
         return cls(values=values, plants=plants)
 
     def with_overrides(self, seed=None, out_dir=None, ablation=None) -> "RunConfig":
-        values = dict(self.values)
-        if seed is not None:
-            values["seed"] = int(seed)
-        if out_dir is not None:
-            values["out_dir"] = str(out_dir)
-        if ablation is not None:
-            values["ablation"] = str(ablation)
+        given = {"seed": seed, "out_dir": out_dir, "ablation": ablation}
+        values = {**self.values, **{k: _KEYS[k][0](v) for k, v in given.items() if v is not None}}
         return RunConfig(values=values, plants=dict(self.plants))
 
     def canonical_text(self) -> str:
@@ -205,38 +183,24 @@ class RunConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:12]
 
-    # -- derived sub-configurations ------------------------------------
+    def stamp(self) -> str:
+        """The `config_hash=... seed=...` line that marks what a run writes."""
+        return f"config_hash={self.config_hash()} seed={self['seed']}"
 
-    def synchronism(self) -> SynchronismConfig:
-        return SynchronismConfig(delta_threshold=self["sync.delta_threshold"],
-                                 hm_ratio=self["sync.hm_ratio"])
+    def build(self, section: str):
+        """The settings object of `section`, each field read from its key.
 
-    def portfolio(self) -> PortfolioConfig:
-        return PortfolioConfig(n_fraction=self["portfolio.n_fraction"],
-                               cost_rate=self["portfolio.cost_rate"],
-                               trading_days_per_year=self["portfolio.trading_days"])
+        A field out of its bounds raises ConfigError naming the key.
+        """
+        args = {name: self[key] for name, key in _FIELD_KEYS[section].items()}
+        if section == "synthetic":
+            args.update(plants=[self.plants[i] for i in sorted(self.plants)],
+                        sentiment=self.build("synthetic.events"))
+        try:
+            return SECTIONS[section](**args)
+        except BadSetting as e:
+            key = _FIELD_KEYS[section].get(e.field, f"{section}.{e.field}")
+            raise ConfigError(f"{key} {e.rule}") from None
 
     def synthetic_spec(self) -> SyntheticSpec:
-        for idx in self.plants:
-            if idx >= self["synthetic.n_stocks"]:
-                raise ConfigError(f"plant index {idx} exceeds the stock universe")
-        spec = SyntheticSpec(
-            n_stocks=self["synthetic.n_stocks"],
-            n_periods=self["synthetic.n_periods"],
-            plants=[self.plants[i] for i in sorted(self.plants)],
-            sentiment=SentimentPlant(
-                event_prob=self["synthetic.events.prob"],
-                event_magnitude=self["synthetic.events.magnitude"],
-                precursor_strength=self["synthetic.events.precursor"],
-                precursor_noise=self["synthetic.events.precursor_noise"],
-            ),
-            base_volatility=self["synthetic.base_volatility"],
-            volatility_spread=self["synthetic.volatility_spread"],
-            event_sensitivity_spread=self["synthetic.event_sensitivity_spread"],
-            seed=self["seed"],
-        )
-        try:
-            spec.validate()
-        except BadSpec as e:
-            raise ConfigError(str(e)) from None
-        return spec
+        return self.build("synthetic")

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .settings import require
+
 
 class UniverseTooSmall(ValueError):
     """Fewer stocks than the two portfolio legs need."""
@@ -32,15 +34,12 @@ class PortfolioConfig:
 
     n_fraction: float = 0.10
     cost_rate: float = 0.001
-    trading_days_per_year: int = 252
+    trading_days: int = 252   # per year
 
     def __post_init__(self):
-        if not 0.0 < self.n_fraction <= 0.5:
-            raise ValueError("n_fraction must lie in (0, 0.5]")
-        if self.cost_rate < 0:
-            raise ValueError("cost_rate must be non-negative")
-        if self.trading_days_per_year < 1:
-            raise ValueError("trading_days_per_year must be positive")
+        require(0.0 < self.n_fraction <= 0.5, "n_fraction", "must lie in (0, 0.5]")
+        require(self.cost_rate >= 0, "cost_rate", "must be non-negative")
+        require(self.trading_days >= 1, "trading_days", "must be positive")
 
     def portfolio_size(self, n_stocks: int) -> int:
         return max(1, int(np.floor(self.n_fraction * n_stocks)))
@@ -161,8 +160,8 @@ def ar_av_sr(returns, cfg: PortfolioConfig) -> tuple[float, float, float, bool]:
     the volatility vanishes (constant return series).
     """
     r = np.asarray(returns, dtype=np.float64)
-    ar = float(r.mean() * cfg.trading_days_per_year)
-    av = float(r.std() * np.sqrt(cfg.trading_days_per_year))
+    ar = float(r.mean() * cfg.trading_days)
+    av = float(r.std() * np.sqrt(cfg.trading_days))
     if av < _DEGENERATE_STD:
         return ar, av, 0.0, True
     return ar, av, ar / av, False

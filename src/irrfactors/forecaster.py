@@ -24,21 +24,24 @@ from .evaluation import average_ranks, pearson
 from .marketfactor import MarketFactorSeries
 from .panel import windows
 from .rng import stream
+from .settings import BadSetting, require
 from .stockfactor import StockFactorSeries
 
 
 CHUNK_WINDOWS = 128  # stock windows per frozen predict call; bounds its peak memory
+# Ablations leave out: NS the stock factor, NM the market factor, NR the IC loss, ND relations
+ABLATIONS = ("none", "NS", "NM", "NR", "ND")
 
 
 class AlignmentError(ValueError):
     """Factor series and panel disagree on shape, or a factor row read is missing."""
 
 
-class EmptyTrainingSlice(ValueError):
+class EmptyTrainingSlice(BadSetting):
     """The validation tail leaves no period to train on."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecasterHyper:
     window: int = 20
     width: int = 64
@@ -49,14 +52,18 @@ class ForecasterHyper:
     patience: int = 10
     val_fraction: float = 0.15
     lambda3: float = 0.1
-    use_stock_factor: bool = True    # off = NS ablation
-    use_market_factor: bool = True   # off = NM ablation
-    use_relation: bool = True        # off = ND ablation
+    ablation: str = "none"   # one of ABLATIONS
     seed: int = 0
 
     def __post_init__(self):
-        if self.width % self.heads != 0:
-            raise ValueError("encoder width must be divisible by the head count")
+        require(self.window >= 1, "window", "must be positive")
+        require(self.heads >= 1 and self.width % self.heads == 0, "heads",
+                f"must be positive and divide width {self.width}")
+        require(self.val_fraction > 0, "val_fraction", "must be positive")
+        require(self.val_fraction < 1, "val_fraction",
+                f"{self.val_fraction} leaves no period for training", EmptyTrainingSlice)
+        require(self.lambda3 >= 0, "lambda3", "must be non-negative")
+        require(self.ablation in ABLATIONS, "ablation", f"must be one of {ABLATIONS}")
 
 
 def init_params(n_features: int, hyper: ForecasterHyper,
@@ -70,7 +77,7 @@ def init_params(n_features: int, hyper: ForecasterHyper,
     """
     rng = stream(hyper.seed, "forecaster", "init") if rng is None else rng
     w = hyper.width
-    d_in = n_features + (1 if hyper.use_stock_factor else 0)
+    d_in = n_features + (0 if hyper.ablation == "NS" else 1)
     two_d = 2 * n_features
     blocks = {}
     for i in range(hyper.blocks):     # drawn before w_in: the draw order fixes the values
@@ -90,10 +97,10 @@ def init_params(n_features: int, hyper: ForecasterHyper,
         }
         blocks.update({f"blk{i}.{key}": value for key, value in blk.items()})
     arrays = {"w_in": ad.glorot(rng, d_in, w), "b_in": np.zeros(w), **blocks}
-    if hyper.use_relation:
+    if hyper.ablation != "ND":
         arrays["p_c"] = ad.glorot(rng, w, two_d)
         arrays["w_y"] = ad.glorot(rng, two_d, two_d)
-    head_in = w + (w if hyper.use_relation else 0) + two_d
+    head_in = w + (0 if hyper.ablation == "ND" else w) + two_d
     arrays.update(head_w1=ad.glorot(rng, head_in, w), head_b1=np.zeros(w),
                   head_w2=ad.glorot(rng, w, 1), head_b2=np.zeros(1))
     return ad.ParamSet(arrays)
@@ -197,12 +204,12 @@ def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
     c = _temporal_encode_op(params, hyper, g, last_only)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     m_shape = c.shape[:-1] + m_prev.shape[-1:]
-    if hyper.use_market_factor:
+    if hyper.ablation != "NM":
         m_rows = np.broadcast_to(m_prev[..., None, :], m_shape)
     else:
         m_rows = np.zeros(m_shape)
     parts = [c]
-    if hyper.use_relation:
+    if hyper.ablation != "ND":
         parts.append(_relation_op(params, c, r_prev))
     parts.append(ad.constant(m_rows))
     return _head_op(params, parts)
@@ -267,23 +274,22 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     train_periods = eligible[:-n_val]
     val_periods = eligible[-n_val:]
     if train_periods.size == 0:
-        raise EmptyTrainingSlice(
-            f"val_fraction {hyper.val_fraction} leaves none of the {eligible.size} "
-            f"eligible periods for training")
+        raise EmptyTrainingSlice("val_fraction", f"{hyper.val_fraction} leaves none of the "
+                                 f"{eligible.size} eligible periods for training")
 
     params = init_params(features.shape[2], hyper)
     opt = ad.adam_init(params)
     # Per-step invariants, built once per call: the augmented inputs and the
     # target ranks of each training and validation period, which every epoch reuses.
-    inputs = augment_features(features, u, hyper.use_stock_factor)
+    inputs = augment_features(features, u, hyper.ablation != "NS")
+    lambda3 = 0.0 if hyper.ablation == "NR" else hyper.lambda3
     ranks = average_ranks(returns[:, train_periods])
     val_ranks = average_ranks(returns[:, val_periods])
 
     def loss(t: int) -> Tensor:
         y_hat = _predict_op(params, hyper, windows(inputs, t, hyper.window),
                             market_factors.r[:, t - 1], market_factors.m[t - 1])
-        return loss_total(y_hat, returns[:, t], ranks[:, t - train_periods[0]],
-                          hyper.lambda3)
+        return loss_total(y_hat, returns[:, t], ranks[:, t - train_periods[0]], lambda3)
 
     def val_rank_ic() -> float:
         y_hat = predict_periods(params, hyper, features, u, market_factors, val_periods)
@@ -330,7 +336,7 @@ def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
     n_stocks = features.shape[0]
     step = max(1, CHUNK_WINDOWS // n_stocks)
     out = np.empty((n_stocks, periods.size))
-    inputs = augment_features(features, u, hyper.use_stock_factor)
+    inputs = augment_features(features, u, hyper.ablation != "NS")
     for lo in range(0, periods.size, step):
         block = periods[lo:lo + step]
         g = windows(inputs, block, hyper.window)

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .panel import windows
 from .rng import stream
+from .settings import require
 from .stockfactor import TooFewStocks
 
 logger = logging.getLogger(__name__)
@@ -81,14 +82,11 @@ class MarketFactorSeries:
 def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
                     periods: np.ndarray, window: int) -> Tensor:
     """Dynamic stock representations for a batch of periods, (P, I, 2D_e)."""
-    d = params["w_s"].shape[0]
     win = ad.constant(windows(features, periods + 1, window))           # (P, I, L, D)
     proj = ad.linear(win, ad.swapaxes(params["w_s"], 0, 1), params["b_s"])  # (P, I, L, D)
     query = proj[(slice(None), slice(None), slice(window - 1, window))] # (P, I, 1, D)
-    scores = (query @ ad.swapaxes(proj, -1, -2)) * (1.0 / np.sqrt(d))   # (P, I, 1, L)
-    att = ad.softmax_row(scores)
-    mix = att @ win                                                     # (P, I, 1, D)
-    p, i = win.shape[0], win.shape[1]
+    mix = ad.attention(query, proj, win, heads=1)                       # (P, I, 1, D)
+    p, i, _, d = win.shape
     current = ad.constant(np.ascontiguousarray(win.data[:, :, window - 1, :]))
     return ad.concat([current, mix.reshape(p, i, d)], axis=-1)
 
@@ -214,7 +212,7 @@ def loss_M(params: ad.ParamSet, features: np.ndarray, labels, periods,
 CLS_WEIGHT_DECAY = 0.1  # decoupled decay on the classifier head
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarketFactorHyper:
     lambda2: float = 1.0
     window: int = 20
@@ -222,6 +220,11 @@ class MarketFactorHyper:
     epochs: int = 40
     batch: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        require(self.lambda2 >= 0, "lambda2", "must be non-negative")
+        require(self.window >= 1, "window", "must be positive")
+        require(self.batch >= 2, "batch", "must be at least 2, for a contrastive negative")
 
 
 def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,

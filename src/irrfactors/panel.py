@@ -20,6 +20,7 @@ from typing import NoReturn
 import numpy as np
 
 from .files import atomic_open
+from .settings import require
 
 FEATURE_NAMES = ("open", "close", "high", "low", "vwap", "volume")
 CSV_COLUMNS = ("date", "stock_id") + FEATURE_NAMES
@@ -50,6 +51,22 @@ class BadCell(ValueError):
 
 class WideRow(ValueError):
     """A CSV row with more cells than its header."""
+
+
+class EmptyFile(ValueError):
+    """A panel CSV without a header."""
+
+
+class MissingColumns(ValueError):
+    """A panel CSV header without some of the eight columns."""
+
+
+class DuplicateColumn(ValueError):
+    """A panel CSV header that names one of the eight columns more than once."""
+
+
+class NotUtf8(ValueError):
+    """A panel CSV line that is not UTF-8 text."""
 
 
 class BadLabel(ValueError):
@@ -89,10 +106,8 @@ class SynchronismConfig:
     hm_ratio: float = 0.7
 
     def __post_init__(self):
-        if self.delta_threshold <= 0:
-            raise ValueError("delta_threshold must be positive")
-        if not 0.0 < self.hm_ratio < 1.0:
-            raise ValueError("hm_ratio must lie in (0, 1)")
+        require(self.delta_threshold > 0, "delta_threshold", "must be positive")
+        require(0.0 < self.hm_ratio < 1.0, "hm_ratio", "must lie in (0, 1)")
 
     def market_threshold(self, n_stocks: int) -> int:
         return int(math.ceil(self.hm_ratio * n_stocks))
@@ -224,17 +239,35 @@ def load_panel(path) -> MarketPanel:
 
     Rows are parsed CSV_CHUNK_ROWS at a time, a column per call, so only one
     chunk's text is held at a time. A faulty row found that way is named,
-    with its path:line, by a second, row-by-row read of the file.
+    with its path:line, by a second, row-by-row read of the file; so is a
+    line that is not UTF-8, by a read of the file's bytes.
     """
+    try:
+        return _read_panel(path)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:                # name the first line that is not UTF-8
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise NotUtf8(f"{path}:{lineno}: byte {line[e.start]:#04x} at column "
+                                  f"{e.start + 1} is not UTF-8") from None
+        raise
+
+
+def _read_panel(path) -> MarketPanel:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(filterfalse(methodcaller("startswith", "#"), fh))
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"{path}: empty file")
+            raise EmptyFile(f"{path}: empty file")
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        where = dict(zip(header, range(len(header))))   # a repeated name reads its last column
+            raise MissingColumns(f"{path}: missing columns {missing}")
+        repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise DuplicateColumn(f"{path}: the header names {repeated} more than once")
+        where = dict(zip(header, range(len(header))))
         date_col, sid_col, *feature_cols = (where[c] for c in CSV_COLUMNS)
         width = max(date_col, sid_col, *feature_cols) + 1
         stock_code, date_code, chunks = {}, {}, []

@@ -35,8 +35,14 @@ from .panel import (FeatureScaler, MarketPanel, compute_deltas, compute_synchron
                     load_panel, write_csv)
 from .synthetic import generate_synthetic
 
-REPORT_METRIC_ORDER = ("rmse", "mae", "ic", "icir", "rank_ic", "rank_icir",
-                       "ar", "av", "sr", "mdd", "cr")
+# report.txt's metrics in order, each with the label and format format_report shows
+REPORT_METRICS = {
+    "rmse": ("RMSE", "{:.4f}"), "mae": ("MAE", "{:.4f}"),
+    "ic": ("IC", "{:.3f}"), "icir": ("ICIR", "{:.3f}"),
+    "rank_ic": ("RankIC", "{:.3f}"), "rank_icir": ("RankICIR", "{:.3f}"),
+    "ar": ("AR", "{:.3f}"), "av": ("AV", "{:.3f}"), "sr": ("SR", "{:.3f}"),
+    "mdd": ("MDD", "{:.3f}"), "cr": ("CR", "{:.3f}"),
+}
 
 
 class PipelineStageError(RuntimeError):
@@ -108,7 +114,7 @@ def _load_data(cfg: RunConfig) -> tuple[MarketPanel, int, FeatureScaler]:
 def _run_stamp(cfg: RunConfig, panel: MarketPanel) -> str:
     """Config hash and seed; a CSV-sourced run also hashes the loaded panel,
     so that overwriting the CSV invalidates the checkpoints."""
-    stamp = f"config_hash={cfg.config_hash()} seed={cfg['seed']}"
+    stamp = cfg.stamp()
     if cfg["data.source"] == "csv":
         h = hashlib.sha256()
         for names in (panel.stock_ids, panel.periods, panel.feature_names):
@@ -136,8 +142,7 @@ def _trained(run_dir: str, name: str, stamp: str, init, train) -> ParamSet:
 def _stage_stock_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                          run_dir: str, stamp: str
                          ) -> tuple[ParamSet, sf.StockFactorSeries]:
-    hyper = sf.StockFactorHyper(lambda1=cfg["factors.lambda1"], lr=cfg["factors.lr"],
-                                steps=cfg["factors.steps"])
+    hyper = cfg.build("factors")
     params = _trained(run_dir, "stock", stamp, lambda: sf.init_params(panel.n_stocks),
                       lambda: sf.train_stock_factors(panel.prices, hyper, train_end))
     return params, sf.residual(panel.prices, params)
@@ -147,10 +152,7 @@ def _stage_stock_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
 def _stage_market_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
                           feats: np.ndarray, labels: list, run_dir: str, stamp: str
                           ) -> tuple[ParamSet, mf.MarketFactorSeries]:
-    hyper = mf.MarketFactorHyper(
-        lambda2=cfg["market.lambda2"], window=cfg["model.window"],
-        lr=cfg["market.lr"], epochs=cfg["market.epochs"],
-        batch=cfg["market.batch"], seed=cfg["seed"])
+    hyper = cfg.build("market")
     params = _trained(run_dir, "market", stamp,
                       lambda: mf.init_params(panel.n_stocks, panel.n_features, hyper),
                       lambda: mf.train_market_factors(feats, labels, hyper, train_end))
@@ -162,17 +164,7 @@ def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
                       feats: np.ndarray, factors: sf.StockFactorSeries,
                       mseries: mf.MarketFactorSeries, run_dir: str, stamp: str
                       ) -> tuple[ParamSet, fc.ForecasterHyper, fc.Prediction]:
-    ablation = cfg["ablation"]
-    hyper = fc.ForecasterHyper(
-        window=cfg["model.window"], width=cfg["forecast.width"],
-        blocks=cfg["forecast.blocks"], heads=cfg["forecast.heads"],
-        lr=cfg["forecast.lr"], max_epochs=cfg["forecast.max_epochs"],
-        patience=cfg["forecast.patience"], val_fraction=cfg["forecast.val_fraction"],
-        lambda3=0.0 if ablation == "NR" else cfg["forecast.lambda3"],
-        use_stock_factor=ablation != "NS",
-        use_market_factor=ablation != "NM",
-        use_relation=ablation != "ND",
-        seed=cfg["seed"])
+    hyper = cfg.build("forecast")
     params = _trained(run_dir, "forecaster", stamp,
                       lambda: fc.init_params(panel.n_features, hyper),
                       lambda: fc.train_forecaster(feats, panel.returns, factors, mseries,
@@ -185,7 +177,7 @@ def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
 
 @_stage("backtest")
 def _stage_backtest(cfg: RunConfig, prediction: fc.Prediction) -> BacktestReport:
-    return run_backtest(prediction.y_hat, prediction.y_true, cfg.portfolio())
+    return run_backtest(prediction.y_hat, prediction.y_true, cfg.build("portfolio"))
 
 
 def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts:
@@ -212,7 +204,7 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
 
     # Synchronism labels per period: the market stage's prediction targets,
     # also written to labels.csv for auditing.
-    sync = cfg.synchronism()
+    sync = cfg.build("sync")
     deltas = compute_deltas(panel.returns, sync)
     labels = compute_synchronism_labels(deltas, sync)
     market_params, mseries = _stage_market_factors(cfg, panel, train_end, feats, labels,
@@ -285,7 +277,7 @@ def _write_report(path, cfg: RunConfig, panel, train_end: int,
         fh.write(f"train_end: {train_end}\n")
         fh.write(f"n_test_periods: {len(prediction.periods)}\n")
         fh.write(f"ablation: {cfg['ablation']}\n")
-        for key in REPORT_METRIC_ORDER:
+        for key in REPORT_METRICS:
             fh.write(f"{key}: {report.metrics[key]!r}\n")
         fh.write(f"final_wealth: {report.metrics['final_wealth']!r}\n")
         fh.write(f"flags: {','.join(report.flags) if report.flags else 'none'}\n")
@@ -316,15 +308,5 @@ def format_report(run_dir: str) -> str:
         if not os.path.exists(os.path.join(run_dir, name)):
             raise MissingArtifact(f"missing artifact: {os.path.join(run_dir, name)}")
     values = read_report(run_dir)
-    labels = {
-        "rmse": ("RMSE", "{:.4f}"), "mae": ("MAE", "{:.4f}"),
-        "ic": ("IC", "{:.3f}"), "icir": ("ICIR", "{:.3f}"),
-        "rank_ic": ("RankIC", "{:.3f}"), "rank_icir": ("RankICIR", "{:.3f}"),
-        "ar": ("AR", "{:.3f}"), "av": ("AV", "{:.3f}"), "sr": ("SR", "{:.3f}"),
-        "mdd": ("MDD", "{:.3f}"), "cr": ("CR", "{:.3f}"),
-    }
-    lines = [f"run: {run_dir}"]
-    for key in REPORT_METRIC_ORDER:
-        name, fmt = labels[key]
-        lines.append(f"{name:<10}{fmt.format(values[key])}")
-    return "\n".join(lines)
+    return "\n".join([f"run: {run_dir}"] + [f"{name:<10}{fmt.format(values[key])}"
+                                            for key, (name, fmt) in REPORT_METRICS.items()])

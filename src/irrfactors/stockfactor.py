@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .settings import require
 
 ATT_MASK = -1e30  # additive logit mask that zeroes the diagonal after softmax
 
@@ -109,11 +110,14 @@ def loss_S(prices: np.ndarray, params: ad.ParamSet, lambda1: float) -> Tensor:
     return _mse(p, p_tilde) + lambda1 * _rho_penalty(p_tilde - p, params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StockFactorHyper:
     lambda1: float = 0.5
     lr: float = 0.02
     steps: int = 2000
+
+    def __post_init__(self):
+        require(self.lambda1 >= 0, "lambda1", "must be non-negative")
 
 
 def train_stock_factors(prices: np.ndarray, hyper: StockFactorHyper,

@@ -17,12 +17,13 @@ fraction of the day's move (so the signed move is readable from vwap-close).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from functools import partial
 
 import numpy as np
 
 from .panel import FEATURE_NAMES, MarketPanel, compute_returns
 from .rng import stream
+from .settings import BadSetting, require
 
 
 START_DATE = "2020-01-01"
@@ -31,8 +32,11 @@ VWAP_LAG = 0.4                # fraction of the day's move missing from vwap
 VOLUME_COUPLING = 0.4         # log-volume shift per percent of precursor
 
 
-class BadSpec(ValueError):
+class BadSpec(BadSetting):
     """Synthetic specification violates its invariants."""
+
+
+_check = partial(require, error=BadSpec)
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,11 @@ class CointegrationPlant:
     noise_scale: float = 1.5
     event_kick: float = 0.0
 
+    def __post_init__(self):
+        _check(abs(self.noise_rho) < 1.0, "noise_rho", f"must lie in (-1, 1): {self.noise_rho}")
+        _check(0 < len(self.betas) == len(self.sources), "betas", "must pair up with sources")
+        _check(self.target not in self.sources, "sources", "cannot hold the target")
+
 
 @dataclass(frozen=True)
 class SentimentPlant:
@@ -60,19 +69,24 @@ class SentimentPlant:
     The precursor leaves two traces in the features of the day before an
     event: a small price drift in the event direction and a signed tilt of
     trading volume (both per-stock noisy, so the direction is only readable
-    by pooling across stocks). All strengths are in percent units;
-    precursor_strength = 0 disables the directional terms entirely, while
-    the per-stock noise channels stay on, so their mere presence carries no
-    event information.
+    by pooling across stocks). prob is the chance of an event on a period;
+    the other settings are strengths in percent units. precursor = 0
+    disables the directional terms entirely, while the per-stock noise
+    channels stay on, so their mere presence carries no event information.
     """
 
-    event_prob: float = 0.0
-    event_magnitude: float = 3.0
-    precursor_strength: float = 0.0
+    prob: float = 0.0
+    magnitude: float = 3.0
+    precursor: float = 0.0
     precursor_noise: float = 0.6
 
+    def __post_init__(self):
+        _check(0.0 <= self.prob <= 1.0, "prob", "must lie in [0, 1]")
+        for name in ("magnitude", "precursor", "precursor_noise"):
+            _check(getattr(self, name) >= 0, name, "must be non-negative")
 
-@dataclass
+
+@dataclass(frozen=True)
 class SyntheticSpec:
     """Generator specification; deterministic given `seed`."""
 
@@ -85,44 +99,22 @@ class SyntheticSpec:
     event_sensitivity_spread: float = 0.5  # per-stock event beta ~ U(1-s, 1+s)
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.n_stocks < 2 or self.n_periods < 3:
-            raise BadSpec("need at least 2 stocks and 3 periods")
-        for plant in self.plants:
-            if abs(plant.noise_rho) >= 1.0:
-                raise BadSpec(f"|noise_rho| must be < 1, got {plant.noise_rho}")
-            if len(plant.sources) != len(plant.betas) or not plant.sources:
-                raise BadSpec("plant sources and betas must be equal-length and nonempty")
-            if not 0 <= plant.target < self.n_stocks:
-                raise BadSpec(f"plant target {plant.target} out of range")
-            if plant.target in plant.sources:
-                raise BadSpec("plant target cannot be one of its sources")
-            for s in plant.sources:
-                if not 0 <= s < self.n_stocks:
-                    raise BadSpec(f"plant source {s} out of range")
+    def __post_init__(self):
+        _check(self.n_stocks >= 2, "n_stocks", "must be at least 2")
+        _check(self.n_periods >= 3, "n_periods", "must be at least 3")
+        named = [s for p in self.plants for s in (p.target, *p.sources)]
+        _check(all(0 <= s < self.n_stocks for s in named), "plants",
+               f"may name only stocks 0..{self.n_stocks - 1}")
         targets = [p.target for p in self.plants]
-        if len(set(targets)) != len(targets):
-            raise BadSpec("duplicate plant targets")
-        sent = self.sentiment
-        if not 0.0 <= sent.event_prob <= 1.0:
-            raise BadSpec("event_prob must lie in [0, 1]")
-        if sent.event_magnitude < 0 or sent.precursor_strength < 0 or sent.precursor_noise < 0:
-            raise BadSpec("sentiment magnitudes must be non-negative")
+        _check(len(set(targets)) == len(targets), "plants", "repeat a target")
 
 
 def _business_days(start: str, n: int) -> list[str]:
-    d = date.fromisoformat(start)
-    out = []
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d.isoformat())
-        d += timedelta(days=1)
-    return out
+    return np.busday_offset(start, np.arange(n), roll="forward").astype(str).tolist()
 
 
 def generate_synthetic(spec: SyntheticSpec) -> MarketPanel:
     """Generate a dense panel; bit-identical for identical specs."""
-    spec.validate()
     I, T = spec.n_stocks, spec.n_periods
     sent = spec.sentiment
 
@@ -136,15 +128,15 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketPanel:
     # first two periods so the precursor day always exists inside the panel.
     ev_rng = stream(spec.seed, "synthetic", "events")
     signs = np.zeros(T, dtype=np.int64)
-    if sent.event_prob > 0:
+    if sent.prob > 0:
         draws = ev_rng.uniform(size=T)
         direction = np.where(ev_rng.uniform(size=T) < 0.5, 1, -1)
-        signs[2:] = np.where(draws[2:] < sent.event_prob, direction[2:], 0)
+        signs[2:] = np.where(draws[2:] < sent.prob, direction[2:], 0)
 
     # Percent returns per stock/period; column 0 unused.
     ret_rng = stream(spec.seed, "synthetic", "returns")
     rets = ret_rng.standard_normal((I, T)) * vols[:, None]
-    rets[:, 1:] += signs[None, 1:] * sent.event_magnitude * sens[:, None]
+    rets[:, 1:] += signs[None, 1:] * sent.magnitude * sens[:, None]
 
     # Precursor: noise channels on every day; directional terms only on days
     # immediately preceding an event and only when strength > 0. The price
@@ -153,11 +145,11 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketPanel:
     pre_rng = stream(spec.seed, "synthetic", "precursor")
     pre_price = pre_rng.standard_normal((I, T)) * sent.precursor_noise
     pre_volume = pre_rng.standard_normal((I, T)) * sent.precursor_noise
-    if sent.precursor_strength > 0:
+    if sent.precursor > 0:
         upcoming = np.zeros(T)
         upcoming[:-1] = signs[1:]
-        pre_price += upcoming[None, :] * sent.precursor_strength
-        pre_volume += upcoming[None, :] * sent.precursor_strength
+        pre_price += upcoming[None, :] * sent.precursor
+        pre_volume += upcoming[None, :] * sent.precursor
     rets[:, 1:] += pre_price[:, 1:]
 
     p0_rng = stream(spec.seed, "synthetic", "prices")
@@ -184,7 +176,8 @@ def generate_synthetic(spec: SyntheticSpec) -> MarketPanel:
         prices[plant.target] = combo + u
 
     if np.any(prices <= 0):
-        raise BadSpec("generated prices hit zero; reduce volatility or noise scale")
+        raise BadSpec("base_volatility", "or a plant's noise scale is too high: generated "
+                      "prices hit zero")
 
     features = _features_from_prices(spec, prices, VOLUME_COUPLING * pre_volume)
     return MarketPanel.from_prices([f"S{i:03d}" for i in range(I)],

@@ -43,8 +43,8 @@ def ablation_market_spec(seed) -> SyntheticSpec:
         n_stocks=16, n_periods=460, base_volatility=1.5,
         volatility_spread=0.85, event_sensitivity_spread=0.0,
         plants=plants,
-        sentiment=SentimentPlant(event_prob=0.65, event_magnitude=3.0,
-                                 precursor_strength=0.8, precursor_noise=1.5),
+        sentiment=SentimentPlant(prob=0.65, magnitude=3.0, precursor=0.8,
+                                 precursor_noise=1.5),
         seed=seed)
 
 
@@ -52,8 +52,7 @@ def sentiment_market_spec(seed, precursor_strength=0.8) -> SyntheticSpec:
     """Events with a readable precursor and no cointegration plants."""
     return SyntheticSpec(
         n_stocks=16, n_periods=400, event_sensitivity_spread=0.3,
-        sentiment=SentimentPlant(event_prob=0.6, event_magnitude=3.0,
-                                 precursor_strength=precursor_strength,
+        sentiment=SentimentPlant(prob=0.6, magnitude=3.0, precursor=precursor_strength,
                                  precursor_noise=0.6),
         seed=seed)
 
@@ -80,6 +79,6 @@ def planted_panel():
         n_stocks=8, n_periods=500,
         plants=[CointegrationPlant(target=0, sources=(1,), betas=(0.7,),
                                    noise_rho=0.6, noise_scale=2.0)],
-        sentiment=SentimentPlant(event_prob=0.0),
+        sentiment=SentimentPlant(prob=0.0),
         seed=0)
     return generate_synthetic(spec)

@@ -118,7 +118,7 @@ def test_criterion_2_cointegration_recovery():
             n_stocks=8, n_periods=500,
             plants=[CointegrationPlant(target=0, sources=(1,), betas=(0.7,),
                                        noise_rho=0.6, noise_scale=2.0)],
-            sentiment=SentimentPlant(event_prob=0.0),
+            sentiment=SentimentPlant(prob=0.0),
             seed=seed)
         panel = generate_synthetic(spec)
         params = sf.train_stock_factors(
@@ -261,11 +261,8 @@ def test_criterion_6_backtest_hand_checks():
 def _ablation_run(seed, variant, panel, feats, factors, mseries, train_end):
     hyper = fc.ForecasterHyper(
         window=10, width=32, blocks=1, heads=2, lr=3e-3,
-        max_epochs=40, patience=10, seed=seed,
-        lambda3=0.0 if variant == "NR" else 0.1,
-        use_stock_factor=variant != "NS",
-        use_market_factor=variant != "NM",
-        use_relation=variant != "ND")
+        max_epochs=40, patience=10, seed=seed, lambda3=0.1,
+        ablation="none" if variant == "full" else variant)
     params = fc.train_forecaster(feats, panel.returns, factors, mseries, hyper, train_end)
     periods = np.arange(train_end, panel.n_periods)
     y_hat = fc.predict_periods(params, hyper, feats, factors.u, mseries, periods)
@@ -314,6 +311,11 @@ def test_criterion_8_causality(tmp_path):
         "forecast.max_epochs": 3, "forecast.patience": 3,
         "synthetic.n_stocks": 10, "synthetic.n_periods": 200,
         "synthetic.events.prob": 0.5,
+        # config defaults at the time this criterion was written
+        "forecast.lr": 0.003, "forecast.blocks": 1,
+        "synthetic.base_volatility": 1.5, "synthetic.volatility_spread": 0.85,
+        "synthetic.event_sensitivity_spread": 0.0,
+        "synthetic.events.precursor": 0.8, "synthetic.events.precursor_noise": 1.5,
     }, plants={0: CointegrationPlant(target=0, sources=(5,), betas=(0.6,),
                                      noise_rho=0.4, noise_scale=1.2)})
     artifacts = run_pipeline(cfg, str(tmp_path / "causality"))
@@ -357,6 +359,11 @@ def test_criterion_9_determinism(tmp_path):
         "forecast.max_epochs": 2, "forecast.patience": 2,
         "synthetic.n_stocks": 8, "synthetic.n_periods": 170,
         "synthetic.events.prob": 0.4,
+        # config defaults at the time this criterion was written
+        "forecast.lr": 0.003, "forecast.blocks": 1,
+        "synthetic.base_volatility": 1.5, "synthetic.volatility_spread": 0.85,
+        "synthetic.event_sensitivity_spread": 0.0,
+        "synthetic.events.precursor": 0.8, "synthetic.events.precursor_noise": 1.5,
     })
     run_pipeline(cfg, str(tmp_path / "a"))
     run_pipeline(cfg, str(tmp_path / "b"))

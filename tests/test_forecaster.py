@@ -102,7 +102,7 @@ def test_predict_with_zero_head_is_bias():
 
 
 def test_nm_ablation_ignores_market_vector():
-    feats, u, mseries, hyper, params = _setup(seed=9, use_market_factor=False)
+    feats, u, mseries, hyper, params = _setup(seed=9, ablation="NM")
     g = windows(fc.augment_features(feats, u), 6, 3)
     a = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
     b = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5] * 100.0)
@@ -111,7 +111,7 @@ def test_nm_ablation_ignores_market_vector():
 
 def test_nd_ablation_shrinks_head_input():
     *_, params_full = _setup(seed=10)
-    *_, params_nd = _setup(seed=10, use_relation=False)
+    *_, params_nd = _setup(seed=10, ablation="ND")
     assert "p_c" not in params_nd
     assert params_nd["head_w1"].shape[0] == params_full["head_w1"].shape[0] - 8
 

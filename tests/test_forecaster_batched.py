@@ -18,7 +18,7 @@ from irrfactors.rng import stream
 
 
 def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
-           **flags):
+           ablation="none"):
     rng = np.random.default_rng(seed)
     feats = rng.normal(size=(n_stocks, n_periods, n_features))
     u = rng.normal(size=(n_stocks, n_periods))
@@ -27,36 +27,34 @@ def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
         r=rng.normal(size=(n_stocks, n_periods, 2 * n_features)),
         window=window)
     hyper = fc.ForecasterHyper(window=window, width=width, blocks=blocks, heads=heads,
-                               seed=seed, **flags)
+                               seed=seed, ablation=ablation)
     params = fc.init_params(n_features, hyper, stream(seed, "fc", "init"))
     return feats, u, mseries, hyper, params
 
 
 widths_and_heads = st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (12, 3)])
-flags = st.fixed_dictionaries({"use_stock_factor": st.booleans(),
-                               "use_market_factor": st.booleans(),
-                               "use_relation": st.booleans()})
+ablations = st.sampled_from(fc.ABLATIONS)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**16), n_stocks=st.one_of(st.integers(1, 40),
                                                       st.integers(120, 140)),
        window=st.integers(1, 6), width_heads=widths_and_heads,
-       blocks=st.sampled_from([1, 2]), flags=flags, extra=st.integers(1, 20),
+       blocks=st.sampled_from([1, 2]), ablation=ablations, extra=st.integers(1, 20),
        data=st.data())
 def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, width_heads,
-                                                    blocks, flags, extra, data):
+                                                    blocks, ablation, extra, data):
     # enough periods that P * I crosses the chunk boundary at least once
     per_chunk = max(1, fc.CHUNK_WINDOWS // n_stocks)
     n_periods = window + per_chunk + extra
     width, heads = width_heads
     feats, u, mseries, hyper, params = _model(seed, n_stocks, n_periods, 2, window,
-                                              width, heads, blocks, **flags)
+                                              width, heads, blocks, ablation)
     periods = data.draw(st.permutations(range(window, n_periods + 1)))
 
     batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
 
-    inputs = fc.augment_features(feats, u, hyper.use_stock_factor)
+    inputs = fc.augment_features(feats, u, ablation != "NS")
     single = np.stack([fc.predict(params, hyper, windows(inputs, t, window),
                                   mseries.r[:, t - 1], mseries.m[t - 1])
                        for t in periods], axis=1)
@@ -71,15 +69,15 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 5), window=st.integers(1, 4),
-       width_heads=st.sampled_from([(4, 1), (4, 2)]), flags=flags,
+       width_heads=st.sampled_from([(4, 1), (4, 2)]), ablation=ablations,
        last_only=st.booleans())
 def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
-                                                      width_heads, flags, last_only):
+                                                      width_heads, ablation, last_only):
     width, heads = width_heads
     feats, u, mseries, hyper, params = _model(seed, n_stocks, window + 2, 2, window,
-                                              width, heads, 2, **flags)
+                                              width, heads, 2, ablation)
     t = window + 1
-    g = windows(fc.augment_features(feats, u, hyper.use_stock_factor), t, window)
+    g = windows(fc.augment_features(feats, u, ablation != "NS"), t, window)
     y = np.random.default_rng(seed).normal(size=n_stocks)
     z = average_ranks(y)
 
@@ -153,7 +151,7 @@ cfg = RunConfig.from_file(os.path.join(sys.argv[1], "configs", "demo.cfg"))
 panel = generate_synthetic(cfg.synthetic_spec())
 train_end = 330
 feats = FeatureScaler.fit(panel.features, train_end).transform(panel.features)
-sync = cfg.synchronism()
+sync = cfg.build("sync")
 labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
 sf_params = sf.train_stock_factors(panel.prices, sf.StockFactorHyper(steps=100), train_end)
 factors = sf.residual(panel.prices, sf_params)

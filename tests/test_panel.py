@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadLabel, BadPrice,
-                              DuplicateRow, FeatureScaler, HoleInPanel, MarketPanel,
-                              NonFiniteFeature, SynchronismConfig, SyncClass, TooEarly,
+                              DuplicateColumn, DuplicateRow, EmptyFile, FeatureScaler,
+                              HoleInPanel, MarketPanel, MissingColumns, NonFiniteFeature,
+                              NotUtf8, SynchronismConfig, SyncClass, TooEarly,
                               TooShort, WideRow, windows,
                               compute_deltas, compute_returns,
                               compute_synchronism_labels,
@@ -267,10 +268,13 @@ def oracle_load_panel(path) -> MarketPanel:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(data_lines(fh))
         if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
+            raise EmptyFile(f"{path}: empty file")
         missing = [c for c in panel_module.CSV_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
+            raise MissingColumns(f"{path}: missing columns {missing}")
+        repeated = [c for c in panel_module.CSV_COLUMNS if reader.fieldnames.count(c) > 1]
+        if repeated:
+            raise DuplicateColumn(f"{path}: the header names {repeated} more than once")
         for rec in reader:
             if None in rec:                     # DictReader's key for the extra cells
                 width = len(reader.fieldnames)
@@ -348,7 +352,8 @@ _odd_ids = st.lists(st.text('AB,"x #\n', min_size=1, max_size=4), min_size=1, ma
 _cell = st.one_of(_feature.map(repr), st.sampled_from(["1e-300", "5e-324", "-0.0", " 7 ",
                                                       "1_5", "0x1", "", "nan", "-inf"]))
 _FAULTS = ("bad cell", "bad date", "duplicate", "hole", "non-finite", "bad price",
-           "missing column", "short row", "long row", "blank line", "one date")
+           "missing column", "repeated column", "short row", "long row", "blank line",
+           "one date")
 
 
 @given(ids=_odd_ids, n_dates=st.integers(2, 4), data=st.data(),
@@ -367,7 +372,7 @@ def test_load_panel_matches_the_row_loader(tmp_path_factory, ids, n_dates, data,
     def pick():
         return data.draw(st.integers(0, len(records) - 1))
 
-    for fault in faults:
+    for fault in sorted(faults, key=_FAULTS.index):     # cell faults before row faults
         k = pick()
         if fault == "bad cell":
             records[k][data.draw(st.integers(2, len(header) - 1))] = data.draw(_cell)
@@ -385,6 +390,8 @@ def test_load_panel_matches_the_row_loader(tmp_path_factory, ids, n_dates, data,
             records[k][3] = data.draw(st.sampled_from(["0", "-1.5"]))     # the close
         elif fault == "missing column":
             header[data.draw(st.integers(0, len(header) - 1))] = "other"
+        elif fault == "repeated column":
+            header.append(data.draw(st.sampled_from(panel_module.CSV_COLUMNS)))
         elif fault == "short row":
             del records[k][data.draw(st.integers(1, len(header) - 1)):]
         elif fault == "long row":
@@ -412,6 +419,62 @@ def test_load_panel_names_a_comma_inside_a_cell(tmp_path):
     lines[5] = ",".join([date, sid, open_.replace(".", ".,", 1), rest])
     path.write_text("".join(lines))
     with pytest.raises(WideRow, match=r"panel.csv:6: 9 cells under a header of 8"):
+        load_panel(path)
+
+
+# Every error the loader raises on purpose; each names the file, a row or a cell.
+_NAMED = (BadCell, BadDate, BadPrice, DuplicateColumn, DuplicateRow, EmptyFile, HoleInPanel,
+          MissingColumns, NonFiniteFeature, NotUtf8, TooShort, WideRow)
+
+
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_a_mutated_panel_file_loads_as_the_row_loader_or_fails_by_name(tmp_path_factory,
+                                                                        edits):
+    path = tmp_path_factory.mktemp("mutate") / "panel.csv"
+    write_panel_csv(generate_synthetic(SyntheticSpec(n_stocks=3, n_periods=6)), path,
+                    header_comment="stamp")
+    raw = bytearray(path.read_bytes())
+    for at, byte in edits:
+        raw[at % len(raw)] = byte
+    path.write_bytes(bytes(raw))
+    new, old = _outcome(load_panel, path), _outcome(oracle_load_panel, path)
+    if isinstance(new[0], type):
+        assert issubclass(new[0], _NAMED), new
+        assert isinstance(old[0], type), (new, old)      # the row loader failed too
+    else:
+        assert new == old
+
+
+def test_load_panel_rejects_a_repeated_column(tmp_path):
+    # A second close column used to be read in place of the first, silently.
+    rows = [_row(d, s, 100.0).rstrip("\n") + ",999.0\n"
+            for s in ("A", "B") for d in ("2024-01-08", "2024-01-09")]
+    path = tmp_path / "panel.csv"
+    path.write_text(HEADER.rstrip("\n") + ",close\n" + "".join(rows))
+    with pytest.raises(DuplicateColumn, match=r"panel.csv: the header names \['close'\]"):
+        load_panel(path)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("# only a comment\n", EmptyFile),
+    ("date,stock_id,open,close,high,low,vwap\n", MissingColumns),
+])
+def test_load_panel_names_its_header_faults(tmp_path, text, error):
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    with pytest.raises(error, match="panel.csv: "):
+        load_panel(path)
+
+
+def test_load_panel_names_the_line_of_an_undecodable_byte(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(generate_synthetic(SyntheticSpec(n_stocks=3, n_periods=6)), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[7] = lines[7].replace(b"S001", b"S\xff01")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(NotUtf8, match=r"panel.csv:8: byte 0xff at column 13 is not UTF-8"):
         load_panel(path)
 
 

@@ -38,6 +38,13 @@ synthetic.events.prob = 0.5
 synthetic.events.precursor = 0.8
 synthetic.plant.0 = target=0 sources=5 betas=0.6 rho=0.4 scale=1.2 kick=1.0
 synthetic.plant.1 = target=1 sources=6 betas=0.6 rho=0.4 scale=1.2 kick=1.0
+# config defaults when these tests were written, which the dataclass defaults replaced
+forecast.lr = 0.003
+forecast.blocks = 1
+synthetic.base_volatility = 1.5
+synthetic.volatility_spread = 0.85
+synthetic.event_sensitivity_spread = 0.0
+synthetic.events.precursor_noise = 1.5
 """
 
 
@@ -78,7 +85,7 @@ def test_bad_value_is_named(tmp_path):
 ])
 def test_a_repeated_key_names_both_lines(tmp_path, line, key, first):
     path = _write_config(tmp_path, SMALL_CONFIG + f"{line}\n")
-    with pytest.raises(ConfigError, match=f"run.cfg:18: '{key}' is set again; "
+    with pytest.raises(ConfigError, match=f"run.cfg:25: '{key}' is set again; "
                                           f"line {first} set it first"):
         RunConfig.from_file(path)
 
@@ -294,7 +301,7 @@ def test_artifacts_match_the_row_writer(small_run, tmp_path):
     factors = sf.residual(panel.prices, art.coint_params)
     mseries = mf.market_series(art.scaler.transform(panel.features), art.market_params,
                                art.fc_hyper.window)
-    sync = cfg.synchronism()
+    sync = cfg.build("sync")
     deltas = compute_deltas(panel.returns, sync)
     labels, sums = compute_synchronism_labels(deltas, sync), deltas.sum(axis=0)
     rows = {

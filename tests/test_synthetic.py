@@ -1,9 +1,11 @@
+from datetime import date, timedelta
+
 import numpy as np
 import pytest
 
 from irrfactors.panel import SynchronismConfig, compute_deltas, compute_synchronism_labels
 from irrfactors.synthetic import (BadSpec, CointegrationPlant, SentimentPlant,
-                                  SyntheticSpec, generate_synthetic)
+                                  SyntheticSpec, _business_days, generate_synthetic)
 
 
 def _ols_ar1(series):
@@ -20,7 +22,7 @@ def test_planted_residual_is_mean_reverting(planted_panel):
 
 def test_no_events_means_no_synchronism_labels():
     spec = SyntheticSpec(n_stocks=10, n_periods=300,
-                         sentiment=SentimentPlant(event_prob=0.0), seed=4)
+                         sentiment=SentimentPlant(prob=0.0), seed=4)
     panel = generate_synthetic(spec)
     cfg = SynchronismConfig()
     labels = compute_synchronism_labels(compute_deltas(panel.returns, cfg), cfg)
@@ -45,19 +47,13 @@ def test_different_seeds_differ():
 
 
 def test_unstable_plant_rejected():
-    spec = SyntheticSpec(
-        n_stocks=4, n_periods=50,
-        plants=[CointegrationPlant(target=0, sources=(1,), betas=(0.5,), noise_rho=1.0)],
-        seed=0)
     with pytest.raises(BadSpec):
-        generate_synthetic(spec)
+        CointegrationPlant(target=0, sources=(1,), betas=(0.5,), noise_rho=1.0)
 
 
 def test_bad_probability_rejected():
-    spec = SyntheticSpec(n_stocks=4, n_periods=50,
-                         sentiment=SentimentPlant(event_prob=1.5), seed=0)
     with pytest.raises(BadSpec):
-        spec.validate()
+        SentimentPlant(prob=1.5)
 
 
 def test_residual_window_means_more_stable_than_price():
@@ -68,7 +64,7 @@ def test_residual_window_means_more_stable_than_price():
             n_stocks=6, n_periods=500,
             plants=[CointegrationPlant(target=0, sources=(1,), betas=(0.7,),
                                        noise_rho=0.5, noise_scale=1.5)],
-            sentiment=SentimentPlant(event_prob=0.0), seed=seed)
+            sentiment=SentimentPlant(prob=0.0), seed=seed)
         panel = generate_synthetic(spec)
         residual = panel.prices[0] - 0.7 * panel.prices[1]
         window_means = lambda x: np.array([x[k:k + 100].mean() for k in range(0, 400, 100)])
@@ -78,7 +74,7 @@ def test_residual_window_means_more_stable_than_price():
 def test_event_days_move_the_market_together():
     spec = SyntheticSpec(
         n_stocks=12, n_periods=300, event_sensitivity_spread=0.0,
-        sentiment=SentimentPlant(event_prob=0.5, event_magnitude=3.0), seed=3)
+        sentiment=SentimentPlant(prob=0.5, magnitude=3.0), seed=3)
     panel = generate_synthetic(spec)
     cfg = SynchronismConfig()
     labels = compute_synchronism_labels(compute_deltas(panel.returns, cfg), cfg)
@@ -90,8 +86,8 @@ def test_event_days_move_the_market_together():
 def test_volume_precursor_carries_direction():
     spec = SyntheticSpec(
         n_stocks=16, n_periods=400,
-        sentiment=SentimentPlant(event_prob=0.5, event_magnitude=3.0,
-                                 precursor_strength=1.0, precursor_noise=0.5),
+        sentiment=SentimentPlant(prob=0.5, magnitude=3.0, precursor=1.0,
+                                 precursor_noise=0.5),
         seed=6)
     panel = generate_synthetic(spec)
     cfg = SynchronismConfig()
@@ -101,3 +97,17 @@ def test_volume_precursor_carries_direction():
     ups = log_vol[np.where(labels == 0)[0] - 1].mean()
     downs = log_vol[np.where(labels == 1)[0] - 1].mean()
     assert ups > downs + 0.1
+
+
+def test_business_days_match_the_weekday_loop():
+    def loop(start, n):          # the generator's period labels before numpy made them
+        day, out = date.fromisoformat(start), []
+        while len(out) < n:
+            if day.weekday() < 5:
+                out.append(day.isoformat())
+            day += timedelta(days=1)
+        return out
+
+    for start in ("2020-01-01", "2020-01-04", "2020-01-05", "2021-12-31", "2024-02-28"):
+        for n in (0, 1, 5, 460, 2000):
+            assert _business_days(start, n) == loop(start, n)
