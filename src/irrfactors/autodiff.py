@@ -7,11 +7,16 @@ Outside a tape, the same operations run as plain numpy computations with
 no recording overhead, which is how frozen models are evaluated.
 
 A Tape is single-threaded; distinct tapes may run on distinct threads.
+
+Importing this module fixes glibc's malloc thresholds (_pin_heap), so what
+one step frees is reused by the next instead of being faulted in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import threading
 import weakref
 import zipfile
@@ -22,6 +27,27 @@ import numpy as np
 from .files import atomic_open
 
 STD_EPS = 1e-12  # guard under the square root of the population std
+
+
+def _pin_heap() -> bool:
+    """Fix glibc's malloc trim threshold at 64 MB and mmap threshold at 32 MB;
+    True if both were set. By default both slide with the blocks freed, so a
+    step that frees its working set hands the heap's top back to the kernel
+    and the next step faults it in again page by page. Setting either stops
+    the sliding of both, so both are set. Elsewhere (macOS, musl, Windows)
+    nothing is done."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # <malloc.h>: M_TRIM_THRESHOLD is -1, M_MMAP_THRESHOLD is -3
+    return mallopt(-1, 64 << 20) == 1 and mallopt(-3, 32 << 20) == 1
+
+
+HEAP_PINNED = _pin_heap()
 
 
 class ShapeError(ValueError):
@@ -220,6 +246,8 @@ def _record(data, parents, vjp) -> Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, (gdim, sdim) in enumerate(zip(g.shape, shape)):
@@ -293,13 +321,14 @@ def linear(x, w, b) -> Tensor:
     if x.data.ndim < 2 or w.data.ndim < 2:
         raise ShapeError("linear requires operands with ndim >= 2")
     try:
-        product = x.data @ w.data
+        data = x.data @ w.data
     except ValueError as e:
         raise ShapeError(str(e)) from None
-    data = product + b.data
-    if data.shape != product.shape:
+    try:
+        data += b.data          # the bits of product + b, without a second array
+    except ValueError:
         raise ShapeError(f"bias {b.data.shape} does not broadcast to the product "
-                         f"{product.shape}")
+                         f"{data.shape}") from None
 
     def vjp(g):
         gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape) if x.requires_grad else None
@@ -452,9 +481,12 @@ def _expand_reduced(g, shape, axis, keepdims):
     return np.expand_dims(g, axes)
 
 
+# ndarray.sum and .mean are np.add.reduce, then a division by the count for
+# the mean; calling the ufunc directly gives the same bits without numpy's
+# Python-level wrappers.
 def tsum(x, axis=None, keepdims=False) -> Tensor:
     x = _wrap(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
 
     def vjp(g):
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
@@ -465,8 +497,8 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
 
 def tmean(x, axis=None, keepdims=False) -> Tensor:
     x = _wrap(x)
-    data = x.data.mean(axis=axis, keepdims=keepdims)
     n = _axis_count(x.data.shape, axis)
+    data = np.add.reduce(x.data, axis=axis, keepdims=keepdims) / n
 
     def vjp(g):
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
@@ -482,9 +514,9 @@ def tstd(x, axis=None, keepdims=False) -> Tensor:
     finite on constant inputs.
     """
     x = _wrap(x)
-    mu = x.data.mean(axis=axis, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
+    n = _axis_count(x.data.shape, axis)
+    centered = x.data - np.add.reduce(x.data, axis=axis, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=axis, keepdims=True) / n
     std_k = np.sqrt(var + STD_EPS)
     if keepdims:
         data = std_k
@@ -492,7 +524,6 @@ def tstd(x, axis=None, keepdims=False) -> Tensor:
         data = std_k.reshape(())
     else:
         data = np.squeeze(std_k, axis=axis)
-    n = _axis_count(x.data.shape, axis)
 
     def vjp(g):
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
@@ -581,13 +612,19 @@ def gradient_check(f, params, eps: float = 1e-5) -> float:
 
 
 def adam_init(params: ParamSet) -> dict:
-    return {"t": 0, "m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
+    return {"t": 0, "m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat),
+            "scratch": np.empty_like(params.flat)}
 
 
 def adam_step(params: ParamSet, state: dict, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> dict:
     """Standard Adam update in place, one elementwise pass over the set's flat
-    buffer; state carries the moment estimates."""
+    buffer; state carries the moment estimates and a scratch buffer.
+
+    Computed in place, in the order of m = beta1 * m + (1 - beta1) * g,
+    v = beta2 * v + (1 - beta2) * g * g and flat -= lr * (m / (1 - beta1**t))
+    / (sqrt(v / (1 - beta2**t)) + eps), so each value has those bits.
+    """
     for name, p in params.items():
         if p.grad is None:
             raise MissingGradient(f"parameter {name!r} received no gradient")
@@ -596,11 +633,20 @@ def adam_step(params: ParamSet, state: dict, lr: float = 1e-3, beta1: float = 0.
         raise NumericalFailure("non-finite gradient in adam_step")
     state["t"] += 1
     t = state["t"]
-    state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
-    state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
-    m_hat = state["m"] / (1.0 - beta1 ** t)
-    v_hat = state["v"] / (1.0 - beta2 ** t)
-    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, s = state["m"], state["v"], state["scratch"]
+    m *= beta1
+    m += np.multiply(1.0 - beta1, g, out=s)
+    v *= beta2
+    np.multiply(1.0 - beta2, g, out=s)
+    s *= g
+    v += s
+    denom = np.divide(v, 1.0 - beta2 ** t, out=g)      # g is spent; its buffer is reused
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = np.divide(m, 1.0 - beta1 ** t, out=s)
+    step *= lr
+    step /= denom
+    params.flat -= step
     return state
 
 

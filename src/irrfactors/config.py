@@ -4,7 +4,8 @@ One assignment per line, `#` comments, blank lines ignored. A section's keys
 are the int and float fields of its settings class (SECTIONS), which declare
 their types, defaults and bounds; _SCHEMA holds the run-level keys. Unknown
 keys, uncoercible values, keys set twice and values out of bounds raise
-ConfigError naming the key. Plants use numbered keys (`synthetic.plant.0 =
+ConfigError naming the key, whether the values come from a file or are given
+to RunConfig directly. Plants use numbered keys (`synthetic.plant.0 =
 target=0 sources=6,7 betas=0.5,0.2 rho=0.4 scale=1.2 kick=0.0`); one without
 rho, scale or kick keeps CointegrationPlant's default for it.
 """
@@ -28,7 +29,9 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(text) -> bool:
+    if isinstance(text, bool):
+        return text
     low = text.strip().lower()
     if low not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
         raise ValueError(f"not a boolean: {text!r}")
@@ -76,6 +79,22 @@ def _declare(section: str, cls) -> dict:
 _KEYS = dict(_SCHEMA)                   # every key -> (coercion, default)
 _FIELD_KEYS = {section: _declare(section, cls) for section, cls in SECTIONS.items()}
 
+
+def _coerce(key: str, value):
+    """`value` as its key's type (1 for a float key is 1.0); ConfigError names
+    an unknown key or a bad value. An int key refuses 6.5 instead of truncating."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    coerce, _ = _KEYS[key]
+    try:
+        out = coerce(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{key} has a bad value: {e}") from None
+    if coerce is int and not isinstance(value, str) and out != value:
+        raise ConfigError(f"{key} has a bad value: {value!r} is not a whole number")
+    return out
+
+
 _PLANT_PREFIX = "synthetic.plant."
 _PLANT_OPTIONAL = {"rho": "noise_rho", "scale": "noise_scale", "kick": "event_kick"}
 _PLANT_FIELDS = ("target", "sources", "betas", *_PLANT_OPTIONAL)
@@ -109,7 +128,8 @@ class RunConfig:
     plants: dict = field(default_factory=dict)   # index -> CointegrationPlant
 
     def __post_init__(self):
-        self.values = {**{k: default for k, (_, default) in _KEYS.items()}, **self.values}
+        given = {key: _coerce(key, value) for key, value in self.values.items()}
+        self.values = {**{k: default for k, (_, default) in _KEYS.items()}, **given}
         self._validate()
 
     def __getitem__(self, key: str):
@@ -151,17 +171,13 @@ class RunConfig:
                 first_line[key] = lineno
                 if plant:
                     plants[int(suffix)] = _parse_plant(key, value)
-                    continue
-                coerce, _ = _KEYS[key]
-                try:
-                    values[key] = coerce(value)
-                except ValueError as e:
-                    raise ConfigError(f"bad value for {key!r}: {e}") from None
+                else:
+                    values[key] = _coerce(key, value)
         return cls(values=values, plants=plants)
 
     def with_overrides(self, seed=None, out_dir=None, ablation=None) -> "RunConfig":
         given = {"seed": seed, "out_dir": out_dir, "ablation": ablation}
-        values = {**self.values, **{k: _KEYS[k][0](v) for k, v in given.items() if v is not None}}
+        values = {**self.values, **{k: v for k, v in given.items() if v is not None}}
         return RunConfig(values=values, plants=dict(self.plants))
 
     def canonical_text(self) -> str:

@@ -240,16 +240,19 @@ def load_panel(path) -> MarketPanel:
     Rows are parsed CSV_CHUNK_ROWS at a time, a column per call, so only one
     chunk's text is held at a time. A faulty row found that way is named,
     with its path:line, by a second, row-by-row read of the file; so is a
-    line that is not UTF-8, by a read of the file's bytes.
+    line that is not UTF-8, by a read of the file's bytes, unless a header or
+    row fault comes before it in the file.
     """
     try:
         return _read_panel(path)
     except UnicodeDecodeError:
         with open(path, "rb") as fh:                # name the first line that is not UTF-8
+            before = []
             for lineno, line in enumerate(fh, 1):
                 try:
-                    line.decode("utf-8")
+                    before.append(line.decode("utf-8"))
                 except UnicodeDecodeError as e:
+                    _check_rows(path, io.StringIO("".join(before), newline=""))
                     raise NotUtf8(f"{path}:{lineno}: byte {line[e.start]:#04x} at column "
                                   f"{e.start + 1} is not UTF-8") from None
         raise
@@ -259,14 +262,7 @@ def _read_panel(path) -> MarketPanel:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(filterfalse(methodcaller("startswith", "#"), fh))
         header = next(reader, None)
-        if header is None:
-            raise EmptyFile(f"{path}: empty file")
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise MissingColumns(f"{path}: missing columns {missing}")
-        repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
-        if repeated:
-            raise DuplicateColumn(f"{path}: the header names {repeated} more than once")
+        _check_header(path, header)
         where = dict(zip(header, range(len(header))))
         date_col, sid_col, *feature_cols = (where[c] for c in CSV_COLUMNS)
         width = max(date_col, sid_col, *feature_cols) + 1
@@ -274,13 +270,13 @@ def _read_panel(path) -> MarketPanel:
         records = filter(None, reader)                  # a blank line is an empty row
         while rows := list(islice(records, CSV_CHUNK_ROWS)):
             if min(map(len, rows)) < width or max(map(len, rows)) > len(header):
-                _raise_row_fault(path, header)
+                _raise_row_fault(path)
             cols = list(zip(*rows))
             cells = chain.from_iterable(cols[k] for k in feature_cols)
             try:
                 values = np.fromiter(map(float, cells), np.float64, len(feature_cols) * len(rows))
             except ValueError:
-                _raise_row_fault(path, header)
+                _raise_row_fault(path)
             chunks.append((_codes(cols[sid_col], stock_code), _codes(cols[date_col], date_code),
                            values.reshape(len(feature_cols), -1)))
 
@@ -288,7 +284,7 @@ def _read_panel(path) -> MarketPanel:
         raise TooShort("panel needs at least 2 periods")
     days = [_parse_date(label) for label in date_code]
     if None in days:
-        _raise_row_fault(path, header)
+        _raise_row_fault(path)
     stocks = sorted(stock_code)
     by_day = sorted(range(len(days)), key=days.__getitem__)
     date_labels = list(date_code)
@@ -301,7 +297,7 @@ def _read_panel(path) -> MarketPanel:
     cell = np.concatenate([stock_pos[s] * T + date_pos[d] for s, d, _ in chunks])
     counts = np.bincount(cell, minlength=I * T)
     if (counts > 1).any():
-        _raise_row_fault(path, header)
+        _raise_row_fault(path)
     if T < 2:
         raise TooShort("panel needs at least 2 periods")
     if not counts.all():
@@ -330,38 +326,61 @@ def _codes(labels, table: dict) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, labels), np.intp, len(labels))
 
 
-def _raise_row_fault(path, header) -> NoReturn:
-    """Read `path` again row by row and raise its first faulty row's error.
+def _check_header(path, header) -> None:
+    if header is None:
+        raise EmptyFile(f"{path}: empty file")
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise MissingColumns(f"{path}: missing columns {missing}")
+    repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise DuplicateColumn(f"{path}: the header names {repeated} more than once")
+
+
+def _raise_row_fault(path) -> NoReturn:
+    """Read `path` again row by row and raise its first faulty row's error."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        _check_rows(path, fh)
+    raise ValueError(f"{path}: the file changed while it was read")
+
+
+def _check_rows(path, lines) -> None:
+    """Raise the error of the first header or row fault in the text `lines` of
+    `path`; return if they hold none, or no header.
 
     Each row is checked in a fixed order: its width against the header's, its
     (stock, date) pair against the rows before it, then its cells, then its
     date. A short row reads None for each missing cell.
     """
+    lines = iter(lines)
+    for offset, line in enumerate(lines, 1):    # the header is the first line without '#'
+        if not line.startswith("#"):
+            break
+    else:
+        return
+    header = next(csv.reader([line]))
+    _check_header(path, header)
     pairs = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        # An emptied '#' line reads as nothing but keeps line_num the file's line.
-        reader = csv.reader("" if ln.startswith("#") else ln for ln in fh)
-        records = filter(None, reader)
-        next(records)                                   # the header
-        for row in records:
-            where = f"{path}:{reader.line_num}"
-            if len(row) > len(header):
-                raise WideRow(f"{where}: {len(row)} cells under a header of {len(header)}")
-            rec = dict(zip(header, row))
-            sid, label = rec.get("stock_id"), rec.get("date")
-            if (sid, label) in pairs:
-                raise DuplicateRow(f"duplicate row for stock {sid} on {label}")
-            pairs.add((sid, label))
-            for col, name in enumerate(header, 1):
-                if name in FEATURE_NAMES and not _is_number(rec.get(name)):
-                    raise BadCell(f"{where}: column {col} ({name}) is not a "
-                                  f"number: {rec.get(name)!r}")
-            if _parse_date(label) is None:
-                raise BadDate(f"{where}: date {label!r} is not YYYY-MM-DD")
-            if sid is None:
-                raise BadCell(f"{where}: column {header.index('stock_id') + 1} "
-                              f"(stock_id) is missing")
-    raise ValueError(f"{path}: the file changed while it was read")
+    # An emptied '#' line reads as nothing but keeps line_num the file's line.
+    reader = csv.reader("" if ln.startswith("#") else ln for ln in lines)
+    for row in filter(None, reader):
+        where = f"{path}:{offset + reader.line_num}"
+        if len(row) > len(header):
+            raise WideRow(f"{where}: {len(row)} cells under a header of {len(header)}")
+        rec = dict(zip(header, row))
+        sid, label = rec.get("stock_id"), rec.get("date")
+        if (sid, label) in pairs:
+            raise DuplicateRow(f"duplicate row for stock {sid} on {label}")
+        pairs.add((sid, label))
+        for col, name in enumerate(header, 1):
+            if name in FEATURE_NAMES and not _is_number(rec.get(name)):
+                raise BadCell(f"{where}: column {col} ({name}) is not a "
+                              f"number: {rec.get(name)!r}")
+        if _parse_date(label) is None:
+            raise BadDate(f"{where}: date {label!r} is not YYYY-MM-DD")
+        if sid is None:
+            raise BadCell(f"{where}: column {header.index('stock_id') + 1} "
+                          f"(stock_id) is missing")
 
 
 def _parse_date(label) -> date | None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
 
@@ -382,3 +384,38 @@ def test_flat_adam_matches_per_tensor_loop_bitwise():
         _reference_adam_step(arrays, grads, ref_state, lr=3e-3)
         for p, a in zip(params, arrays):
             assert p.data.tobytes() == a.tobytes()
+
+
+def _out_of_place_adam_step(flat, g, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Oracle: the flat Adam update with a fresh array per expression."""
+    state["t"] += 1
+    t = state["t"]
+    state["m"] = beta1 * state["m"] + (1.0 - beta1) * g
+    state["v"] = beta2 * state["v"] + (1.0 - beta2) * g * g
+    m_hat = state["m"] / (1.0 - beta1 ** t)
+    v_hat = state["v"] / (1.0 - beta2 ** t)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@given(shapes=st.lists(st.lists(st.integers(1, 5), max_size=3), min_size=1, max_size=5),
+       steps=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       lr=st.floats(1e-6, 1.0), zero_share=st.floats(0.0, 1.0))
+@settings(max_examples=60)
+def test_in_place_adam_matches_the_out_of_place_expressions_bitwise(shapes, steps, seed, lr,
+                                                                    zero_share):
+    rng = np.random.default_rng(seed)
+    params = ad.ParamSet({f"p{k}": rng.normal(size=shape) for k, shape in enumerate(shapes)})
+    flat = params.flat.copy()
+    state = ad.adam_init(params)
+    ref = {"t": 0, "m": np.zeros_like(flat), "v": np.zeros_like(flat)}
+    for _ in range(steps):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.uniform(-8, 8, size=p.shape)
+                 * (rng.random(p.shape) >= zero_share) for p in params]
+        for p, g in zip(params, grads):
+            p.grad = g
+        ad.adam_step(params, state, lr=lr)
+        _out_of_place_adam_step(flat, np.concatenate([g.reshape(-1) for g in grads]), ref, lr)
+        assert params.flat.tobytes() == flat.tobytes()
+        assert state["m"].tobytes() == ref["m"].tobytes()
+        assert state["v"].tobytes() == ref["v"].tobytes()
+    assert state["t"] == ref["t"] == steps

@@ -163,6 +163,34 @@ def test_training_step_records_at_most_40_tape_nodes():
     assert len(tape._nodes) <= 40
 
 
+@pytest.mark.skipif(not ad.HEAP_PINNED, reason="glibc's mallopt is not available")
+def test_training_steps_reuse_the_heap_without_page_faults():
+    # Without the pinned malloc thresholds, each step's freed working set went
+    # back to the kernel and the next step faulted it in again: thousands of
+    # minor faults per 100 steps at the demo's shapes.
+    resource = pytest.importorskip("resource")
+    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=40, n_features=5,
+                                     window=10)
+    hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
+    params = fc.init_params(5, hyper, stream(16, "fc", "init"))
+    opt = ad.adam_init(params)
+    inputs = fc.augment_features(feats, u)
+    y = np.random.default_rng(17).normal(size=(16, 40))
+    z = average_ranks(y)
+
+    def steps(n):
+        for k in range(n):
+            t = 11 + k % 29
+            ad.train_step(params, opt, lambda: fc.loss_total(
+                fc._predict_op(params, hyper, windows(inputs, t, 10), mseries.r[:, t - 1],
+                               mseries.m[t - 1]), y[:, t], z[:, t], 0.1), 1e-3)
+
+    steps(20)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps(100)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
 def _quick_train(seed, n_periods=80, **kw):
     rng = np.random.default_rng(seed)
     n_stocks, n_features, window = 5, 3, 3

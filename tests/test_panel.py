@@ -478,6 +478,22 @@ def test_load_panel_names_the_line_of_an_undecodable_byte(tmp_path):
         load_panel(path)
 
 
+def test_load_panel_names_a_row_fault_before_an_undecodable_byte(tmp_path):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(generate_synthetic(SyntheticSpec(n_stocks=3, n_periods=12)), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    cells = lines[9].split(b",")
+    lines[9] = b",".join([*cells[:2], b"abc", *cells[3:]])
+    lines[19] = lines[19].replace(b"S001", b"S\xff01")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(BadCell, match=r"panel.csv:10: column 3 \(open\) is not a number"):
+        load_panel(path)
+    lines[9] = b",".join(cells)                         # with line 10 mended, the byte is next
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(NotUtf8, match=r"panel.csv:20: byte 0xff at column 13 is not UTF-8"):
+        load_panel(path)
+
+
 def test_load_panel_reads_across_chunks_and_names_the_later_fault(tmp_path, monkeypatch):
     monkeypatch.setattr(panel_module, "CSV_CHUNK_ROWS", 2)
     rows = [_row(d, s, 100 + i) for i, (s, d) in enumerate(

@@ -62,7 +62,25 @@ def test_a_setting_out_of_bounds_raises_a_named_error(cls, kwargs, field):
     ({"ablation": "NX"}, "ablation"),
     ({"synthetic.events.prob": 1.5}, "synthetic.events.prob"),
     ({"synthetic.n_stocks": 1}, "synthetic.n_stocks"),
+    # a given value goes through its key's coercion, as a file's text does
+    ({"model.window": "six"}, "model.window"),
+    ({"model.window": 6.5}, "model.window"),
+    ({"synthetic.base_volatility": "high"}, "synthetic.base_volatility"),
+    ({"data.normalize_features": "maybe"}, "data.normalize_features"),
 ])
 def test_the_config_names_the_key_of_a_field_out_of_bounds(values, key):
     with pytest.raises(ConfigError, match=f"^{key} "):
         RunConfig(values={"split.train_end": "100", **values})
+
+
+def test_a_given_unknown_key_is_refused_as_in_a_file():
+    with pytest.raises(ConfigError, match="^unknown config key 'model.windw'$"):
+        RunConfig(values={"split.train_end": "100", "model.windw": 6})
+
+
+@pytest.mark.parametrize("value", [1, 1.0, "1", "1.0"])
+def test_an_int_for_a_float_key_hashes_as_the_float(tmp_path, value):
+    path = tmp_path / "run.cfg"
+    path.write_text("split.train_end = 100\nsynthetic.base_volatility = 1\n")
+    given = RunConfig(values={"split.train_end": "100", "synthetic.base_volatility": value})
+    assert given.config_hash() == RunConfig.from_file(path).config_hash() == "1375a7c78fae"
