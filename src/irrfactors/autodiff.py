@@ -339,12 +339,21 @@ def linear(x, w, b) -> Tensor:
     return _record(data, (x, w, b), vjp)
 
 
-def attention(q, k, v, heads: int) -> Tensor:
+def attention(q, k, v, heads: int, rows: int | None = None) -> Tensor:
     """Multi-head scaled dot-product attention over (..., L, width) inputs.
 
     q (..., Lq, width) attends over k and v (..., L, width); each is split
     into `heads` slices of width // heads, and the mixed slices are merged
-    back into (..., Lq, width).
+    back into (..., Lq, width). With `rows`, only q's last `rows` positions
+    attend: the output is (..., rows, width) and q's gradient keeps q's
+    shape, zero on the other rows.
+
+    When only the output's last row reaches the loss, `rows` keeps the full
+    attention's bits by two rules. (1) With rows >= 2 every product stays a
+    gemm, which rounds each kept row as in the full product; numpy sends a
+    one-row product to gemv, which rounds differently. This rests on
+    OpenBLAS's gemm. (2) q's producer gets a full-shaped gradient, so it
+    sums its input's gradient as the full chain does.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     width = q.data.shape[-1]
@@ -354,16 +363,20 @@ def attention(q, k, v, heads: int) -> Tensor:
         raise ShapeError(f"attention needs q (..., Lq, width) and k, v (..., L, width) "
                          f"with width divisible by {heads} heads; got {q.data.shape}, "
                          f"{k.data.shape}, {v.data.shape}")
+    n_q = q.data.shape[-2]
+    if rows is not None and not 1 <= rows <= n_q:
+        raise ShapeError(f"attention rows={rows} must be between 1 and Lq={n_q}")
     dh = width // heads
     scale = 1.0 / np.sqrt(dh)
+    first = 0 if rows is None else n_q - rows
 
     def split(a):  # (..., L, width) -> (..., heads, L, dh)
         return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(q.data)[..., first:, :], split(k.data), split(v.data)
     p = _softmax(qh @ kh.swapaxes(-1, -2) * scale)
     mixed = p @ vh
-    data = mixed.swapaxes(-3, -2).reshape(q.data.shape)
+    data = mixed.swapaxes(-3, -2).reshape(q.data.shape[:-2] + (n_q - first, width))
 
     def vjp(g):
         g = g.reshape(mixed.swapaxes(-3, -2).shape).swapaxes(-3, -2)
@@ -372,6 +385,10 @@ def attention(q, k, v, heads: int) -> Tensor:
         gs = _softmax_vjp(p, gp) * scale
         gq = gs @ kh
         gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        if first:
+            gq_full = np.zeros(qh.shape[:-2] + (n_q, dh))
+            gq_full[..., first:, :] = gq
+            gq = gq_full
         return tuple(gh.swapaxes(-3, -2).reshape(t.data.shape) if t.requires_grad else None
                      for gh, t in ((gq, q), (gk, k), (gv, v)))
 

@@ -142,17 +142,34 @@ def augment_features(features: np.ndarray, u: np.ndarray,
 
 
 def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
-                   last_only: bool) -> Tensor:
+                   rows: int | None) -> Tensor:
     """Transformer block `index` over (..., L, width) windows.
 
-    With last_only, queries and everything after them run on position L-1
-    alone, (..., 1, width); keys and values still cover all L positions.
+    With `rows`, queries and everything after them run on the last `rows`
+    positions alone, (..., rows, width); keys and values still cover all L.
+    rows=1 projects the query from position L-1 alone, a one-row product
+    that numpy sends to gemv: frozen scoring's form, whose bits differ
+    slightly from the full block's. When only position L-1 of the output
+    reaches the loss, rows >= 2 keeps the full block's bits, in its values
+    and every gradient, by two rules:
+
+    1. Every product stays a gemm, which rounds each kept row as in the
+       full product. This rests on OpenBLAS's gemm (measured with 0.3.31).
+    2. The gradient of the block's input sums in the full block's order,
+       ((residual + v) + k) + q: q is projected on all L rows and attention
+       takes the trailing rows itself, and the residual's rows are taken
+       after the k and v projections.
     """
     def blk(key: str) -> Tensor:
         return params[f"blk{index}.{key}"]
 
-    x_q = x[..., x.shape[-2] - 1:, :] if last_only else x
-    mixed = ad.attention(x_q @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads)
+    first = x.shape[-2] - (rows or x.shape[-2])
+    if rows == 1:       # frozen form: the query projected from one row
+        x_q = x[..., first:, :]
+        mixed = ad.attention(x_q @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads)
+    else:
+        mixed = ad.attention(x @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads, rows)
+        x_q = x[..., first:, :] if first else x    # after the k and v projections (rule 2)
     x = ad.layer_norm(x_q + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
     hidden = ad.relu(ad.linear(x, blk("ff_w1"), blk("ff_b1")))
     ff = ad.linear(hidden, blk("ff_w2"), blk("ff_b2"))
@@ -160,15 +177,18 @@ def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
 
 
 def _temporal_encode_op(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
-                        last_only: bool = False) -> Tensor:
+                        frozen: bool = False) -> Tensor:
     """Encode (..., I, L, D_in) windows into per-stock vectors (..., I, width).
 
-    last_only prunes the final block to the read-out position (frozen use).
+    Only position L-1 of the final block is read out, so that block runs on
+    the last two positions in training, bit for bit the full block, and on
+    position L-1 alone when frozen (see _encoder_block).
     """
     x = ad.linear(g, params["w_in"], params["b_in"])
     x = x + ad.constant(_sinusoidal(g.shape[-2], hyper.width))
+    rows = 1 if frozen else (2 if g.shape[-2] > 2 else None)
     for i in range(hyper.blocks):
-        x = _encoder_block(x, params, i, hyper.heads, last_only and i == hyper.blocks - 1)
+        x = _encoder_block(x, params, i, hyper.heads, rows if i == hyper.blocks - 1 else None)
     return x[..., -1, :]
 
 
@@ -194,14 +214,13 @@ def _head_op(params: ad.ParamSet, parts: list[Tensor]) -> Tensor:
 
 def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
                 g: np.ndarray, r_prev: np.ndarray, m_prev: np.ndarray,
-                last_only: bool = False) -> Tensor:
+                frozen: bool = False) -> Tensor:
     """Forecasts (..., I) from windows (..., I, L, D_in).
 
     r_prev is (..., I, 2D_e) and m_prev (..., 2D_e); the leading axes index
-    periods. last_only prunes the final encoder block to the read-out
-    position, which only frozen prediction does.
+    periods. frozen selects the encoder's frozen-scoring form.
     """
-    c = _temporal_encode_op(params, hyper, g, last_only)
+    c = _temporal_encode_op(params, hyper, g, frozen)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     m_shape = c.shape[:-1] + m_prev.shape[-1:]
     if hyper.ablation != "NM":
@@ -222,7 +241,7 @@ def predict(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
     Block inputs carry a leading period axis, g (P, I, L, D_in), r_prev
     (P, I, 2D_e) and m_prev (P, 2D_e), and give (P, I).
     """
-    return _predict_op(params, hyper, g, r_prev, m_prev, last_only=True).data
+    return _predict_op(params, hyper, g, r_prev, m_prev, frozen=True).data
 
 
 # -- objective -------------------------------------------------------------

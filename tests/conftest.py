@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from irrfactors import autodiff as ad
+from irrfactors import forecaster as fc
 from irrfactors.panel import (MarketPanel, SynchronismConfig, compute_deltas, compute_returns,
                               compute_synchronism_labels)
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
@@ -65,6 +69,24 @@ def linear_probe_accuracy(x_train, y_train, x_test, y_test) -> float:
     weights, *_ = np.linalg.lstsq(design, onehot, rcond=None)
     scores = np.hstack([x_test, np.ones((len(x_test), 1))]) @ weights
     return float((scores.argmax(axis=1) == y_test).mean())
+
+
+def full_encoder_block(x, params, index, heads, rows=None):
+    """The forecaster's transformer block on all L positions, whatever `rows`
+    asks: the oracle the pruned final block must match."""
+    def blk(key):
+        return params[f"blk{index}.{key}"]
+
+    mixed = ad.attention(x @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads)
+    x = ad.layer_norm(x + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
+    hidden = ad.relu(ad.linear(x, blk("ff_w1"), blk("ff_b1")))
+    ff = ad.linear(hidden, blk("ff_w2"), blk("ff_b2"))
+    return ad.layer_norm(x + ff, blk("ln2_g"), blk("ln2_b"))
+
+
+def full_blocks():
+    """Within this context, the forecaster runs full_encoder_block for every block."""
+    return mock.patch.object(fc, "_encoder_block", full_encoder_block)
 
 
 @pytest.fixture

@@ -163,6 +163,27 @@ def test_training_step_records_at_most_40_tape_nodes():
     assert len(tape._nodes) <= 40
 
 
+def test_the_final_block_runs_on_the_read_out_rows_only(monkeypatch):
+    # demo shapes: training runs the last block's layer norms on the last two
+    # positions of each window, frozen scoring on the last one
+    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=5,
+                                     window=10)
+    hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
+    params = fc.init_params(5, hyper, stream(16, "fc", "init"))
+    g = windows(fc.augment_features(feats, u), 11, 10)
+    shapes = []
+    layer_norm = ad.layer_norm
+    monkeypatch.setattr(ad, "layer_norm", lambda x, *a: shapes.append(x.shape) or
+                        layer_norm(x, *a))
+    y = np.random.default_rng(17).normal(size=16)
+    ad.train_step(params, ad.adam_init(params), lambda: fc.loss_total(
+        fc._predict_op(params, hyper, g, mseries.r[:, 10], mseries.m[10]), y,
+        average_ranks(y), 0.1), 1e-3)
+    assert shapes == [(16, 2, 32)] * 2
+    fc.predict(params, hyper, g, mseries.r[:, 10], mseries.m[10])
+    assert shapes[2:] == [(16, 1, 32)] * 2
+
+
 @pytest.mark.skipif(not ad.HEAP_PINNED, reason="glibc's mallopt is not available")
 def test_training_steps_reuse_the_heap_without_page_faults():
     # Without the pinned malloc thresholds, each step's freed working set went

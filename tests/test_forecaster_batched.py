@@ -1,4 +1,5 @@
-"""Batched frozen prediction against per-period and full-block references."""
+"""Batched frozen prediction against per-period and full-block references, and
+taped training's pruned final block against the full block, bit for bit."""
 
 import os
 import subprocess
@@ -15,6 +16,8 @@ from irrfactors.evaluation import average_ranks
 from irrfactors.marketfactor import MarketFactorSeries
 from irrfactors.panel import windows
 from irrfactors.rng import stream
+
+from conftest import full_blocks
 
 
 def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
@@ -59,20 +62,67 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
                                   mseries.r[:, t - 1], mseries.m[t - 1])
                        for t in periods], axis=1)
     np.testing.assert_array_equal(batched, single)
-    full = np.stack([fc._predict_op(params, hyper, windows(inputs, t, window),
-                                    mseries.r[:, t - 1], mseries.m[t - 1],
-                                    last_only=False).data
-                     for t in periods], axis=1)
+
+    def forecasts():
+        return np.stack([fc._predict_op(params, hyper, windows(inputs, t, window),
+                                        mseries.r[:, t - 1], mseries.m[t - 1]).data
+                         for t in periods], axis=1)
+
+    with full_blocks():
+        full = forecasts()
+    with ad.Tape():
+        taped = forecasts()
+    np.testing.assert_array_equal(taped, full)
+    # frozen scoring's one-row query projection goes to gemv, which rounds differently
     np.testing.assert_allclose(batched, full, rtol=1e-12,
                                atol=1e-12 * np.abs(full).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_stocks=st.integers(1, 40), window=st.integers(1, 12),
+       width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4)]),
+       blocks=st.sampled_from([1, 2]), ablation=ablations)
+def test_training_with_the_pruned_block_is_bitwise_the_full_block(seed, n_stocks, window,
+                                                                 width_heads, blocks,
+                                                                 ablation):
+    # loss, every gradient and the parameters, step by step over 3 Adam steps
+    width, heads = width_heads
+    steps = 3
+
+    def train():
+        feats, u, mseries, hyper, params = _model(seed, n_stocks, window + steps + 1, 2,
+                                                  window, width, heads, blocks, ablation)
+        inputs = fc.augment_features(feats, u, ablation != "NS")
+        y = np.random.default_rng(seed).normal(size=(n_stocks, window + steps + 1))
+        opt = ad.adam_init(params)
+        record = []
+
+        def loss(t):
+            y_hat = fc._predict_op(params, hyper, windows(inputs, t, window),
+                                   mseries.r[:, t - 1], mseries.m[t - 1])
+            value = fc.loss_total(y_hat, y[:, t], average_ranks(y[:, t]),
+                                  0.0 if ablation == "NR" else 0.1)
+            record.append(value.data.tobytes())
+            return value
+
+        for t in range(window + 1, window + steps + 1):
+            ad.train_step(params, opt, lambda: loss(t), 0.01)
+            record += [p.grad.tobytes() for p in params]
+            record.append(params.flat.tobytes())   # tobytes tells -0.0 from 0.0
+        return record
+
+    pruned = train()
+    with full_blocks():
+        full = train()
+    assert pruned == full
 
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 5), window=st.integers(1, 4),
        width_heads=st.sampled_from([(4, 1), (4, 2)]), ablation=ablations,
-       last_only=st.booleans())
+       frozen=st.booleans())
 def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
-                                                      width_heads, ablation, last_only):
+                                                      width_heads, ablation, frozen):
     width, heads = width_heads
     feats, u, mseries, hyper, params = _model(seed, n_stocks, window + 2, 2, window,
                                               width, heads, 2, ablation)
@@ -83,7 +133,7 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
 
     def f(_):
         y_hat = fc._predict_op(params, hyper, g, mseries.r[:, t - 1], mseries.m[t - 1],
-                               last_only=last_only)
+                               frozen=frozen)
         return fc.loss_total(y_hat, y, z, 0.1)
 
     assert ad.gradient_check(f, params) <= 1e-4

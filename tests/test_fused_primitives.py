@@ -17,7 +17,7 @@ def _linear_oracle(x, w, b):
     return x @ w + b
 
 
-def _attention_oracle(q, k, v, heads):
+def _attention_oracle(q, k, v, heads, rows=None):
     width = q.shape[-1]
     dh = width // heads
 
@@ -25,8 +25,8 @@ def _attention_oracle(q, k, v, heads):
         return ad.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
 
     scores = (split(q) @ ad.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(dh))
-    mixed = ad.softmax_row(scores) @ split(v)
-    return ad.swapaxes(mixed, -3, -2).reshape(q.shape)
+    mixed = ad.swapaxes(ad.softmax_row(scores) @ split(v), -3, -2).reshape(q.shape)
+    return mixed if rows is None else mixed[..., q.shape[-2] - rows:, :]
 
 
 def _layer_norm_oracle(x, gain, bias):
@@ -45,15 +45,21 @@ def _forward_and_grads(op, arrays, weights):
     return out.data, [p.grad for p in params]
 
 
-def _assert_bitwise(fused, oracle, arrays, rng):
+def _assert_bitwise(fused, oracle, arrays, rng, read_out=False):
+    """Compare outputs and gradients bytewise; return the fused gradients.
+
+    With read_out, only the output's last row reaches the loss, as in the
+    forecaster's read-out; otherwise all rows but the first do.
+    """
     weights = rng.normal(size=oracle(*[ad.constant(a) for a in arrays]).shape)
-    if weights.shape[-2] > 1:   # a row that does not reach the loss, as in training's read-out
-        weights[..., 0, :] = 0.0
+    if weights.shape[-2] > 1:   # rows that do not reach the loss, as in training's read-out
+        weights[..., slice(None, -1) if read_out else 0, :] = 0.0
     out_f, grads_f = _forward_and_grads(fused, arrays, weights)
     out_o, grads_o = _forward_and_grads(oracle, arrays, weights)
     for a_f, a_o in zip([out_f, *grads_f], [out_o, *grads_o]):
         assert a_f.shape == a_o.shape
         assert a_f.tobytes() == a_o.tobytes()    # unlike array_equal, tells -0.0 from 0.0
+    return grads_f
 
 
 batch_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
@@ -91,6 +97,31 @@ def test_attention_matches_its_oracle_bitwise(seed, batch, length, heads, dh, la
 
 
 @settings(max_examples=60)
+@given(seed=st.integers(0, 2**16), batch=batch_shapes, length=st.integers(2, 6),
+       heads=st.sampled_from([1, 2, 4]), dh=st.integers(1, 3), data=st.data())
+def test_attention_rows_match_the_full_attentions_rows_bitwise(seed, batch, length, heads,
+                                                               dh, data):
+    # Two or more query rows keep every product a gemm (one row would go to
+    # gemv). The loss reads the last row only: k's and v's gradients sum over
+    # the kept query rows, which rounds as the full sum with one nonzero term.
+    rows = data.draw(st.integers(2, length))
+    rng = np.random.default_rng(seed)
+    width = heads * dh
+    arrays = [rng.normal(size=batch + (length, width)) for _ in range(3)]
+
+    def fused(q, k, v):
+        return ad.attention(q, k, v, heads, rows)
+
+    def oracle(q, k, v):
+        return _attention_oracle(q, k, v, heads, rows)
+
+    gq = _assert_bitwise(fused, oracle, arrays, rng, read_out=True)[0]
+    assert gq.shape == arrays[0].shape
+    skipped = gq[..., :length - rows, :]
+    assert skipped.tobytes() == np.zeros_like(skipped).tobytes()
+
+
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**16), batch=batch_shapes, rows=st.integers(1, 5),
        width=st.integers(1, 8), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_layer_norm_matches_its_oracle_bitwise(seed, batch, rows, width, scale):
@@ -118,8 +149,12 @@ def test_fused_primitives_pass_the_gradient_check(seed, batch, length, heads, la
     r_att = ad.constant(rng.normal(size=batch + (q_rows, width)))
     r_lin = ad.constant(rng.normal(size=batch + (length, 3)))
     r_ln = ad.constant(rng.normal(size=batch + (length, width)))
+    rows = (q_rows + 1) // 2
+    r_rows = ad.constant(rng.normal(size=batch + (rows, width)))
 
     assert ad.gradient_check(lambda _: (ad.attention(q, k, v, heads) * r_att).sum(),
+                             [q, k, v]) <= 1e-4
+    assert ad.gradient_check(lambda _: (ad.attention(q, k, v, heads, rows) * r_rows).sum(),
                              [q, k, v]) <= 1e-4
     assert ad.gradient_check(lambda _: (ad.linear(x, w, b) * r_lin).sum(),
                              [x, w, b]) <= 1e-4
@@ -152,3 +187,7 @@ def test_fused_primitives_reject_mismatched_shapes():
     with pytest.raises(ad.ShapeError):    # keys and values of different lengths
         ad.attention(rng.normal(size=(1, 4)), rng.normal(size=(3, 4)),
                      rng.normal(size=(2, 4)), 2)
+    x = rng.normal(size=(3, 4))
+    for rows in (0, 4):                    # more rows than q has, or none
+        with pytest.raises(ad.ShapeError):
+            ad.attention(x, x, x, 2, rows)
