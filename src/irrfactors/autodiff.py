@@ -232,10 +232,16 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(data, parents, vjp) -> Tensor:
-    tape = _active_tape()
+def record(data, parents, vjp) -> Tensor:
+    """A tensor holding `data`, computed from the `parents` tensors.
+
+    On an active tape, when some parent needs a gradient, it is also a node:
+    `vjp` maps its gradient to one gradient (or None) per parent. Every
+    primitive ends here, and so may an op that fuses a chain of them.
+    """
     out = Tensor(data)
-    if tape is not None and any(p.requires_grad for p in parents):
+    if recording(parents):
+        tape = _active_tape()
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -244,7 +250,13 @@ def _record(data, parents, vjp) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+def recording(tensors) -> bool:
+    """True when an op on `tensors` would be recorded: a tape is active and
+    one of them needs a gradient."""
+    return _active_tape() is not None and any(t.requires_grad for t in tensors)
+
+
+def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g down to `shape`, undoing numpy broadcasting."""
     if g.shape == shape:
         return g
@@ -257,27 +269,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 # -- primitives ---------------------------------------------------------
+#
+# A VJP computes no gradient for an operand that needs none; the backward
+# pass would drop it.
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
-    return _record(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                            _unbroadcast(g, b.data.shape)))
+    return record(data, (a, b), lambda g: (
+        unbroadcast(g, a.data.shape) if a.requires_grad else None,
+        unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data - b.data
-    return _record(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                            _unbroadcast(-g, b.data.shape)))
+    return record(data, (a, b), lambda g: (
+        unbroadcast(g, a.data.shape) if a.requires_grad else None,
+        unbroadcast(-g, b.data.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
-    return _record(data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                            _unbroadcast(g * a.data, b.data.shape)))
+    return record(data, (a, b), lambda g: (
+        unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+        unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
 
 def div(a, b) -> Tensor:
@@ -285,9 +303,17 @@ def div(a, b) -> Tensor:
     if np.any(b.data == 0.0):
         raise DomainError("division by zero")
     data = a.data / b.data
-    return _record(data, (a, b),
-                   lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+    return record(data, (a, b), lambda g: (
+        unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+        unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad
+        else None))
+
+
+def matmul_vjp(g, a, b, need_a: bool = True, need_b: bool = True):
+    """Gradients of a @ b's operands, each None where not needed."""
+    ga = unbroadcast(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
+    gb = unbroadcast(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
+    return ga, gb
 
 
 def matmul(a, b) -> Tensor:
@@ -298,21 +324,33 @@ def matmul(a, b) -> Tensor:
         data = a.data @ b.data
     except ValueError as e:
         raise ShapeError(str(e)) from None
-
-    def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _record(data, (a, b), vjp)
+    return record(data, (a, b),
+                  lambda g: matmul_vjp(g, a.data, b.data, a.requires_grad, b.requires_grad))
 
 
 # -- fused primitives ------------------------------------------------------
 #
 # Each records one node in place of a chain of the elementary primitives
-# above. Forward and VJP repeat the chain's numpy expressions in its order,
-# so values and gradients are bit for bit those of the chain; only the
-# per-node bookkeeping is saved.
+# above. Its math is a plain-numpy helper, name_fwd, which returns the output
+# and a VJP closure; the forecaster's fused model calls the same helpers.
+# With grad=False a helper returns None for the VJP, so nothing is kept for
+# it and its intermediates are freed on return, as in untaped scoring.
+# Forward and VJP repeat the chain's numpy expressions in its order, so
+# values and gradients are bit for bit those of the chain; only the per-node
+# bookkeeping is saved.
+
+
+def linear_fwd(x, w, b, grad: bool = True):
+    """x @ w + b on arrays, b broadcast against the product; the output and
+    vjp(g, need=(x, w, b)) -> (gx, gw, gb), None where not needed."""
+    data = x @ w
+    data += b          # the bits of product + b, without a second array
+
+    def vjp(g, need=(True, True, True)):
+        gx, gw = matmul_vjp(g, x, w, need[0], need[1])
+        return gx, gw, unbroadcast(g, b.shape) if need[2] else None
+
+    return data, vjp if grad else None
 
 
 def linear(x, w, b) -> Tensor:
@@ -321,40 +359,63 @@ def linear(x, w, b) -> Tensor:
     if x.data.ndim < 2 or w.data.ndim < 2:
         raise ShapeError("linear requires operands with ndim >= 2")
     try:
-        data = x.data @ w.data
+        data, vjp = linear_fwd(x.data, w.data, b.data)
     except ValueError as e:
-        raise ShapeError(str(e)) from None
-    try:
-        data += b.data          # the bits of product + b, without a second array
-    except ValueError:
-        raise ShapeError(f"bias {b.data.shape} does not broadcast to the product "
-                         f"{data.shape}") from None
-
-    def vjp(g):
-        gx = _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape) if x.requires_grad else None
-        gw = _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape) if w.requires_grad else None
-        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
-        return gx, gw, gb
-
-    return _record(data, (x, w, b), vjp)
+        raise ShapeError(f"linear: x {x.data.shape} @ w {w.data.shape} + bias "
+                         f"{b.data.shape} does not fit ({e})") from None
+    return record(data, (x, w, b),
+                  lambda g: vjp(g, (x.requires_grad, w.requires_grad, b.requires_grad)))
 
 
-def attention(q, k, v, heads: int, rows: int | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over (..., L, width) inputs.
+def attention_fwd(q, k, v, heads: int, first: int = 0, grad: bool = True):
+    """Multi-head scaled dot-product attention on arrays; the output and
+    vjp(g, need=(q, k, v)) -> (gq, gk, gv), None where not needed.
 
     q (..., Lq, width) attends over k and v (..., L, width); each is split
     into `heads` slices of width // heads, and the mixed slices are merged
-    back into (..., Lq, width). With `rows`, only q's last `rows` positions
-    attend: the output is (..., rows, width) and q's gradient keeps q's
-    shape, zero on the other rows.
+    back. Only q's rows from `first` on attend: the output is
+    (..., Lq - first, width), and q's gradient keeps q's shape, zero on the
+    rows before `first`.
 
-    When only the output's last row reaches the loss, `rows` keeps the full
-    attention's bits by two rules. (1) With rows >= 2 every product stays a
-    gemm, which rounds each kept row as in the full product; numpy sends a
-    one-row product to gemv, which rounds differently. This rests on
-    OpenBLAS's gemm. (2) q's producer gets a full-shaped gradient, so it
-    sums its input's gradient as the full chain does.
+    When only the output's last row reaches the loss, `first` keeps the full
+    attention's bits by two rules. (1) With two or more attending rows every
+    product stays a gemm, which rounds each kept row as in the full product;
+    numpy sends a one-row product to gemv, which rounds differently. This
+    rests on OpenBLAS's gemm. (2) q's producer gets a full-shaped gradient,
+    so it sums its input's gradient as the full chain does.
     """
+    n_q, width = q.shape[-2:]
+    dh = width // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a):  # (..., L, width) -> (..., heads, L, dh)
+        return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
+
+    qh, kh, vh = split(q)[..., first:, :], split(k), split(v)
+    p = softmax(qh @ kh.swapaxes(-1, -2) * scale)
+    mixed = p @ vh
+    data = mixed.swapaxes(-3, -2).reshape(q.shape[:-2] + (n_q - first, width))
+
+    def vjp(g, need=(True, True, True)):
+        g = g.reshape(mixed.swapaxes(-3, -2).shape).swapaxes(-3, -2)
+        gp = g @ vh.swapaxes(-1, -2)
+        gv = p.swapaxes(-1, -2) @ g
+        gs = softmax_vjp(p, gp) * scale
+        gq = gs @ kh
+        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        if first:
+            gq_full = np.zeros(qh.shape[:-2] + (n_q, dh))
+            gq_full[..., first:, :] = gq
+            gq = gq_full
+        return tuple(gh.swapaxes(-3, -2).reshape(shape) if want else None
+                     for gh, shape, want in zip((gq, gk, gv), (q.shape, k.shape, v.shape), need))
+
+    return data, vjp if grad else None
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (..., L, width) inputs:
+    q (..., Lq, width) attends over k and v (..., L, width); see attention_fwd."""
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     width = q.data.shape[-1]
     if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or width % heads != 0
@@ -363,53 +424,26 @@ def attention(q, k, v, heads: int, rows: int | None = None) -> Tensor:
         raise ShapeError(f"attention needs q (..., Lq, width) and k, v (..., L, width) "
                          f"with width divisible by {heads} heads; got {q.data.shape}, "
                          f"{k.data.shape}, {v.data.shape}")
-    n_q = q.data.shape[-2]
-    if rows is not None and not 1 <= rows <= n_q:
-        raise ShapeError(f"attention rows={rows} must be between 1 and Lq={n_q}")
-    dh = width // heads
-    scale = 1.0 / np.sqrt(dh)
-    first = 0 if rows is None else n_q - rows
-
-    def split(a):  # (..., L, width) -> (..., heads, L, dh)
-        return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
-
-    qh, kh, vh = split(q.data)[..., first:, :], split(k.data), split(v.data)
-    p = _softmax(qh @ kh.swapaxes(-1, -2) * scale)
-    mixed = p @ vh
-    data = mixed.swapaxes(-3, -2).reshape(q.data.shape[:-2] + (n_q - first, width))
-
-    def vjp(g):
-        g = g.reshape(mixed.swapaxes(-3, -2).shape).swapaxes(-3, -2)
-        gp = g @ vh.swapaxes(-1, -2)
-        gv = p.swapaxes(-1, -2) @ g
-        gs = _softmax_vjp(p, gp) * scale
-        gq = gs @ kh
-        gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        if first:
-            gq_full = np.zeros(qh.shape[:-2] + (n_q, dh))
-            gq_full[..., first:, :] = gq
-            gq = gq_full
-        return tuple(gh.swapaxes(-3, -2).reshape(t.data.shape) if t.requires_grad else None
-                     for gh, t in ((gq, q), (gk, k), (gv, v)))
-
-    return _record(data, (q, k, v), vjp)
+    data, vjp = attention_fwd(q.data, k.data, v.data, heads)
+    return record(data, (q, k, v),
+                  lambda g: vjp(g, (q.requires_grad, k.requires_grad, v.requires_grad)))
 
 
-def layer_norm(x, gain, bias) -> Tensor:
-    """(x - mean) / std * gain + bias over the last axis, std as in tstd."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+def layer_norm_fwd(x, gain, bias, grad: bool = True):
+    """(x - mean) / std * gain + bias over the last axis of arrays, std as in
+    tstd; the output and vjp(g) -> (gx, g_gain, g_bias)."""
     # ndarray.mean is add.reduce divided by the count; calling them directly
     # gives the same bits without numpy's Python-level mean wrapper. The
     # in-place updates below compute the chain's expressions in its order.
-    n = x.data.shape[-1]
-    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    n = x.shape[-1]
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     sd = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / n + STD_EPS)
     normed = centered / sd
-    data = normed * gain.data
-    data += bias.data
+    data = normed * gain
+    data += bias
 
     def vjp(g):
-        g_normed = g * gain.data
+        g_normed = g * gain
         g_centered = g_normed / sd
         t = -g_normed
         t *= centered
@@ -420,9 +454,16 @@ def layer_norm(x, gain, bias) -> Tensor:
         gx /= n * sd
         gx += g_centered    # (g_centered + g_sd * centered / (n * sd)) + g_mu / n
         gx += g_mu / n
-        return (gx, _unbroadcast(g * normed, gain.data.shape), _unbroadcast(g, bias.data.shape))
+        return gx, unbroadcast(g * normed, gain.shape), unbroadcast(g, bias.shape)
 
-    return _record(data, (x, gain, bias), vjp)
+    return data, vjp if grad else None
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """(x - mean) / std * gain + bias over the last axis, std as in tstd."""
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    data, vjp = layer_norm_fwd(x.data, gain.data, bias.data)
+    return record(data, (x, gain, bias), vjp)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -434,41 +475,43 @@ def concat(tensors, axis: int = -1) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _record(data, tuple(tensors), vjp)
+    return record(data, tuple(tensors), vjp)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of an array, max-shifted; softmax_row's math."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+def softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input's gradient, given softmax's output p and the output's gradient g."""
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
 def softmax_row(x) -> Tensor:
     """Softmax along the last axis, computed with max subtraction."""
     x = _wrap(x)
-    p = _softmax(x.data)
-    return _record(p, (x,), lambda g: (_softmax_vjp(p, g),))
+    p = softmax(x.data)
+    return record(p, (x,), lambda g: (softmax_vjp(p, g),))
 
 
 def relu(x) -> Tensor:
     x = _wrap(x)
     data = np.maximum(x.data, 0.0)
-    return _record(data, (x,), lambda g: (g * (x.data > 0.0),))
+    return record(data, (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def tanh(x) -> Tensor:
     x = _wrap(x)
     data = np.tanh(x.data)
-    return _record(data, (x,), lambda g: (g * (1.0 - data * data),))
+    return record(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
 def exp(x) -> Tensor:
     x = _wrap(x)
     data = np.exp(x.data)
-    return _record(data, (x,), lambda g: (g * data,))
+    return record(data, (x,), lambda g: (g * data,))
 
 
 def log(x) -> Tensor:
@@ -476,7 +519,7 @@ def log(x) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError("log requires strictly positive input")
     data = np.log(x.data)
-    return _record(data, (x,), lambda g: (g / x.data,))
+    return record(data, (x,), lambda g: (g / x.data,))
 
 
 def _axis_count(shape, axis):
@@ -509,7 +552,7 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _record(data, (x,), vjp)
+    return record(data, (x,), vjp)
 
 
 def tmean(x, axis=None, keepdims=False) -> Tensor:
@@ -521,7 +564,7 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
         return (np.broadcast_to(g / n, x.data.shape).copy(),)
 
-    return _record(data, (x,), vjp)
+    return record(data, (x,), vjp)
 
 
 def tstd(x, axis=None, keepdims=False) -> Tensor:
@@ -546,13 +589,13 @@ def tstd(x, axis=None, keepdims=False) -> Tensor:
         g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
         return (g * centered / (n * std_k),)
 
-    return _record(data, (x,), vjp)
+    return record(data, (x,), vjp)
 
 
 def swapaxes(x, a: int, b: int) -> Tensor:
     x = _wrap(x)
     data = x.data.swapaxes(a, b)
-    return _record(data, (x,), lambda g: (g.swapaxes(a, b),))
+    return record(data, (x,), lambda g: (g.swapaxes(a, b),))
 
 
 def reshape(x, *shape) -> Tensor:
@@ -560,20 +603,32 @@ def reshape(x, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     data = x.data.reshape(shape)
-    return _record(data, (x,), lambda g: (g.reshape(x.data.shape),))
+    return record(data, (x,), lambda g: (g.reshape(x.data.shape),))
+
+
+def _selects_once(key) -> bool:
+    """True for a key of slices, ints and Ellipsis only: basic indexing, which
+    selects each element at most once."""
+    return all(k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in (key if isinstance(key, tuple) else (key,)))
 
 
 def take(x, key) -> Tensor:
     """Indexing/slicing; the backward pass scatter-adds into the source shape."""
     x = _wrap(x)
     data = np.array(x.data[key])
+    once = _selects_once(key)
 
     def vjp(g):
         full = np.zeros_like(x.data)
-        np.add.at(full, key, g)
+        if once:
+            full[key] += g      # 0.0 + g per element: the bits of np.add.at
+        else:
+            np.add.at(full, key, g)     # repeated indices accumulate
         return (full,)
 
-    return _record(data, (x,), vjp)
+    return record(data, (x,), vjp)
 
 
 def logsumexp_row(x) -> Tensor:

@@ -141,97 +141,168 @@ def augment_features(features: np.ndarray, u: np.ndarray,
     return np.concatenate([features, u[..., None]], axis=-1)
 
 
-def _encoder_block(x: Tensor, params: ad.ParamSet, index: int, heads: int,
-                   rows: int | None) -> Tensor:
-    """Transformer block `index` over (..., L, width) windows.
+# The model and its loss are one tape node each: _predict_op's parents are
+# the parameters, loss_total's is y_hat. Each piece below returns its output
+# and a VJP closure that writes its parameters' gradients into `grads`, or
+# None when no tape records (keep=False), so that untaped scoring frees each
+# intermediate once it is used. Forward and VJP repeat the numpy expressions
+# of the chain of tape primitives they replace (tests/conftest.py keeps it as
+# the oracle). Where a gradient has several terms they are summed in the
+# order the tape summed them, the reverse of the order in which the chain
+# created their nodes, and a zero-filled scatter adds (+=) as take's VJP
+# does; so every value and gradient keeps the chain's bits.
 
-    With `rows`, queries and everything after them run on the last `rows`
-    positions alone, (..., rows, width); keys and values still cover all L.
-    rows=1 projects the query from position L-1 alone, a one-row product
-    that numpy sends to gemv: frozen scoring's form, whose bits differ
-    slightly from the full block's. When only position L-1 of the output
-    reaches the loss, rows >= 2 keeps the full block's bits, in its values
-    and every gradient, by two rules:
+
+def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
+                   frozen: bool, keep: bool):
+    """Transformer block `index` over (..., L, width) windows; the output
+    (..., L - first, width) and vjp(g, grads) -> the input's gradient.
+
+    Queries and everything after them run on positions first..L-1; keys and
+    values cover all L. frozen projects the query from those rows alone; with
+    one row that is a product numpy sends to gemv: frozen scoring's form,
+    whose bits differ slightly from the full block's. Otherwise, when only
+    position L-1 of the output reaches the loss, two or more rows keep the
+    full block's bits, in its values and every gradient, by two rules:
 
     1. Every product stays a gemm, which rounds each kept row as in the
        full product. This rests on OpenBLAS's gemm (measured with 0.3.31).
     2. The gradient of the block's input sums in the full block's order,
        ((residual + v) + k) + q: q is projected on all L rows and attention
-       takes the trailing rows itself, and the residual's rows are taken
-       after the k and v projections.
+       takes the trailing rows itself.
     """
-    def blk(key: str) -> Tensor:
-        return params[f"blk{index}.{key}"]
+    def blk(key: str) -> str:
+        return f"blk{index}.{key}"
 
-    first = x.shape[-2] - (rows or x.shape[-2])
-    if rows == 1:       # frozen form: the query projected from one row
-        x_q = x[..., first:, :]
-        mixed = ad.attention(x_q @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads)
-    else:
-        mixed = ad.attention(x @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads, rows)
-        x_q = x[..., first:, :] if first else x    # after the k and v projections (rule 2)
-    x = ad.layer_norm(x_q + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
-    hidden = ad.relu(ad.linear(x, blk("ff_w1"), blk("ff_b1")))
-    ff = ad.linear(hidden, blk("ff_w2"), blk("ff_b2"))
-    return ad.layer_norm(x + ff, blk("ln2_g"), blk("ln2_b"))
+    w_q, w_k, w_v, w_o = (p[blk(key)] for key in ("w_q", "w_k", "w_v", "w_o"))
+    x_q = np.array(x[..., first:, :]) if first else x
+    mixed, attention_vjp = ad.attention_fwd((x_q if frozen else x) @ w_q, x @ w_k, x @ w_v,
+                                            heads, 0 if frozen else first, keep)
+    h1, ln1_vjp = ad.layer_norm_fwd(x_q + mixed @ w_o, p[blk("ln1_g")], p[blk("ln1_b")],
+                                    keep)
+    hidden, ff1_vjp = ad.linear_fwd(h1, p[blk("ff_w1")], p[blk("ff_b1")], keep)
+    np.maximum(hidden, 0.0, out=hidden)     # relu; hidden > 0 where its input was
+    ff, ff2_vjp = ad.linear_fwd(hidden, p[blk("ff_w2")], p[blk("ff_b2")], keep)
+    out, ln2_vjp = ad.layer_norm_fwd(h1 + ff, p[blk("ln2_g")], p[blk("ln2_b")], keep)
+
+    def vjp(g: np.ndarray, grads: dict) -> np.ndarray:
+        g_a2, grads[blk("ln2_g")], grads[blk("ln2_b")] = ln2_vjp(g)     # a2 = h1 + ff
+        g_hidden, grads[blk("ff_w2")], grads[blk("ff_b2")] = ff2_vjp(g_a2)
+        g_h1, grads[blk("ff_w1")], grads[blk("ff_b1")] = ff1_vjp(g_hidden * (hidden > 0.0))
+        g_h1 = g_a2 + g_h1                      # ff residual + ff_w1 path
+        g_a1, grads[blk("ln1_g")], grads[blk("ln1_b")] = ln1_vjp(g_h1)  # a1 = x_q + mixed @ w_o
+        g_mixed, grads[blk("w_o")] = ad.matmul_vjp(g_a1, mixed, w_o)
+        gq, gk, gv = attention_vjp(g_mixed)
+        g_from_q, grads[blk("w_q")] = ad.matmul_vjp(gq, x_q if frozen else x, w_q)
+        g_from_k, grads[blk("w_k")] = ad.matmul_vjp(gk, x, w_k)
+        g_from_v, grads[blk("w_v")] = ad.matmul_vjp(gv, x, w_v)
+        g_residual = g_a1 + g_from_q if frozen else g_a1
+        if first:       # the residual's rows, scattered as take's VJP does
+            g_x = np.zeros_like(x)
+            g_x[..., first:, :] += g_residual
+            g_residual = g_x
+        g_x = (g_residual + g_from_v) + g_from_k
+        return g_x if frozen else g_x + g_from_q
+
+    return out, vjp if keep else None
 
 
-def _temporal_encode_op(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
-                        frozen: bool = False) -> Tensor:
-    """Encode (..., I, L, D_in) windows into per-stock vectors (..., I, width).
+def _temporal_encode(p: dict, hyper: ForecasterHyper, g: np.ndarray, frozen: bool = False,
+                     keep: bool = False):
+    """Encode (..., I, L, D_in) windows into per-stock vectors (..., I, width);
+    the encoding and vjp(g, grads).
 
     Only position L-1 of the final block is read out, so that block runs on
     the last two positions in training, bit for bit the full block, and on
     position L-1 alone when frozen (see _encoder_block).
     """
-    x = ad.linear(g, params["w_in"], params["b_in"])
-    x = x + ad.constant(_sinusoidal(g.shape[-2], hyper.width))
-    rows = 1 if frozen else (2 if g.shape[-2] > 2 else None)
+    length = g.shape[-2]
+    x, in_vjp = ad.linear_fwd(g, p["w_in"], p["b_in"], keep)
+    x = x + _sinusoidal(length, hyper.width)
+    first = length - 1 if frozen else max(length - 2, 0)
+    block_vjps = []
     for i in range(hyper.blocks):
-        x = _encoder_block(x, params, i, hyper.heads, rows if i == hyper.blocks - 1 else None)
-    return x[..., -1, :]
+        final = i == hyper.blocks - 1
+        x, block_vjp = _encoder_block(x, p, i, hyper.heads, first if final else 0,
+                                      frozen and final, keep)
+        block_vjps.append(block_vjp)
+
+    def vjp(g_c: np.ndarray, grads: dict) -> None:
+        g_x = np.zeros_like(x)
+        g_x[..., -1, :] += g_c
+        for block_vjp in reversed(block_vjps):
+            g_x = block_vjp(g_x, grads)
+        _, grads["w_in"], grads["b_in"] = in_vjp(g_x, need=(False, True, True))
+
+    return np.array(x[..., -1, :]), vjp if keep else None
 
 
-def _relation_op(params: ad.ParamSet, c: Tensor, r_prev: np.ndarray) -> Tensor:
-    """Relation-attention context: softmax over pairwise scores, mixing c.
+def _relation(p: dict, c: np.ndarray, r_prev: np.ndarray, keep: bool = False):
+    """Relation-attention context: softmax over pairwise scores, mixing c;
+    the context and vjp(g_c_head, g, grads) -> c's gradient.
 
     c is (..., I, width) and r_prev (..., I, 2D_e); stocks mix only within
-    their own period.
+    their own period. c also feeds the head, whose gradient g_c_head comes
+    first in c's sum.
     """
-    v = ad.linear(c, params["p_c"], r_prev)
-    z = v @ ad.swapaxes(params["w_y"], -1, -2)
-    scores = z @ ad.swapaxes(z, -1, -2)
-    att = ad.softmax_row(scores)
-    return att @ c
+    v, v_vjp = ad.linear_fwd(c, p["p_c"], r_prev, keep)
+    w_y_t = p["w_y"].swapaxes(-1, -2)
+    z = v @ w_y_t
+    z_t = z.swapaxes(-1, -2)
+    att = ad.softmax(z @ z_t)
 
+    def vjp(g_c_head: np.ndarray, g: np.ndarray, grads: dict) -> np.ndarray:
+        g_att, g_c = ad.matmul_vjp(g, att, c)
+        g_z, g_z_t = ad.matmul_vjp(ad.softmax_vjp(att, g_att), z, z_t)
+        g_z = g_z + g_z_t.swapaxes(-1, -2)
+        g_v, g_w_y_t = ad.matmul_vjp(g_z, v, w_y_t)
+        grads["w_y"] = g_w_y_t.swapaxes(-1, -2)
+        g_from_v, grads["p_c"], _ = v_vjp(g_v, need=(True, True, False))
+        return (g_c_head + g_c) + g_from_v
 
-def _head_op(params: ad.ParamSet, parts: list[Tensor]) -> Tensor:
-    x = ad.concat(parts, axis=-1)
-    hidden = ad.relu(ad.linear(x, params["head_w1"], params["head_b1"]))
-    out = ad.linear(hidden, params["head_w2"], params["head_b2"])
-    return out.reshape(out.shape[:-1])
+    return att @ c, vjp if keep else None
 
 
 def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
                 g: np.ndarray, r_prev: np.ndarray, m_prev: np.ndarray,
                 frozen: bool = False) -> Tensor:
-    """Forecasts (..., I) from windows (..., I, L, D_in).
+    """Forecasts (..., I) from windows (..., I, L, D_in), as one tape node
+    whose parents are the parameters.
 
     r_prev is (..., I, 2D_e) and m_prev (..., 2D_e); the leading axes index
     periods. frozen selects the encoder's frozen-scoring form.
     """
-    c = _temporal_encode_op(params, hyper, g, frozen)
+    p = {name: t.data for name, t in params.items()}
+    keep = ad.recording(params)
+    c, encode_vjp = _temporal_encode(p, hyper, g, frozen, keep)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     m_shape = c.shape[:-1] + m_prev.shape[-1:]
     if hyper.ablation != "NM":
         m_rows = np.broadcast_to(m_prev[..., None, :], m_shape)
     else:
         m_rows = np.zeros(m_shape)
+    relations = hyper.ablation != "ND"
     parts = [c]
-    if hyper.ablation != "ND":
-        parts.append(_relation_op(params, c, r_prev))
-    parts.append(ad.constant(m_rows))
-    return _head_op(params, parts)
+    if relations:
+        context, relation_vjp = _relation(p, c, r_prev, keep)
+        parts.append(context)
+    x = np.concatenate(parts + [m_rows], axis=-1)
+    hidden, h1_vjp = ad.linear_fwd(x, p["head_w1"], p["head_b1"], keep)
+    np.maximum(hidden, 0.0, out=hidden)
+    out, h2_vjp = ad.linear_fwd(hidden, p["head_w2"], p["head_b2"], keep)
+
+    def vjp(g: np.ndarray) -> tuple:
+        grads = {}
+        g_hidden, grads["head_w2"], grads["head_b2"] = h2_vjp(g.reshape(out.shape))
+        g_x, grads["head_w1"], grads["head_b1"] = h1_vjp(g_hidden * (hidden > 0.0))
+        width = c.shape[-1]
+        g_c = g_x[..., :width]
+        if relations:
+            g_c = relation_vjp(g_c, g_x[..., width:2 * width], grads)
+        encode_vjp(g_c, grads)
+        return tuple(grads[name] for name in p)
+
+    return ad.record(out.reshape(out.shape[:-1]), tuple(params), vjp)
 
 
 def predict(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
@@ -247,24 +318,44 @@ def predict(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
 # -- objective -------------------------------------------------------------
 
 
-def _ic_op(y_hat: Tensor, z: np.ndarray) -> Tensor:
-    z = np.asarray(z, dtype=np.float64)
-    zc = ad.constant(z - z.mean())
-    z_sd = float(z.std())
-    if z_sd == 0.0:
-        return ad.constant(0.0)
-    centered = y_hat - y_hat.mean()
-    cov = (centered * zc).mean()
-    return cov / (y_hat.std() * z_sd)
-
-
 def loss_total(y_hat: Tensor, y: np.ndarray, z: np.ndarray, lambda3: float) -> Tensor:
-    """Per-period objective: mean squared error minus lambda3 times the IC."""
-    diff = y_hat - ad.constant(np.asarray(y, dtype=np.float64))
-    mse = (diff * diff).mean()
-    if lambda3 == 0.0:
-        return mse
-    return mse + (-lambda3) * _ic_op(y_hat, z)
+    """Per-period objective: mean squared error minus lambda3 times the IC, the
+    Pearson correlation of y_hat with the target ranks z (0 when z is constant).
+    One tape node whose parent is y_hat."""
+    f = y_hat.data
+    n = f.size
+    diff = f - np.asarray(y, dtype=np.float64)
+    mse = np.add.reduce(diff * diff, axis=None) / n
+    z = np.asarray(z, dtype=np.float64)
+    z_sd = float(z.std())
+    with_ic = lambda3 != 0.0 and z_sd != 0.0      # else the IC adds -0.0: mse's bits
+    if with_ic:
+        zc = z - z.mean()
+        centered = f - np.add.reduce(f, axis=None) / n
+        cov = np.add.reduce(centered * zc, axis=None) / n
+        sd = np.sqrt(np.add.reduce(centered * centered, axis=None) / n + ad.STD_EPS)
+        den = sd * z_sd
+        ic = cov / den
+        loss = mse + (-lambda3) * ic
+    else:
+        loss = mse
+
+    def vjp(g: np.ndarray) -> tuple:
+        g_sq = g / n                            # each element's share of the mean
+        g_diff = g_sq * diff + g_sq * diff      # diff * diff: a-slot plus b-slot
+        if not with_ic:
+            return (g_diff,)
+        # y_hat's gradient sums ((std + centered) + mean) + diff, as the chain did
+        g_ic = g * (-lambda3)
+        g_cov = g_ic / den
+        g_den = -g_ic * cov / (den * den)
+        g_f = g_den * z_sd * centered / (n * sd)            # the std's term
+        g_centered = g_cov / n * zc
+        g_f = g_f + g_centered
+        g_f = g_f + ad.unbroadcast(-g_centered, ()) / n     # the mean's term
+        return (g_f + g_diff,)
+
+    return ad.record(loss, (y_hat,), vjp)
 
 
 # -- training ---------------------------------------------------------------

@@ -198,6 +198,55 @@ def test_broadcasting_vjps_pass_the_gradient_check(op, a_shape, b_shape):
     assert ad.gradient_check(lambda _: (op(a, b) * weights).sum(), params) <= 1e-4
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+@pytest.mark.parametrize("a_shape, b_shape", [s for s in _BROADCAST_SHAPES if None not in s])
+@pytest.mark.parametrize("constant", [0, 1])
+def test_elementwise_vjps_skip_the_slot_of_a_constant_operand(op, a_shape, b_shape, constant):
+    rng = np.random.default_rng(1)
+    arrays = [rng.normal(size=a_shape), 0.5 + rng.random(size=b_shape)]
+    with ad.Tape():
+        both = op(*map(ad.parameter, arrays))
+        one = op(*(ad.constant(a) if i == constant else ad.parameter(a)
+                   for i, a in enumerate(arrays)))
+    g = rng.normal(size=both.shape)
+    slots_both, slots_one = both._vjp(g), one._vjp(g)
+    assert slots_one[constant] is None
+    kept = 1 - constant
+    assert slots_one[kept].tobytes() == slots_both[kept].tobytes()
+
+
+def _add_at_oracle(shape, key, g):
+    full = np.zeros(shape)
+    np.add.at(full, key, g)
+    return full
+
+
+_basic_index = st.one_of(st.integers(-3, 2), st.slices(3), st.just(Ellipsis))
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**16), key=st.lists(_basic_index, min_size=1, max_size=3)
+       .filter(lambda k: k.count(Ellipsis) <= 1).map(tuple), signed_zeros=st.booleans())
+def test_take_scatters_a_basic_key_as_add_at_does_bitwise(seed, key, signed_zeros):
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.normal(size=(3, 3, 3)))
+    with ad.Tape():
+        out = x[key]
+    g = rng.normal(size=out.shape)
+    if signed_zeros:            # 0.0 + -0.0 is +0.0 in either scatter
+        g[g < 0] = -0.0
+    (full,) = out._vjp(g)
+    assert full.tobytes() == _add_at_oracle(x.shape, key, g).tobytes()
+
+
+def test_take_accumulates_a_repeated_index():
+    x = ad.parameter(np.arange(4.0))
+    with ad.Tape() as tape:
+        loss = (x[np.array([1, 1, 3])] * ad.constant([1.0, 2.0, 5.0])).sum()
+        tape.backward(loss)
+    assert x.grad.tolist() == [0.0, 3.0, 0.0, 5.0]
+
+
 def test_adam_first_step_moves_against_gradient_sign():
     params = ad.ParamSet({"p": [1.0, 1.0]})
     p = params["p"]

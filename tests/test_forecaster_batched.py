@@ -1,5 +1,6 @@
-"""Batched frozen prediction against per-period and full-block references, and
-taped training's pruned final block against the full block, bit for bit."""
+"""Batched frozen prediction against per-period references, and the fused
+forecaster's training and frozen scoring against the chain of tape
+primitives in conftest, bit for bit."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ from irrfactors.marketfactor import MarketFactorSeries
 from irrfactors.panel import windows
 from irrfactors.rng import stream
 
-from conftest import full_blocks
+from conftest import taped_loss, taped_predict
 
 
 def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
@@ -63,45 +64,48 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
                        for t in periods], axis=1)
     np.testing.assert_array_equal(batched, single)
 
-    def forecasts():
-        return np.stack([fc._predict_op(params, hyper, windows(inputs, t, window),
-                                        mseries.r[:, t - 1], mseries.m[t - 1]).data
+    def forecasts(predict_op):
+        return np.stack([predict_op(params, hyper, windows(inputs, t, window),
+                                    mseries.r[:, t - 1], mseries.m[t - 1]).data
                          for t in periods], axis=1)
 
-    with full_blocks():
-        full = forecasts()
+    full = forecasts(taped_predict)
     with ad.Tape():
-        taped = forecasts()
-    np.testing.assert_array_equal(taped, full)
+        fused = forecasts(fc._predict_op)
+    np.testing.assert_array_equal(fused, full)
     # frozen scoring's one-row query projection goes to gemv, which rounds differently
     np.testing.assert_allclose(batched, full, rtol=1e-12,
                                atol=1e-12 * np.abs(full).max())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), n_stocks=st.integers(1, 40), window=st.integers(1, 12),
-       width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4)]),
-       blocks=st.sampled_from([1, 2]), ablation=ablations)
-def test_training_with_the_pruned_block_is_bitwise_the_full_block(seed, n_stocks, window,
-                                                                 width_heads, blocks,
-                                                                 ablation):
-    # loss, every gradient and the parameters, step by step over 3 Adam steps
+       width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (4, 4)]),
+       blocks=st.sampled_from([1, 2]), ablation=ablations,
+       lambda3=st.sampled_from([0.1, 0.0]), flat_target=st.booleans())
+def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width_heads,
+                                                   blocks, ablation, lambda3, flat_target):
+    # loss, every gradient and the parameters, step by step over 3 Adam
+    # steps; a flat target has z.std() == 0, which drops the IC term
     width, heads = width_heads
     steps = 3
+    if ablation == "NR":
+        lambda3 = 0.0
 
-    def train():
+    def train(predict_op, loss_op):
         feats, u, mseries, hyper, params = _model(seed, n_stocks, window + steps + 1, 2,
                                                   window, width, heads, blocks, ablation)
         inputs = fc.augment_features(feats, u, ablation != "NS")
         y = np.random.default_rng(seed).normal(size=(n_stocks, window + steps + 1))
+        if flat_target:
+            y[...] = 0.5
         opt = ad.adam_init(params)
         record = []
 
         def loss(t):
-            y_hat = fc._predict_op(params, hyper, windows(inputs, t, window),
-                                   mseries.r[:, t - 1], mseries.m[t - 1])
-            value = fc.loss_total(y_hat, y[:, t], average_ranks(y[:, t]),
-                                  0.0 if ablation == "NR" else 0.1)
+            y_hat = predict_op(params, hyper, windows(inputs, t, window),
+                               mseries.r[:, t - 1], mseries.m[t - 1])
+            value = loss_op(y_hat, y[:, t], average_ranks(y[:, t]), lambda3)
             record.append(value.data.tobytes())
             return value
 
@@ -111,10 +115,26 @@ def test_training_with_the_pruned_block_is_bitwise_the_full_block(seed, n_stocks
             record.append(params.flat.tobytes())   # tobytes tells -0.0 from 0.0
         return record
 
-    pruned = train()
-    with full_blocks():
-        full = train()
-    assert pruned == full
+    assert train(fc._predict_op, fc.loss_total) == train(taped_predict, taped_loss)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_stocks=st.integers(1, 40), window=st.integers(1, 12),
+       width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4)]),
+       blocks=st.sampled_from([1, 2]), ablation=ablations, n_periods=st.integers(1, 4))
+def test_fused_frozen_predict_is_bitwise_the_taped_frozen_form(seed, n_stocks, window,
+                                                                width_heads, blocks,
+                                                                ablation, n_periods):
+    width, heads = width_heads
+    feats, u, mseries, hyper, params = _model(seed, n_stocks, window + n_periods, 2, window,
+                                              width, heads, blocks, ablation)
+    periods = np.arange(window, window + n_periods)
+    g = windows(fc.augment_features(feats, u, ablation != "NS"), periods, window)
+    r_prev = np.swapaxes(mseries.r[:, periods - 1], 0, 1)
+    fused = fc.predict(params, hyper, g, r_prev, mseries.m[periods - 1])
+    taped = taped_predict(params, hyper, g, r_prev, mseries.m[periods - 1], frozen=True).data
+    assert fused.shape == (n_periods, n_stocks)
+    assert fused.tobytes() == taped.tobytes()
 
 
 @settings(max_examples=6, deadline=None)
