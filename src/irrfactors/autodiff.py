@@ -1,10 +1,13 @@
-"""Minimal dense-tensor autodiff engine.
+"""Reverse-mode differentiation through hand-written tape nodes.
 
-Tensors wrap float64 numpy arrays. Operations executed while a Tape is
-active are recorded in creation order (a Wengert list); Tape.backward
-replays the adjoints in reverse, visiting each node exactly once.
-Outside a tape, the same operations run as plain numpy computations with
-no recording overhead, which is how frozen models are evaluated.
+Each model's loss records a few nodes on a Tape (a Wengert list): a fused
+forward over plain numpy arrays whose VJP is written by hand. Tape.backward
+replays the VJPs in reverse, visiting each node exactly once. Outside a
+tape the same forwards keep no VJP, which is how frozen models are
+evaluated. The helpers below (linear_fwd, attention_fwd, layer_norm_fwd,
+softmax, matmul_vjp, unbroadcast) are the pieces the nodes are built from;
+tests/taped.py keeps the elementwise chain of primitives each node
+replaces, as the oracle it matches bit for bit.
 
 A Tape is single-threaded; distinct tapes may run on distinct threads.
 
@@ -15,7 +18,6 @@ one step frees is reused by the next instead of being faulted in again.
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import threading
 import weakref
@@ -50,14 +52,6 @@ def _pin_heap() -> bool:
 HEAP_PINNED = _pin_heap()
 
 
-class ShapeError(ValueError):
-    """Operands have incompatible shapes."""
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of the operation (log, division)."""
-
-
 class NotScalar(ValueError):
     """backward() requires a scalar loss."""
 
@@ -86,7 +80,7 @@ def _active_tape():
 
 
 class Tape:
-    """Ordered record of primitive operations, replayed in reverse by backward().
+    """Ordered record of tape nodes, replayed in reverse by backward().
 
     Use as a context manager around loss construction:
 
@@ -154,90 +148,18 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def std(self, axis=None, keepdims=False):
-        return tstd(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
-
-def parameter(data) -> Tensor:
-    """A trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def record(data, parents, vjp) -> Tensor:
     """A tensor holding `data`, computed from the `parents` tensors.
 
     On an active tape, when some parent needs a gradient, it is also a node:
-    `vjp` maps its gradient to one gradient (or None) per parent. Every
-    primitive ends here, and so may an op that fuses a chain of them.
+    `vjp` maps its gradient to one gradient (or None) per parent.
     """
     out = Tensor(data)
     if recording(parents):
@@ -268,45 +190,11 @@ def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-# -- primitives ---------------------------------------------------------
+# -- plain-numpy helpers ---------------------------------------------------
 #
 # A VJP computes no gradient for an operand that needs none; the backward
-# pass would drop it.
-
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
-    return record(data, (a, b), lambda g: (
-        unbroadcast(g, a.data.shape) if a.requires_grad else None,
-        unbroadcast(g, b.data.shape) if b.requires_grad else None))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data - b.data
-    return record(data, (a, b), lambda g: (
-        unbroadcast(g, a.data.shape) if a.requires_grad else None,
-        unbroadcast(-g, b.data.shape) if b.requires_grad else None))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    data = a.data * b.data
-    return record(data, (a, b), lambda g: (
-        unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-        unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
-
-
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if np.any(b.data == 0.0):
-        raise DomainError("division by zero")
-    data = a.data / b.data
-    return record(data, (a, b), lambda g: (
-        unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-        unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad
-        else None))
+# pass would drop it. A helper with grad=False returns None for its VJP, so
+# nothing is kept for it and its intermediates are freed on return.
 
 
 def matmul_vjp(g, a, b, need_a: bool = True, need_b: bool = True):
@@ -314,30 +202,6 @@ def matmul_vjp(g, a, b, need_a: bool = True, need_b: bool = True):
     ga = unbroadcast(g @ b.swapaxes(-1, -2), a.shape) if need_a else None
     gb = unbroadcast(a.swapaxes(-1, -2) @ g, b.shape) if need_b else None
     return ga, gb
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul requires operands with ndim >= 2")
-    try:
-        data = a.data @ b.data
-    except ValueError as e:
-        raise ShapeError(str(e)) from None
-    return record(data, (a, b),
-                  lambda g: matmul_vjp(g, a.data, b.data, a.requires_grad, b.requires_grad))
-
-
-# -- fused primitives ------------------------------------------------------
-#
-# Each records one node in place of a chain of the elementary primitives
-# above. Its math is a plain-numpy helper, name_fwd, which returns the output
-# and a VJP closure; the forecaster's fused model calls the same helpers.
-# With grad=False a helper returns None for the VJP, so nothing is kept for
-# it and its intermediates are freed on return, as in untaped scoring.
-# Forward and VJP repeat the chain's numpy expressions in its order, so
-# values and gradients are bit for bit those of the chain; only the per-node
-# bookkeeping is saved.
 
 
 def linear_fwd(x, w, b, grad: bool = True):
@@ -351,20 +215,6 @@ def linear_fwd(x, w, b, grad: bool = True):
         return gx, gw, unbroadcast(g, b.shape) if need[2] else None
 
     return data, vjp if grad else None
-
-
-def linear(x, w, b) -> Tensor:
-    """x @ w + b, with b broadcast against the product."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.data.ndim < 2 or w.data.ndim < 2:
-        raise ShapeError("linear requires operands with ndim >= 2")
-    try:
-        data, vjp = linear_fwd(x.data, w.data, b.data)
-    except ValueError as e:
-        raise ShapeError(f"linear: x {x.data.shape} @ w {w.data.shape} + bias "
-                         f"{b.data.shape} does not fit ({e})") from None
-    return record(data, (x, w, b),
-                  lambda g: vjp(g, (x.requires_grad, w.requires_grad, b.requires_grad)))
 
 
 def attention_fwd(q, k, v, heads: int, first: int = 0, grad: bool = True):
@@ -413,25 +263,10 @@ def attention_fwd(q, k, v, heads: int, first: int = 0, grad: bool = True):
     return data, vjp if grad else None
 
 
-def attention(q, k, v, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention over (..., L, width) inputs:
-    q (..., Lq, width) attends over k and v (..., L, width); see attention_fwd."""
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    width = q.data.shape[-1]
-    if (q.data.ndim < 2 or k.data.ndim != q.data.ndim or width % heads != 0
-            or k.data.shape != v.data.shape
-            or k.data.shape[:-2] + k.data.shape[-1:] != q.data.shape[:-2] + (width,)):
-        raise ShapeError(f"attention needs q (..., Lq, width) and k, v (..., L, width) "
-                         f"with width divisible by {heads} heads; got {q.data.shape}, "
-                         f"{k.data.shape}, {v.data.shape}")
-    data, vjp = attention_fwd(q.data, k.data, v.data, heads)
-    return record(data, (q, k, v),
-                  lambda g: vjp(g, (q.requires_grad, k.requires_grad, v.requires_grad)))
-
-
 def layer_norm_fwd(x, gain, bias, grad: bool = True):
-    """(x - mean) / std * gain + bias over the last axis of arrays, std as in
-    tstd; the output and vjp(g) -> (gx, g_gain, g_bias)."""
+    """(x - mean) / std * gain + bias over the last axis of arrays, std the
+    population std with STD_EPS under the root; the output and
+    vjp(g) -> (gx, g_gain, g_bias)."""
     # ndarray.mean is add.reduce divided by the count; calling them directly
     # gives the same bits without numpy's Python-level mean wrapper. The
     # in-place updates below compute the chain's expressions in its order.
@@ -459,27 +294,8 @@ def layer_norm_fwd(x, gain, bias, grad: bool = True):
     return data, vjp if grad else None
 
 
-def layer_norm(x, gain, bias) -> Tensor:
-    """(x - mean) / std * gain + bias over the last axis, std as in tstd."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    data, vjp = layer_norm_fwd(x.data, gain.data, bias.data)
-    return record(data, (x, gain, bias), vjp)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return record(data, tuple(tensors), vjp)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis of an array, max-shifted; softmax_row's math."""
+    """Softmax along the last axis of an array, max-shifted."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -489,198 +305,12 @@ def softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
-def softmax_row(x) -> Tensor:
-    """Softmax along the last axis, computed with max subtraction."""
-    x = _wrap(x)
-    p = softmax(x.data)
-    return record(p, (x,), lambda g: (softmax_vjp(p, g),))
-
-
-def relu(x) -> Tensor:
-    x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-    return record(data, (x,), lambda g: (g * (x.data > 0.0),))
-
-
-def tanh(x) -> Tensor:
-    x = _wrap(x)
-    data = np.tanh(x.data)
-    return record(data, (x,), lambda g: (g * (1.0 - data * data),))
-
-
-def exp(x) -> Tensor:
-    x = _wrap(x)
-    data = np.exp(x.data)
-    return record(data, (x,), lambda g: (g * data,))
-
-
-def log(x) -> Tensor:
-    x = _wrap(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive input")
-    data = np.log(x.data)
-    return record(data, (x,), lambda g: (g / x.data,))
-
-
-def _axis_count(shape, axis):
-    if axis is None:
-        return math.prod(shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    n = 1
-    for ax in axes:
-        n *= shape[ax]
-    return n
-
-
-def _expand_reduced(g, shape, axis, keepdims):
-    """Reshape a reduced-axis gradient back to broadcastable form."""
-    if axis is None or keepdims:
-        return g
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = tuple(ax % len(shape) for ax in axes)
-    return np.expand_dims(g, axes)
-
-
-# ndarray.sum and .mean are np.add.reduce, then a division by the count for
-# the mean; calling the ufunc directly gives the same bits without numpy's
-# Python-level wrappers.
-def tsum(x, axis=None, keepdims=False) -> Tensor:
-    x = _wrap(x)
-    data = np.add.reduce(x.data, axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    return record(data, (x,), vjp)
-
-
-def tmean(x, axis=None, keepdims=False) -> Tensor:
-    x = _wrap(x)
-    n = _axis_count(x.data.shape, axis)
-    data = np.add.reduce(x.data, axis=axis, keepdims=keepdims) / n
-
-    def vjp(g):
-        g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
-        return (np.broadcast_to(g / n, x.data.shape).copy(),)
-
-    return record(data, (x,), vjp)
-
-
-def tstd(x, axis=None, keepdims=False) -> Tensor:
-    """Population standard deviation with an epsilon guard under the root.
-
-    std = sqrt(mean((x - mu)^2) + STD_EPS); the guard keeps the gradient
-    finite on constant inputs.
-    """
-    x = _wrap(x)
-    n = _axis_count(x.data.shape, axis)
-    centered = x.data - np.add.reduce(x.data, axis=axis, keepdims=True) / n
-    var = np.add.reduce(centered * centered, axis=axis, keepdims=True) / n
-    std_k = np.sqrt(var + STD_EPS)
-    if keepdims:
-        data = std_k
-    elif axis is None:
-        data = std_k.reshape(())
-    else:
-        data = np.squeeze(std_k, axis=axis)
-
-    def vjp(g):
-        g = _expand_reduced(np.asarray(g), x.data.shape, axis, keepdims)
-        return (g * centered / (n * std_k),)
-
-    return record(data, (x,), vjp)
-
-
-def swapaxes(x, a: int, b: int) -> Tensor:
-    x = _wrap(x)
-    data = x.data.swapaxes(a, b)
-    return record(data, (x,), lambda g: (g.swapaxes(a, b),))
-
-
-def reshape(x, *shape) -> Tensor:
-    x = _wrap(x)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    data = x.data.reshape(shape)
-    return record(data, (x,), lambda g: (g.reshape(x.data.shape),))
-
-
-def _selects_once(key) -> bool:
-    """True for a key of slices, ints and Ellipsis only: basic indexing, which
-    selects each element at most once."""
-    return all(k is Ellipsis or isinstance(k, slice)
-               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-               for k in (key if isinstance(key, tuple) else (key,)))
-
-
-def take(x, key) -> Tensor:
-    """Indexing/slicing; the backward pass scatter-adds into the source shape."""
-    x = _wrap(x)
-    data = np.array(x.data[key])
-    once = _selects_once(key)
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        if once:
-            full[key] += g      # 0.0 + g per element: the bits of np.add.at
-        else:
-            np.add.at(full, key, g)     # repeated indices accumulate
-        return (full,)
-
-    return record(data, (x,), vjp)
-
-
-def logsumexp_row(x) -> Tensor:
-    """log(sum(exp(x))) along the last axis, max-shifted for stability."""
-    x = _wrap(x)
-    shift = constant(x.data.max(axis=-1, keepdims=True))
-    s = tsum(exp(sub(x, shift)), axis=-1)
-    return add(log(s), constant(np.squeeze(shift.data, axis=-1)))
-
-
-# -- gradient checking and optimizers ------------------------------------
+# -- optimizers -------------------------------------------------------------
 
 
 def zero_grads(params) -> None:
     for p in params:
         p.grad = None
-
-
-def gradient_check(f, params, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    f maps the (mutated in place) params to a scalar Tensor and must be
-    deterministic. Error per entry is |analytic - central| / max(1, |central|).
-    """
-    saved = [p.grad for p in params]
-    zero_grads(params)
-    with Tape() as tape:
-        loss = f(params)
-        if not np.isfinite(loss.data).all():
-            raise NumericalFailure("loss is not finite")
-        tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    zero_grads(params)
-    for p, g in zip(params, saved):
-        p.grad = g
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = float(f(params).data)
-            flat[i] = orig - eps
-            down = float(f(params).data)
-            flat[i] = orig
-            central = (up - down) / (2.0 * eps)
-            if not (np.isfinite(central) and np.isfinite(ana.reshape(-1)[i])):
-                raise NumericalFailure("non-finite value in gradient check")
-            err = abs(ana.reshape(-1)[i] - central) / max(1.0, abs(central))
-            worst = max(worst, err)
-    return worst
 
 
 def adam_init(params: ParamSet) -> dict:
@@ -779,6 +409,10 @@ class ParamSet:
     def items(self):
         return self._tensors.items()
 
+    def arrays(self) -> dict:
+        """name -> the tensor's data, the views the models' nodes compute with."""
+        return {name: t.data for name, t in self._tensors.items()}
+
     def snapshot(self) -> np.ndarray:
         return self.flat.copy()
 
@@ -799,14 +433,17 @@ class ParamSet:
 
         Raises CheckpointMismatch, before changing any parameter, when the
         stamp differs or the file's names or shapes differ from the set's,
-        and CorruptCheckpoint when the file cannot be read.
+        and CorruptCheckpoint when the archive cannot be read (a missing
+        file raises FileNotFoundError).
         """
-        try:
-            with np.load(path) as data:
-                stored = {name: data[name] for name in data.files}
-        except (zipfile.BadZipFile, EOFError, ValueError) as e:
-            raise CorruptCheckpoint(f"checkpoint {path} is damaged ({e}); delete it "
-                                    f"to retrain") from e
+        with open(path, "rb") as fh:        # a missing file is not a damaged one
+            try:
+                with np.load(fh) as data:
+                    stored = {name: data[name] for name in data.files}
+            except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError,
+                    RuntimeError, OSError) as e:
+                raise CorruptCheckpoint(f"checkpoint {path} is damaged ({e}); delete it "
+                                        f"to retrain") from e
         found = str(stored.pop("__stamp__", "<unstamped>"))
         if found != stamp:
             raise CheckpointMismatch(

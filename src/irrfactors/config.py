@@ -13,6 +13,7 @@ rho, scale or kick keeps CointegrationPlant's default for it.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
@@ -120,6 +121,20 @@ def _parse_plant(key: str, text: str) -> CointegrationPlant:
         raise ConfigError(f"{key}: {e}") from None
 
 
+def _read_text(path) -> str:
+    """A config file's text; a byte that is not UTF-8 raises ConfigError with
+    its path:line, as the panel loader's NotUtf8 does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = data.rfind(b"\n", 0, e.start) + 1
+        lineno = data.count(b"\n", 0, start) + 1
+        raise ConfigError(f"{path}:{lineno}: byte {data[e.start]:#04x} at column "
+                          f"{e.start - start + 1} is not UTF-8") from None
+
+
 @dataclass
 class RunConfig:
     """Validated, fully-resolved run configuration."""
@@ -149,30 +164,30 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         values, plants, first_line = {}, {}, {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                plant = key.startswith(_PLANT_PREFIX)
-                if plant:
-                    suffix = key[len(_PLANT_PREFIX):]
-                    if not suffix.isdigit():
-                        raise ConfigError(f"unknown config key {key!r}")
-                    key = f"{_PLANT_PREFIX}{int(suffix)}"     # plant.01 is plant.1
-                elif key not in _KEYS:
+        # universal newlines, as a file opened in text mode reads them
+        for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            plant = key.startswith(_PLANT_PREFIX)
+            if plant:
+                suffix = key[len(_PLANT_PREFIX):]
+                if not suffix.isdigit():
                     raise ConfigError(f"unknown config key {key!r}")
-                if key in first_line:
-                    raise ConfigError(f"{path}:{lineno}: {key!r} is set again; line "
-                                      f"{first_line[key]} set it first")
-                first_line[key] = lineno
-                if plant:
-                    plants[int(suffix)] = _parse_plant(key, value)
-                else:
-                    values[key] = _coerce(key, value)
+                key = f"{_PLANT_PREFIX}{int(suffix)}"     # plant.01 is plant.1
+            elif key not in _KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: {key!r} is set again; line "
+                                  f"{first_line[key]} set it first")
+            first_line[key] = lineno
+            if plant:
+                plants[int(suffix)] = _parse_plant(key, value)
+            else:
+                values[key] = _coerce(key, value)
         return cls(values=values, plants=plants)
 
     def with_overrides(self, seed=None, out_dir=None, ablation=None) -> "RunConfig":

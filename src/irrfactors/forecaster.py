@@ -146,7 +146,7 @@ def augment_features(features: np.ndarray, u: np.ndarray,
 # and a VJP closure that writes its parameters' gradients into `grads`, or
 # None when no tape records (keep=False), so that untaped scoring frees each
 # intermediate once it is used. Forward and VJP repeat the numpy expressions
-# of the chain of tape primitives they replace (tests/conftest.py keeps it as
+# of the chain of tape primitives they replace (tests/taped.py keeps it as
 # the oracle). Where a gradient has several terms they are summed in the
 # order the tape summed them, the reverse of the order in which the chain
 # created their nodes, and a zero-filled scatter adds (+=) as take's VJP
@@ -167,6 +167,9 @@ def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
 
     1. Every product stays a gemm, which rounds each kept row as in the
        full product. This rests on OpenBLAS's gemm (measured with 0.3.31).
+       With one dimension per head, attention's products with a single
+       column go to gemv in the full block too, whose rows round by their
+       count; such a block runs on all L positions.
     2. The gradient of the block's input sums in the full block's order,
        ((residual + v) + k) + q: q is projected on all L rows and attention
        takes the trailing rows itself.
@@ -213,13 +216,17 @@ def _temporal_encode(p: dict, hyper: ForecasterHyper, g: np.ndarray, frozen: boo
     the encoding and vjp(g, grads).
 
     Only position L-1 of the final block is read out, so that block runs on
-    the last two positions in training, bit for bit the full block, and on
-    position L-1 alone when frozen (see _encoder_block).
+    the last two positions in training, bit for bit the full block (on all
+    of them with one dimension per head), and on position L-1 alone when
+    frozen (see _encoder_block).
     """
     length = g.shape[-2]
     x, in_vjp = ad.linear_fwd(g, p["w_in"], p["b_in"], keep)
     x = x + _sinusoidal(length, hyper.width)
-    first = length - 1 if frozen else max(length - 2, 0)
+    if frozen:
+        first = length - 1
+    else:
+        first = max(length - 2, 0) if hyper.width > hyper.heads else 0
     block_vjps = []
     for i in range(hyper.blocks):
         final = i == hyper.blocks - 1
@@ -272,7 +279,7 @@ def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
     r_prev is (..., I, 2D_e) and m_prev (..., 2D_e); the leading axes index
     periods. frozen selects the encoder's frozen-scoring form.
     """
-    p = {name: t.data for name, t in params.items()}
+    p = params.arrays()
     keep = ad.recording(params)
     c, encode_vjp = _temporal_encode(p, hyper, g, frozen, keep)
     m_prev = np.asarray(m_prev, dtype=np.float64)

@@ -77,43 +77,88 @@ class MarketFactorSeries:
 
 
 # -- representation extraction -------------------------------------------
+#
+# The market objective is one tape node whose parents are the ten parameters
+# (_loss_op). Each piece below takes the parameter arrays and returns its
+# output and a VJP closure, or None for it unless keep, so that frozen
+# evaluation keeps no intermediate past its use. A VJP returns the gradient
+# of the piece's input and adds its parameters' gradients into `grads`.
+# Forward and VJP repeat the numpy expressions of the chain of tape
+# primitives they replace (tests/taped.py keeps it as the oracle); where a
+# gradient has several terms they are summed in the order the tape summed
+# them, the reverse of the order in which the chain created their nodes, so
+# every value and gradient keeps the chain's bits.
 
 
-def _stock_reprs_op(features: np.ndarray, params: ad.ParamSet,
-                    periods: np.ndarray, window: int) -> Tensor:
-    """Dynamic stock representations for a batch of periods, (P, I, 2D_e)."""
-    win = ad.constant(windows(features, periods + 1, window))           # (P, I, L, D)
-    proj = ad.linear(win, ad.swapaxes(params["w_s"], 0, 1), params["b_s"])  # (P, I, L, D)
-    query = proj[(slice(None), slice(None), slice(window - 1, window))] # (P, I, 1, D)
-    mix = ad.attention(query, proj, win, heads=1)                       # (P, I, 1, D)
-    p, i, _, d = win.shape
-    current = ad.constant(np.ascontiguousarray(win.data[:, :, window - 1, :]))
-    return ad.concat([current, mix.reshape(p, i, d)], axis=-1)
+def _accumulate(grads: dict, name: str, g: np.ndarray) -> None:
+    """Add g to a parameter's gradient after the terms already there."""
+    grads[name] = g if name not in grads else grads[name] + g
 
 
-def _market_repr_op(reprs: Tensor, params: ad.ParamSet,
-                    subset: np.ndarray) -> Tensor:
-    """Weighted market representation over a stock subset, (P, 2D_e).
+def _stock_reprs(features: np.ndarray, p: dict, periods: np.ndarray, window: int,
+                 keep: bool = False):
+    """Dynamic stock representations for a batch of periods, (P, I, 2D_e), and
+    vjp(g, grads)."""
+    win = windows(features, periods + 1, window)                        # (P, I, L, D)
+    w_s_t = p["w_s"].swapaxes(0, 1)
+    proj, proj_vjp = ad.linear_fwd(win, w_s_t, p["b_s"], keep)         # (P, I, L, D)
+    query = np.array(proj[:, :, window - 1:window])                     # (P, I, 1, D)
+    mix, attention_vjp = ad.attention_fwd(query, proj, win, 1, grad=keep)
+    n_p, n_i, _, d = win.shape
+    current = np.ascontiguousarray(win[:, :, window - 1, :])
+    out = np.concatenate([current, mix.reshape(n_p, n_i, d)], axis=-1)
+
+    def vjp(g: np.ndarray, grads: dict) -> None:
+        g_query, g_proj, _ = attention_vjp(g[..., d:].reshape(mix.shape), (True, True, False))
+        g_take = np.zeros_like(proj)
+        g_take[:, :, window - 1:window] += g_query
+        _, g_w_s_t, g_b_s = proj_vjp(g_proj + g_take, need=(False, True, True))
+        _accumulate(grads, "w_s", g_w_s_t.swapaxes(0, 1))
+        _accumulate(grads, "b_s", g_b_s)
+
+    return out, vjp if keep else None
+
+
+def _market_repr(reprs: np.ndarray, p: dict, subset: np.ndarray, keep: bool = False):
+    """Weighted market representation over a stock subset, (P, 2D_e), and
+    vjp(g, grads) -> the gradient of reprs.
 
     Rows whose weights are all zero fall back to a uniform average (the
     normalizer would otherwise be 0/0); the event is logged.
     """
-    sub = reprs[(slice(None), subset)]                                   # (P, n, 2D)
-    ids = ad.swapaxes(params["w_id"], 0, 1)[(subset,)]                   # (n, 2D)
-    two_d = params["w_eta"].shape[0]
-    pre = (sub + ids) @ params["w_eta"].reshape(two_d, 1)                # (P, n, 1)
-    eta = ad.relu(pre)
-    totals = eta.data.sum(axis=1)
+    sub = reprs[:, subset]                                               # (P, n, 2D)
+    w_id_t = p["w_id"].swapaxes(0, 1)
+    ids = w_id_t[subset]                                                 # (n, 2D)
+    two_d = p["w_eta"].shape[0]
+    w_eta = p["w_eta"].reshape(two_d, 1)
+    shifted = sub + ids
+    pre = shifted @ w_eta                                                # (P, n, 1)
+    eta = np.maximum(pre, 0.0)
+    totals = eta.sum(axis=1)
     if np.any(totals == 0.0):
         logger.debug("all stock weights zero for %d period(s); using uniform fallback",
                      int((totals == 0.0).sum()))
-        fallback = np.where(totals[:, None, :] == 0.0, 1.0, 0.0)
-        fallback = np.broadcast_to(fallback, eta.shape).copy()
-        eta = eta + ad.constant(fallback)
-    weighted = ad.swapaxes(eta, -1, -2) @ sub                            # (P, 1, 2D)
-    denom = eta.sum(axis=1, keepdims=True)                               # (P, 1, 1)
-    p = reprs.shape[0]
-    return (weighted / denom).reshape(p, two_d)
+        eta = eta + np.where(totals[:, None, :] == 0.0, 1.0, 0.0)
+    eta_t = eta.swapaxes(-1, -2)
+    weighted = eta_t @ sub                                               # (P, 1, 2D)
+    denom = np.add.reduce(eta, axis=1, keepdims=True)                    # (P, 1, 1)
+    ratio = weighted / denom
+
+    def vjp(g: np.ndarray, grads: dict) -> np.ndarray:
+        g = g.reshape(ratio.shape)
+        g_denom = ad.unbroadcast(-g * weighted / (denom * denom), denom.shape)
+        g_eta_t, g_sub = ad.matmul_vjp(g / denom, eta_t, sub)
+        g_eta = np.broadcast_to(g_denom, eta.shape) + g_eta_t.swapaxes(-1, -2)
+        g_shifted, g_w_eta = ad.matmul_vjp(g_eta * (pre > 0.0), shifted, w_eta)
+        g_ids = np.zeros_like(w_id_t)
+        np.add.at(g_ids, (subset,), ad.unbroadcast(g_shifted, ids.shape))
+        _accumulate(grads, "w_id", g_ids.swapaxes(0, 1))
+        _accumulate(grads, "w_eta", g_w_eta.reshape(two_d))
+        g_reprs = np.zeros_like(reprs)
+        np.add.at(g_reprs, (slice(None), subset), g_sub + g_shifted)
+        return g_reprs
+
+    return ratio.reshape(reprs.shape[0], two_d), vjp if keep else None
 
 
 def submarket_split(n: int, seed: int, epoch) -> tuple[np.ndarray, np.ndarray]:
@@ -129,29 +174,119 @@ def submarket_split(n: int, seed: int, epoch) -> tuple[np.ndarray, np.ndarray]:
 # -- self-supervised objectives -------------------------------------------
 
 
-def _pair_logits_op(params: ad.ParamSet, m1: Tensor, m2: Tensor,
-                    periods: np.ndarray) -> Tensor:
-    """Damped criterion logits for all anchor/candidate pairs, (P, P)."""
-    two_d = params["w_eta"].shape[0]
-    w1 = params["w_crit"][(slice(0, two_d),)].reshape(two_d, 1)
-    w2 = params["w_crit"][(slice(two_d, 2 * two_d),)].reshape(two_d, 1)
-    p = len(periods)
-    u = (m1 @ w1).reshape(p, 1)
-    v = (m2 @ w2).reshape(1, p)
+def _pair_logits(p: dict, m1: np.ndarray, m2: np.ndarray, periods: np.ndarray,
+                 keep: bool = False):
+    """Damped criterion logits for all anchor/candidate pairs, (P, P), and
+    vjp(g, grads) -> (g_m1, g_m2)."""
+    two_d = p["w_eta"].shape[0]
+    w1 = p["w_crit"][:two_d].reshape(two_d, 1)
+    w2 = p["w_crit"][two_d:2 * two_d].reshape(two_d, 1)
+    n_p = len(periods)
+    u = (m1 @ w1).reshape(n_p, 1)
+    v = (m2 @ w2).reshape(1, n_p)
     gaps = np.abs(periods[:, None] - periods[None, :]).astype(np.float64)
-    damp = ad.constant(1.0 / (gaps + 1.0))
-    return (u + v + params["b_crit"]) * damp
+    damp = 1.0 / (gaps + 1.0)
+    logits = (u + v + p["b_crit"]) * damp
+
+    def vjp(g: np.ndarray, grads: dict) -> tuple:
+        g = g * damp
+        _accumulate(grads, "b_crit", ad.unbroadcast(g, ()))
+        g_m2, g_w2 = ad.matmul_vjp(ad.unbroadcast(g, v.shape).reshape(n_p, 1), m2, w2)
+        g_m1, g_w1 = ad.matmul_vjp(ad.unbroadcast(g, u.shape).reshape(n_p, 1), m1, w1)
+        g_w_crit = np.zeros_like(p["w_crit"])
+        g_w_crit[two_d:2 * two_d] += g_w2.reshape(two_d)
+        g_first = np.zeros_like(p["w_crit"])
+        g_first[:two_d] += g_w1.reshape(two_d)
+        _accumulate(grads, "w_crit", g_w_crit + g_first)
+        return g_m1, g_m2
+
+    return logits, vjp if keep else None
 
 
-def _submarket_logits_op(params: ad.ParamSet, features: np.ndarray,
-                         periods: np.ndarray, window: int, seed: int, epoch) -> Tensor:
+def _submarket_logits(p: dict, features: np.ndarray, periods: np.ndarray, window: int,
+                      halves: tuple, keep: bool = False):
     """Damped criterion logits (P, P) of first-half market representations
-    against second-half ones, on the halves drawn for (seed, epoch)."""
-    sub1, sub2 = submarket_split(features.shape[0], seed, epoch)
-    reprs = _stock_reprs_op(features, params, periods, window)
-    m1 = _market_repr_op(reprs, params, sub1)
-    m2 = _market_repr_op(reprs, params, sub2)
-    return _pair_logits_op(params, m1, m2, periods)
+    against second-half ones, and vjp(g, grads)."""
+    reprs, reprs_vjp = _stock_reprs(features, p, periods, window, keep)
+    m1, m1_vjp = _market_repr(reprs, p, halves[0], keep)
+    m2, m2_vjp = _market_repr(reprs, p, halves[1], keep)
+    logits, pair_vjp = _pair_logits(p, m1, m2, periods, keep)
+
+    def vjp(g: np.ndarray, grads: dict) -> None:
+        g_m1, g_m2 = pair_vjp(g, grads)
+        g_reprs = m2_vjp(g_m2, grads)
+        reprs_vjp(g_reprs + m1_vjp(g_m1, grads), grads)
+
+    return logits, vjp if keep else None
+
+
+def _sync_logits(p: dict, features: np.ndarray, periods: np.ndarray, window: int,
+                 keep: bool = False):
+    """Synchronism class logits (P, 3) of periods t from the market of t - 1,
+    and vjp(g, grads)."""
+    reprs, reprs_vjp = _stock_reprs(features, p, periods - 1, window, keep)
+    m_prev, market_vjp = _market_repr(reprs, p, np.arange(features.shape[0]), keep)
+    pre, h1_vjp = ad.linear_fwd(m_prev, p["cls_w1"], p["cls_b1"], keep)
+    hidden = np.maximum(pre, 0.0)
+    logits, h2_vjp = ad.linear_fwd(hidden, p["cls_w2"], p["cls_b2"], keep)
+
+    def vjp(g: np.ndarray, grads: dict) -> None:
+        g_hidden, grads["cls_w2"], grads["cls_b2"] = h2_vjp(g)
+        g_m, grads["cls_w1"], grads["cls_b1"] = h1_vjp(g_hidden * (pre > 0.0))
+        reprs_vjp(market_vjp(g_m, grads), grads)
+
+    return logits, vjp if keep else None
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, keep: bool = False):
+    """Mean negative log-likelihood of integer labels under row logits, and
+    vjp(g) -> the logits' gradient."""
+    idx = np.arange(logits.shape[0])
+    labels = np.asarray(labels, dtype=np.int64)
+    shift = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = np.add.reduce(e, axis=-1)
+    nll = (np.log(total) + np.squeeze(shift, axis=-1)) - logits[idx, labels]
+    loss = np.add.reduce(nll, axis=None) / nll.size
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        g_nll = np.broadcast_to(g / nll.size, nll.shape)
+        g_picked = np.zeros_like(logits)
+        np.add.at(g_picked, (idx, labels), -g_nll)
+        return np.broadcast_to((g_nll / total)[:, None], e.shape) * e + g_picked
+
+    return loss, vjp if keep else None
+
+
+def _loss_op(params: ad.ParamSet, features: np.ndarray, periods, window: int,
+             halves: tuple | None = None, labels=None, lambda2: float = 1.0) -> Tensor:
+    """The contrastive loss on the sub-market halves, plus lambda2 times the
+    prediction loss of the labels, or either term alone (its argument None);
+    one tape node whose parents are the ten parameters."""
+    p = params.arrays()
+    keep = ad.recording(params)
+    periods = np.asarray(periods, dtype=np.int64)
+    if halves is not None:
+        if periods.size < 2:
+            raise NoNegatives("contrastive loss needs a batch of at least 2 periods")
+        logits, logits_vjp = _submarket_logits(p, features, periods, window, halves, keep)
+        loss, ce_vjp = cross_entropy(logits, np.arange(len(periods)), keep)
+    if labels is not None:
+        sync, sync_vjp = _sync_logits(p, features, periods, window, keep)
+        target = np.array([int(labels[t]) for t in periods], dtype=np.int64)
+        prediction, prediction_vjp = cross_entropy(sync, target, keep)
+        weighted = lambda2 * prediction
+        loss = weighted if halves is None else loss + weighted
+
+    def vjp(g: np.ndarray) -> tuple:
+        grads = {}
+        if labels is not None:
+            sync_vjp(prediction_vjp(g * lambda2), grads)
+        if halves is not None:
+            logits_vjp(ce_vjp(g), grads)
+        return tuple(grads.get(name) for name in p)
+
+    return ad.record(loss, tuple(params), vjp)
 
 
 def infonce_loss(params: ad.ParamSet, features: np.ndarray,
@@ -162,37 +297,15 @@ def infonce_loss(params: ad.ParamSet, features: np.ndarray,
     anchor's first half with other periods' second halves within the batch,
     so the loss is the cross-entropy of each anchor's own period.
     """
-    periods = np.asarray(periods, dtype=np.int64)
-    if periods.size < 2:
-        raise NoNegatives("contrastive loss needs a batch of at least 2 periods")
-    logits = _submarket_logits_op(params, features, periods, window, seed, epoch)
-    return cross_entropy(logits, np.arange(len(periods)))
-
-
-def _sync_logits_op(params: ad.ParamSet, features: np.ndarray, periods: np.ndarray,
-                    window: int) -> Tensor:
-    """Synchronism class logits (P, 3) of periods t from the market of t - 1."""
-    reprs = _stock_reprs_op(features, params, periods - 1, window)
-    m_prev = _market_repr_op(reprs, params, np.arange(features.shape[0]))
-    hidden = ad.relu(ad.linear(m_prev, params["cls_w1"], params["cls_b1"]))
-    return ad.linear(hidden, params["cls_w2"], params["cls_b2"])
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under row logits."""
-    idx = np.arange(logits.shape[0])
-    picked = logits[(idx, np.asarray(labels, dtype=np.int64))]
-    return (ad.logsumexp_row(logits) - picked).mean()
+    halves = submarket_split(features.shape[0], seed, epoch)
+    return _loss_op(params, features, periods, window, halves=halves)
 
 
 def loss_P(params: ad.ParamSet, features: np.ndarray, labels, periods,
            window: int) -> Tensor:
     """Synchronism-prediction loss: cross-entropy of the label of period t
     predicted from the full-market representation of period t - 1."""
-    periods = np.asarray(periods, dtype=np.int64)
-    logits = _sync_logits_op(params, features, periods, window)
-    target = np.array([int(labels[t]) for t in periods], dtype=np.int64)
-    return cross_entropy(logits, target)
+    return _loss_op(params, features, periods, window, labels=labels)
 
 
 def loss_M(params: ad.ParamSet, features: np.ndarray, labels, periods,
@@ -202,8 +315,8 @@ def loss_M(params: ad.ParamSet, features: np.ndarray, labels, periods,
     The prediction term for period t reads the market representation of
     period t - 1 only, so it never sees the period it labels.
     """
-    contrastive = infonce_loss(params, features, periods, window, seed, epoch)
-    return contrastive + lambda2 * loss_P(params, features, labels, periods, window)
+    halves = submarket_split(features.shape[0], seed, epoch)
+    return _loss_op(params, features, periods, window, halves, labels, lambda2)
 
 
 # -- training --------------------------------------------------------------
@@ -246,13 +359,14 @@ def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
     head = [params["cls_w1"], params["cls_w2"]]
     for epoch in range(hyper.epochs):
         order = stream(hyper.seed, "market", "order", epoch).permutation(eligible)
+        halves = submarket_split(features.shape[0], hyper.seed, epoch)
         for start in range(0, len(order), hyper.batch):
             batch = order[start:start + hyper.batch]
             if batch.size < 2:
                 continue
-            ad.train_step(params, opt, lambda: loss_M(
-                params, features, labels, batch, hyper.lambda2, hyper.window,
-                hyper.seed, epoch), hyper.lr)
+            ad.train_step(params, opt, lambda: _loss_op(
+                params, features, batch, hyper.window, halves, labels, hyper.lambda2),
+                hyper.lr)
             for p in head:
                 p.data -= hyper.lr * CLS_WEIGHT_DECAY * p.data
     return params
@@ -270,14 +384,14 @@ def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
     else:
         rows = np.asarray(rows, dtype=np.int64)
         periods = rows[rows >= window - 1]
+    p = params.arrays()
     full = np.arange(I)
     chunk = 64
     for start in range(0, len(periods), chunk):
         ts = periods[start:start + chunk]
-        reprs = _stock_reprs_op(features, params, ts, window)
-        ms = _market_repr_op(reprs, params, full)
-        r[:, ts, :] = reprs.data.transpose(1, 0, 2)
-        m[ts, :] = ms.data
+        reprs, _ = _stock_reprs(features, p, ts, window)
+        r[:, ts, :] = reprs.transpose(1, 0, 2)
+        m[ts, :] = _market_repr(reprs, p, full)[0]
     return MarketFactorSeries(m=m, r=r, window=window)
 
 
@@ -286,8 +400,8 @@ def contrastive_separation(params: ad.ParamSet, features: np.ndarray,
     """Mean positive-pair and negative-pair criterion values, exp of the
     training logits on the "eval" halves, over the given periods."""
     periods = np.asarray(periods, dtype=np.int64)
-    values = np.exp(_submarket_logits_op(params, features, periods, window, seed,
-                                         "eval").data)
+    halves = submarket_split(features.shape[0], seed, "eval")
+    values = np.exp(_submarket_logits(params.arrays(), features, periods, window, halves)[0])
     positive = np.eye(len(periods), dtype=bool)
     return float(values[positive].mean()), float(values[~positive].mean())
 
@@ -296,6 +410,6 @@ def classifier_accuracy(params: ad.ParamSet, features: np.ndarray, labels,
                         periods, window: int) -> float:
     """Held-out accuracy of the synchronism classifier on the given periods."""
     periods = np.asarray(periods, dtype=np.int64)
-    predicted = _sync_logits_op(params, features, periods, window).data.argmax(axis=1)
+    predicted = _sync_logits(params.arrays(), features, periods, window)[0].argmax(axis=1)
     target = np.array([int(labels[t]) for t in periods])
     return float((predicted == target).mean())

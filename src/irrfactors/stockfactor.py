@@ -55,59 +55,92 @@ class StockFactorSeries:
     p_tilde: np.ndarray  # (I, T)
 
 
-def _attention_op(params: ad.ParamSet) -> Tensor:
-    n = params["w_att"].shape[0]
-    mask = ad.constant(np.where(np.eye(n, dtype=bool), ATT_MASK, 0.0))
-    return ad.softmax_row(params["w_att"] + mask)
-
-
-def _virtual_price_op(prices: Tensor, params: ad.ParamSet) -> Tensor:
-    att = _attention_op(params)
-    return (att * params["beta"]) @ prices
+def _attention(params: ad.ParamSet) -> np.ndarray:
+    """Row-softmax of the attention logits with the diagonal masked out, (I, I)."""
+    w_att = params["w_att"].data
+    return ad.softmax(w_att + np.where(np.eye(w_att.shape[0], dtype=bool), ATT_MASK, 0.0))
 
 
 def residual(prices: np.ndarray, params: ad.ParamSet) -> StockFactorSeries:
     """Factor series u = p_tilde - p of prices (I, T)."""
-    p_tilde = _virtual_price_op(ad.constant(prices), params).data
+    p_tilde = (_attention(params) * params["beta"].data) @ prices
     return StockFactorSeries(u=p_tilde - prices, p_tilde=p_tilde)
 
 
-def _fit_op(prices: np.ndarray, params: ad.ParamSet) -> tuple[Tensor, Tensor]:
-    """Actual and virtual prices (p, p_tilde)."""
-    p = ad.constant(prices)
-    return p, _virtual_price_op(p, params)
+def _rho_penalty(u: np.ndarray, rho_raw: np.ndarray):
+    """AR(1) stationarity penalty mean((u_t - tanh(rho_raw) u_{t-1})^2) of a
+    residual series u (I, T); the penalty and vjp(g) -> (g_u, g_rho_raw)."""
+    if u.shape[1] < 2:
+        raise TooShortSeries("stationarity penalty needs at least 2 periods")
+    rho = np.tanh(rho_raw)
+    rho_col = rho.reshape(-1, 1)
+    prev = u[:, :-1]
+    diff = u[:, 1:] - rho_col * prev
+    penalty = np.add.reduce(diff * diff, axis=None) / diff.size
+
+    def vjp(g):
+        g_sq = np.broadcast_to(g / diff.size, diff.shape)
+        g_diff = g_sq * diff + g_sq * diff
+        g_scaled = -g_diff
+        g_rho_col = ad.unbroadcast(g_scaled * prev, rho_col.shape)
+        g_u = np.zeros_like(u)
+        g_u[:, :-1] += g_scaled * rho_col       # prev's rows, then cur's
+        g_cur = np.zeros_like(u)
+        g_cur[:, 1:] += g_diff
+        g_rho = g_rho_col.reshape(rho.shape)
+        return g_u + g_cur, g_rho * (1.0 - rho * rho)
+
+    return penalty, vjp
 
 
-def _mse(p: Tensor, p_tilde: Tensor) -> Tensor:
-    diff = p - p_tilde
-    return (diff * diff).mean()
+def _loss_op(prices: np.ndarray, params: ad.ParamSet, regression: bool,
+             lambda1: float | None) -> Tensor:
+    """The regression MSE, lambda1 times the stationarity penalty, or their sum
+    (lambda1 None: no penalty); one tape node whose parents are beta, w_att
+    and rho_raw. Forward and VJP repeat the numpy expressions of the chain of
+    tape primitives it replaces (tests/taped.py keeps it as the oracle) and sum
+    each gradient's terms in the tape's order, so every value keeps its bits.
+    """
+    beta, rho_raw = params["beta"].data, params["rho_raw"].data
+    att = _attention(params)
+    weights = att * beta
+    p_tilde = weights @ prices
+    if regression:
+        diff = prices - p_tilde
+        loss = mse = np.add.reduce(diff * diff, axis=None) / diff.size
+    if lambda1 is not None:
+        penalty, penalty_vjp = _rho_penalty(p_tilde - prices, rho_raw)
+        loss = lambda1 * penalty
+        if regression:
+            loss = mse + loss
+
+    def vjp(g):
+        g_p_tilde = g_rho_raw = None
+        if lambda1 is not None:
+            g_p_tilde, g_rho_raw = penalty_vjp(g * lambda1)
+        if regression:
+            g_sq = np.broadcast_to(g / diff.size, diff.shape)
+            g_diff = -(g_sq * diff + g_sq * diff)
+            g_p_tilde = g_diff if g_p_tilde is None else g_p_tilde + g_diff
+        g_weights, _ = ad.matmul_vjp(g_p_tilde, weights, prices, need_b=False)
+        return g_weights * att, ad.softmax_vjp(att, g_weights * beta), g_rho_raw
+
+    return ad.record(loss, (params["beta"], params["w_att"], params["rho_raw"]), vjp)
 
 
 def loss_beta(prices: np.ndarray, params: ad.ParamSet) -> Tensor:
     """Mean squared regression error between actual and virtual prices."""
-    return _mse(*_fit_op(prices, params))
+    return _loss_op(prices, params, True, None)
 
 
 def loss_rho(prices: np.ndarray, params: ad.ParamSet) -> Tensor:
     """AR(1) stationarity penalty on the residual series."""
-    p, p_tilde = _fit_op(prices, params)
-    return _rho_penalty(p_tilde - p, params)
-
-
-def _rho_penalty(u: Tensor, params: ad.ParamSet) -> Tensor:
-    if u.shape[1] < 2:
-        raise TooShortSeries("stationarity penalty needs at least 2 periods")
-    rho = ad.tanh(params["rho_raw"]).reshape(-1, 1)
-    cur = u[(slice(None), slice(1, None))]
-    prev = u[(slice(None), slice(0, -1))]
-    diff = cur - rho * prev
-    return (diff * diff).mean()
+    return _loss_op(prices, params, False, 1.0)
 
 
 def loss_S(prices: np.ndarray, params: ad.ParamSet, lambda1: float) -> Tensor:
     """Joint objective: regression loss plus lambda1 times the AR(1) penalty."""
-    p, p_tilde = _fit_op(prices, params)
-    return _mse(p, p_tilde) + lambda1 * _rho_penalty(p_tilde - p, params)
+    return _loss_op(prices, params, True, lambda1)
 
 
 @dataclass(frozen=True)

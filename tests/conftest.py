@@ -3,7 +3,6 @@ import pytest
 from hypothesis import settings
 
 from irrfactors import autodiff as ad
-from irrfactors import forecaster as fc
 from irrfactors.panel import (MarketPanel, SynchronismConfig, compute_deltas, compute_returns,
                               compute_synchronism_labels)
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
@@ -69,62 +68,23 @@ def linear_probe_accuracy(x_train, y_train, x_test, y_test) -> float:
     return float((scores.argmax(axis=1) == y_test).mean())
 
 
-# The forecaster as a chain of tape primitives: the oracle its two fused
-# tape nodes (fc._predict_op and fc.loss_total) must match bit for bit.
-
-
-def taped_encoder_block(x, params, index, heads, frozen=False):
-    """The forecaster's transformer block on all L positions, or with frozen
-    scoring's form: the query projected from position L-1 alone."""
-    def blk(key):
-        return params[f"blk{index}.{key}"]
-
-    x_q = x[..., x.shape[-2] - 1:, :] if frozen else x
-    mixed = ad.attention(x_q @ blk("w_q"), x @ blk("w_k"), x @ blk("w_v"), heads)
-    x = ad.layer_norm(x_q + mixed @ blk("w_o"), blk("ln1_g"), blk("ln1_b"))
-    hidden = ad.relu(ad.linear(x, blk("ff_w1"), blk("ff_b1")))
-    ff = ad.linear(hidden, blk("ff_w2"), blk("ff_b2"))
-    return ad.layer_norm(x + ff, blk("ln2_g"), blk("ln2_b"))
-
-
-def taped_predict(params, hyper, g, r_prev, m_prev, frozen=False):
-    """Forecasts (..., I) from windows (..., I, L, D_in), as fc._predict_op."""
-    x = ad.linear(g, params["w_in"], params["b_in"])
-    x = x + ad.constant(fc._sinusoidal(g.shape[-2], hyper.width))
-    for i in range(hyper.blocks):
-        x = taped_encoder_block(x, params, i, hyper.heads, frozen and i == hyper.blocks - 1)
-    c = x[..., -1, :]
-    m_prev = np.asarray(m_prev, dtype=np.float64)
-    m_shape = c.shape[:-1] + m_prev.shape[-1:]
-    if hyper.ablation != "NM":
-        m_rows = np.broadcast_to(m_prev[..., None, :], m_shape)
-    else:
-        m_rows = np.zeros(m_shape)
-    parts = [c]
-    if hyper.ablation != "ND":      # the relation attention
-        v = ad.linear(c, params["p_c"], r_prev)
-        z = v @ ad.swapaxes(params["w_y"], -1, -2)
-        parts.append(ad.softmax_row(z @ ad.swapaxes(z, -1, -2)) @ c)
-    x = ad.concat(parts + [ad.constant(m_rows)], axis=-1)
-    hidden = ad.relu(ad.linear(x, params["head_w1"], params["head_b1"]))
-    out = ad.linear(hidden, params["head_w2"], params["head_b2"])
-    return out.reshape(out.shape[:-1])
-
-
-def taped_loss(y_hat, y, z, lambda3):
-    """Mean squared error minus lambda3 times the IC, as fc.loss_total."""
-    diff = y_hat - ad.constant(np.asarray(y, dtype=np.float64))
-    mse = (diff * diff).mean()
-    if lambda3 == 0.0:
-        return mse
-    z = np.asarray(z, dtype=np.float64)
-    z_sd = float(z.std())
-    if z_sd == 0.0:
-        ic = ad.constant(0.0)
-    else:
-        centered = y_hat - y_hat.mean()
-        ic = (centered * ad.constant(z - z.mean())).mean() / (y_hat.std() * z_sd)
-    return mse + (-lambda3) * ic
+def train_record(params, loss_fn, steps: int, lr: float) -> list:
+    """Step by step, the bytes of the loss, of each gradient (None where a
+    parameter got none) and, once every parameter has one, of the parameters
+    after the Adam step."""
+    opt = ad.adam_init(params)
+    record = []
+    for _ in range(steps):
+        ad.zero_grads(params)
+        with ad.Tape() as tape:
+            loss = loss_fn()
+            tape.backward(loss)
+        grads = [p.grad for p in params]
+        record += [loss.data.tobytes()] + [None if g is None else g.tobytes() for g in grads]
+        if all(g is not None for g in grads):
+            ad.adam_step(params, opt, lr=lr)
+            record.append(params.flat.tobytes())    # tobytes tells -0.0 from 0.0
+    return record
 
 
 @pytest.fixture

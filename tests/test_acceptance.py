@@ -23,6 +23,7 @@ from irrfactors.rng import stream
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
                                   generate_synthetic)
 from conftest import ablation_market_spec, random_panel, sentiment_market_spec, sync_labels
+import taped
 
 from test_evaluation import (brute_force_long_short, brute_force_mdd,
                              sort_rank_oracle, two_pass_pearson)
@@ -97,7 +98,7 @@ def test_criterion_1_gradient_fidelity():
                  + _forecaster_loss_cases(seed))
         assert len(cases) == 8
         for name, loss_fn, params in cases:
-            err = ad.gradient_check(lambda _: loss_fn(), params)
+            err = taped.gradient_check(lambda _: loss_fn(), params)
             worst[name] = max(worst.get(name, 0.0), err)
     elapsed = time.monotonic() - started
     ok = all(err <= 1e-4 for err in worst.values()) and elapsed < 60.0
@@ -125,7 +126,7 @@ def test_criterion_2_cointegration_recovery():
             panel.prices, sf.StockFactorHyper(lambda1=0.5, lr=0.02, steps=2000),
             panel.n_periods)
         series = sf.residual(panel.prices, params)
-        att = sf._attention_op(params).data[0, 1]
+        att = sf._attention(params)[0, 1]
         eff = att * params["beta"].data[0, 1]
         rho_u = abs(sf.stationarity_diagnostic(series.u[0]))
         rho_p = abs(sf.stationarity_diagnostic(panel.prices[0]))

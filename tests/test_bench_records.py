@@ -3,9 +3,10 @@
 A record states what changed, on which machine and how it was measured; it
 gives parent and change medians of each end-to-end metric on each workload
 of BENCHMARK.json, the Tier-1 wall time, and the demo RankIC, SR and final
-wealth.
+wealth. The bench's tracer finds every function it patches.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -44,3 +45,16 @@ def test_bench_record_has_the_required_fields(path):
     assert _is_number(record["tier1"]["change"]["wall_s"]), f"{path.name}: tier1"
     for key in ("rank_ic", "sr", "final_wealth"):
         assert _is_number(record["demo"][key]), f"{path.name}: demo {key}"
+
+
+def test_the_bench_tracer_resolves_every_target():
+    # perfbench/tracing.py patches its targets by name and raises, inside a
+    # bench run only, when one is gone; here a rename fails the suite
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from irrfactors import autodiff as ad
+    backward = ad.Tape.backward
+    with tracing.Tracer().installed():
+        assert ad.Tape.backward is not backward
+    assert ad.Tape.backward is backward

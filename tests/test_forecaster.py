@@ -3,11 +3,15 @@ import pytest
 
 from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
+from irrfactors import marketfactor as mf
+from irrfactors import stockfactor as sf
 from irrfactors.evaluation import average_ranks
 from irrfactors.marketfactor import MarketFactorSeries
 from irrfactors.panel import windows
 from irrfactors.rng import stream
 from irrfactors.stockfactor import StockFactorSeries
+
+import taped
 
 
 def _setup(seed=0, n_stocks=4, n_periods=12, n_features=3, window=3, **kw):
@@ -87,10 +91,10 @@ def test_relation_attention_uniform_when_scores_equal():
 
 def test_relation_attention_rows_sum_to_one():
     feats, u, mseries, hyper, params = _setup(seed=7)
-    c = ad.constant(np.random.default_rng(2).normal(size=(4, 8)))
-    v = c @ params["p_c"] + ad.constant(mseries.r[:, 4])
-    z = v @ ad.swapaxes(params["w_y"], 0, 1)
-    att = ad.softmax_row(z @ ad.swapaxes(z, 0, 1))
+    c = taped.constant(np.random.default_rng(2).normal(size=(4, 8)))
+    v = c @ params["p_c"] + taped.constant(mseries.r[:, 4])
+    z = v @ taped.swapaxes(params["w_y"], 0, 1)
+    att = taped.softmax_row(z @ taped.swapaxes(z, 0, 1))
     np.testing.assert_allclose(att.data.sum(axis=1), np.ones(4), atol=1e-12)
 
 
@@ -123,7 +127,7 @@ def test_nd_ablation_shrinks_head_input():
 def test_loss_total_reduces_to_mse():
     rng = np.random.default_rng(13)
     y = rng.normal(size=5)
-    y_hat = ad.constant(rng.normal(size=5))
+    y_hat = taped.constant(rng.normal(size=5))
     z = average_ranks(y)
     expected = float(((y_hat.data - y) ** 2).mean())
     assert fc.loss_total(y_hat, y, z, 0.0).item() == pytest.approx(expected, rel=1e-12)
@@ -134,7 +138,7 @@ def test_loss_total_perfect_rank_linear_prediction():
     # and correlation = 1, hence loss = -lambda3 (up to the std epsilon guard)
     y = np.array([0.1, 0.4, 0.2, 0.3])
     z = average_ranks(y)
-    y_hat = ad.constant(y.copy())
+    y_hat = taped.constant(y.copy())
     assert fc.loss_total(y_hat, y, z, 0.1).item() == pytest.approx(-0.1, abs=1e-9)
 
 
@@ -149,23 +153,41 @@ def test_full_loss_gradients_match_finite_differences():
         y_hat = fc._predict_op(params, hyper, g, mseries.r[:, 5], mseries.m[5])
         return fc.loss_total(y_hat, y, z, 0.1)
 
-    assert ad.gradient_check(f, params) <= 1e-4
+    assert taped.gradient_check(f, params) <= 1e-4
 
 
-def test_training_step_records_two_tape_nodes():
-    # the demo's shapes: 16 stocks, window 10, width 32, one block, two heads;
-    # the model and the loss are one node each, where the chain of elementary
-    # primitives recorded 67 nodes and that of the fused primitives 40
+def _demo_step(model: str):
+    """A loss at the demo's shapes (16 stocks, 330 training periods, 5
+    features, window 10, market batch 32, width 32, one block, two heads)."""
+    rng = np.random.default_rng(16)
+    if model == "stock":
+        prices = 50.0 + rng.normal(size=(16, 330)).cumsum(axis=1)
+        params = sf.init_params(16)
+        return lambda: sf.loss_S(prices, params, 0.5)
+    if model == "market":
+        feats = rng.normal(size=(16, 60, 5))
+        labels = rng.integers(0, 3, size=60)
+        params = mf.init_params(16, 5, mf.MarketFactorHyper(window=10))
+        return lambda: mf.loss_M(params, feats, labels, np.arange(20, 52), 1.0, 10, 0, 0)
     feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=5,
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
     params = fc.init_params(5, hyper, stream(16, "fc", "init"))
     g = windows(fc.augment_features(feats, u), 11, 10)
-    y = np.random.default_rng(17).normal(size=16)
+    y = rng.normal(size=16)
+    return lambda: fc.loss_total(fc._predict_op(params, hyper, g, mseries.r[:, 10],
+                                                mseries.m[10]), y, average_ranks(y), 0.1)
+
+
+@pytest.mark.parametrize("model, nodes", [("stock", 1), ("market", 1), ("forecaster", 2)])
+def test_training_step_records_its_tape_nodes(model, nodes):
+    # each loss is hand-written nodes: the stock loss one, the market loss
+    # one, the forecaster's model and loss one each, where the chains of
+    # elementary primitives recorded 18, 80 and 67 nodes
+    loss = _demo_step(model)
     with ad.Tape() as tape:
-        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, 10], mseries.m[10])
-        tape.backward(fc.loss_total(y_hat, y, average_ranks(y), 0.1))
-    assert len(tape._nodes) == 2
+        tape.backward(loss())
+    assert len(tape._nodes) == nodes
 
 
 def test_the_final_block_runs_on_the_read_out_rows_only(monkeypatch):

@@ -1,6 +1,6 @@
 """Batched frozen prediction against per-period references, and the fused
 forecaster's training and frozen scoring against the chain of tape
-primitives in conftest, bit for bit."""
+primitives in taped.py, bit for bit."""
 
 import os
 import subprocess
@@ -18,7 +18,7 @@ from irrfactors.marketfactor import MarketFactorSeries
 from irrfactors.panel import windows
 from irrfactors.rng import stream
 
-from conftest import taped_loss, taped_predict
+import taped
 
 
 def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
@@ -69,7 +69,7 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
                                     mseries.r[:, t - 1], mseries.m[t - 1]).data
                          for t in periods], axis=1)
 
-    full = forecasts(taped_predict)
+    full = forecasts(taped.predict)
     with ad.Tape():
         fused = forecasts(fc._predict_op)
     np.testing.assert_array_equal(fused, full)
@@ -115,7 +115,7 @@ def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width
             record.append(params.flat.tobytes())   # tobytes tells -0.0 from 0.0
         return record
 
-    assert train(fc._predict_op, fc.loss_total) == train(taped_predict, taped_loss)
+    assert train(fc._predict_op, fc.loss_total) == train(taped.predict, taped.loss_total)
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,9 +132,9 @@ def test_fused_frozen_predict_is_bitwise_the_taped_frozen_form(seed, n_stocks, w
     g = windows(fc.augment_features(feats, u, ablation != "NS"), periods, window)
     r_prev = np.swapaxes(mseries.r[:, periods - 1], 0, 1)
     fused = fc.predict(params, hyper, g, r_prev, mseries.m[periods - 1])
-    taped = taped_predict(params, hyper, g, r_prev, mseries.m[periods - 1], frozen=True).data
+    chain = taped.predict(params, hyper, g, r_prev, mseries.m[periods - 1], frozen=True).data
     assert fused.shape == (n_periods, n_stocks)
-    assert fused.tobytes() == taped.tobytes()
+    assert fused.tobytes() == chain.tobytes()
 
 
 @settings(max_examples=6, deadline=None)
@@ -156,7 +156,7 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
                                frozen=frozen)
         return fc.loss_total(y_hat, y, z, 0.1)
 
-    assert ad.gradient_check(f, params) <= 1e-4
+    assert taped.gradient_check(f, params) <= 1e-4
 
 
 def test_predict_periods_names_a_market_row_never_computed(monkeypatch):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
 
+import taped
+
 
 def _linear_oracle(x, w, b):
     return x @ w + b
@@ -22,10 +24,10 @@ def _attention_oracle(q, k, v, heads, rows=None):
     dh = width // heads
 
     def split(t):
-        return ad.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
+        return taped.swapaxes(t.reshape(*t.shape[:-1], heads, dh), -3, -2)
 
-    scores = (split(q) @ ad.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(dh))
-    mixed = ad.swapaxes(ad.softmax_row(scores) @ split(v), -3, -2).reshape(q.shape)
+    scores = (split(q) @ taped.swapaxes(split(k), -1, -2)) * (1.0 / np.sqrt(dh))
+    mixed = taped.swapaxes(taped.softmax_row(scores) @ split(v), -3, -2).reshape(q.shape)
     return mixed if rows is None else mixed[..., q.shape[-2] - rows:, :]
 
 
@@ -45,10 +47,10 @@ def _attention_rows(q, k, v, heads, rows):
 def _forward_and_grads(op, arrays, weights):
     """Output of op on fresh parameters, and each parameter's gradient of
     sum(output * weights)."""
-    params = [ad.parameter(a) for a in arrays]
+    params = [taped.parameter(a) for a in arrays]
     with ad.Tape() as tape:
         out = op(*params)
-        tape.backward((out * ad.constant(weights)).sum())
+        tape.backward((out * taped.constant(weights)).sum())
     return out.data, [p.grad for p in params]
 
 
@@ -58,7 +60,7 @@ def _assert_bitwise(fused, oracle, arrays, rng, read_out=False):
     With read_out, only the output's last row reaches the loss, as in the
     forecaster's read-out; otherwise all rows but the first do.
     """
-    weights = rng.normal(size=oracle(*[ad.constant(a) for a in arrays]).shape)
+    weights = rng.normal(size=oracle(*[taped.constant(a) for a in arrays]).shape)
     if weights.shape[-2] > 1:   # rows that do not reach the loss, as in training's read-out
         weights[..., slice(None, -1) if read_out else 0, :] = 0.0
     out_f, grads_f = _forward_and_grads(fused, arrays, weights)
@@ -80,7 +82,7 @@ def test_linear_matches_its_oracle_bitwise(seed, batch, rows, d_in, d_out, bias)
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=batch + (rows, d_in)), rng.normal(size=(d_in, d_out)),
               rng.normal(size=(d_out,) if bias == "vector" else batch + (rows, d_out))]
-    _assert_bitwise(ad.linear, _linear_oracle, arrays, rng)
+    _assert_bitwise(taped.linear, _linear_oracle, arrays, rng)
 
 
 @settings(max_examples=60)
@@ -95,7 +97,7 @@ def test_attention_matches_its_oracle_bitwise(seed, batch, length, heads, dh, la
               rng.normal(size=batch + (length, width))]
 
     def fused(q, k, v):
-        return ad.attention(q, k, v, heads)
+        return taped.attention(q, k, v, heads)
 
     def oracle(q, k, v):
         return _attention_oracle(q, k, v, heads)
@@ -135,7 +137,7 @@ def test_layer_norm_matches_its_oracle_bitwise(seed, batch, rows, width, scale):
     rng = np.random.default_rng(seed)
     arrays = [scale * rng.normal(size=batch + (rows, width)),
               rng.normal(size=width), rng.normal(size=width)]
-    _assert_bitwise(ad.layer_norm, _layer_norm_oracle, arrays, rng)
+    _assert_bitwise(taped.layer_norm, _layer_norm_oracle, arrays, rng)
 
 
 @settings(max_examples=10)
@@ -145,52 +147,52 @@ def test_fused_primitives_pass_the_gradient_check(seed, batch, length, heads, la
     rng = np.random.default_rng(seed)
     width = 2 * heads
     q_rows = 1 if last_only else length
-    q = ad.parameter(rng.normal(size=batch + (q_rows, width)))
-    k = ad.parameter(rng.normal(size=batch + (length, width)))
-    v = ad.parameter(rng.normal(size=batch + (length, width)))
-    w = ad.parameter(rng.normal(size=(width, 3)))
-    b = ad.parameter(rng.normal(size=3))
-    gain = ad.parameter(rng.normal(size=width))
-    bias = ad.parameter(rng.normal(size=width))
-    x = ad.parameter(rng.normal(size=batch + (length, width)))
-    r_att = ad.constant(rng.normal(size=batch + (q_rows, width)))
-    r_lin = ad.constant(rng.normal(size=batch + (length, 3)))
-    r_ln = ad.constant(rng.normal(size=batch + (length, width)))
+    q = taped.parameter(rng.normal(size=batch + (q_rows, width)))
+    k = taped.parameter(rng.normal(size=batch + (length, width)))
+    v = taped.parameter(rng.normal(size=batch + (length, width)))
+    w = taped.parameter(rng.normal(size=(width, 3)))
+    b = taped.parameter(rng.normal(size=3))
+    gain = taped.parameter(rng.normal(size=width))
+    bias = taped.parameter(rng.normal(size=width))
+    x = taped.parameter(rng.normal(size=batch + (length, width)))
+    r_att = taped.constant(rng.normal(size=batch + (q_rows, width)))
+    r_lin = taped.constant(rng.normal(size=batch + (length, 3)))
+    r_ln = taped.constant(rng.normal(size=batch + (length, width)))
     rows = (q_rows + 1) // 2
-    r_rows = ad.constant(rng.normal(size=batch + (rows, width)))
+    r_rows = taped.constant(rng.normal(size=batch + (rows, width)))
 
-    assert ad.gradient_check(lambda _: (ad.attention(q, k, v, heads) * r_att).sum(),
+    assert taped.gradient_check(lambda _: (taped.attention(q, k, v, heads) * r_att).sum(),
                              [q, k, v]) <= 1e-4
-    assert ad.gradient_check(lambda _: (_attention_rows(q, k, v, heads, rows) * r_rows).sum(),
+    assert taped.gradient_check(lambda _: (_attention_rows(q, k, v, heads, rows) * r_rows).sum(),
                              [q, k, v]) <= 1e-4
-    assert ad.gradient_check(lambda _: (ad.linear(x, w, b) * r_lin).sum(),
+    assert taped.gradient_check(lambda _: (taped.linear(x, w, b) * r_lin).sum(),
                              [x, w, b]) <= 1e-4
-    assert ad.gradient_check(lambda _: (ad.layer_norm(x, gain, bias) * r_ln).sum(),
+    assert taped.gradient_check(lambda _: (taped.layer_norm(x, gain, bias) * r_ln).sum(),
                              [x, gain, bias]) <= 1e-4
 
 
 def test_fused_primitives_record_one_node_each():
     rng = np.random.default_rng(0)
-    x = ad.parameter(rng.normal(size=(3, 4, 4)))
-    w = ad.parameter(rng.normal(size=(4, 4)))
-    b = ad.parameter(rng.normal(size=4))
+    x = taped.parameter(rng.normal(size=(3, 4, 4)))
+    w = taped.parameter(rng.normal(size=(4, 4)))
+    b = taped.parameter(rng.normal(size=4))
     with ad.Tape() as tape:
-        h = ad.linear(x, w, b)
-        h = ad.attention(h, h, h, 2)
-        ad.layer_norm(h, b, b)
+        h = taped.linear(x, w, b)
+        h = taped.attention(h, h, h, 2)
+        taped.layer_norm(h, b, b)
     assert len(tape._nodes) == 3
 
 
 def test_fused_primitives_reject_mismatched_shapes():
     rng = np.random.default_rng(0)
-    with pytest.raises(ad.ShapeError):
-        ad.linear(rng.normal(size=(2, 3)), rng.normal(size=(4, 5)), np.zeros(5))
-    with pytest.raises(ad.ShapeError):    # a bias may not widen the product
-        ad.linear(rng.normal(size=(2, 3)), rng.normal(size=(3, 5)),
+    with pytest.raises(taped.ShapeError):
+        taped.linear(rng.normal(size=(2, 3)), rng.normal(size=(4, 5)), np.zeros(5))
+    with pytest.raises(taped.ShapeError):    # a bias may not widen the product
+        taped.linear(rng.normal(size=(2, 3)), rng.normal(size=(3, 5)),
                   rng.normal(size=(4, 2, 5)))
-    with pytest.raises(ad.ShapeError):    # width 6 does not split into 4 heads
+    with pytest.raises(taped.ShapeError):    # width 6 does not split into 4 heads
         x = rng.normal(size=(2, 6))
-        ad.attention(x, x, x, 4)
-    with pytest.raises(ad.ShapeError):    # keys and values of different lengths
-        ad.attention(rng.normal(size=(1, 4)), rng.normal(size=(3, 4)),
+        taped.attention(x, x, x, 4)
+    with pytest.raises(taped.ShapeError):    # keys and values of different lengths
+        taped.attention(rng.normal(size=(1, 4)), rng.normal(size=(3, 4)),
                      rng.normal(size=(2, 4)), 2)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from irrfactors import autodiff as ad
 from irrfactors import marketfactor as mf
 from irrfactors.panel import FeatureScaler, TooEarly
 from irrfactors.rng import stream
-from conftest import sentiment_market_spec, linear_probe_accuracy, sync_labels
+from conftest import sentiment_market_spec, linear_probe_accuracy, sync_labels, train_record
+import taped
 from irrfactors.synthetic import generate_synthetic
 
 
@@ -18,13 +21,13 @@ def _params(feats, seed=0):
 
 def _reprs(feats, params, t, window):
     """Stock representations at period t, (I, 2D_e)."""
-    return mf._stock_reprs_op(feats, params, np.array([t]), window).data[0]
+    return mf._stock_reprs(feats, params.arrays(), np.array([t]), window)[0][0]
 
 
 def _market(feats, params, subset, t, window):
     """Market representation over a stock subset at period t, (2D_e,)."""
-    reprs = mf._stock_reprs_op(feats, params, np.array([t]), window)
-    return mf._market_repr_op(reprs, params, np.asarray(subset)).data[0]
+    reprs, _ = mf._stock_reprs(feats, params.arrays(), np.array([t]), window)
+    return mf._market_repr(reprs, params.arrays(), np.asarray(subset))[0][0]
 
 
 def naive_criterion(params, m1, m2, t, t_other):
@@ -104,12 +107,12 @@ def test_stock_weight_relu_and_id_dependence(feats):
     r[0, 1, 2:4] = [2.0, -2.0]
     both = np.arange(2)
     params["w_eta"].data[...] = 0.0           # every weight 0: the uniform fallback
-    m = mf._market_repr_op(ad.constant(r), params, both).data[0]
+    m = mf._market_repr(r, params.arrays(), both)[0][0]
     np.testing.assert_array_equal(m, r[0].mean(axis=0))
     params["w_eta"].data[...] = 1.0
     params["w_id"].data[:, 0] = -3.0 / two_d  # negative preactivation: weight 0
     params["w_id"].data[:, 1] = 1.0
-    m = mf._market_repr_op(ad.constant(r), params, both).data[0]
+    m = mf._market_repr(r, params.arrays(), both)[0][0]
     np.testing.assert_allclose(m, r[0, 1], rtol=0, atol=1e-15)   # stock 1 alone
 
 
@@ -174,9 +177,9 @@ def test_criterion_values(feats):
     m = np.ones(2 * feats.shape[2])
 
     def criterion(t, t_other):
-        pair = ad.constant(np.stack([m, m]))
-        logits = mf._pair_logits_op(params, pair, pair, np.array([t, t_other]))
-        value = float(np.exp(logits.data[0, 1]))
+        pair = np.stack([m, m])
+        logits, _ = mf._pair_logits(params.arrays(), pair, pair, np.array([t, t_other]))
+        value = float(np.exp(logits[0, 1]))
         assert value == pytest.approx(naive_criterion(params, m, m, t, t_other), rel=1e-12)
         return value
 
@@ -238,8 +241,8 @@ def test_contrastive_separation_matches_the_naive_pair_loop(seed, split_seed, pe
     assert pos == pytest.approx(np.mean([v for same, v in pairs if same]), rel=1e-12)
     assert neg == pytest.approx(np.mean([v for same, v in pairs if not same]), rel=1e-12)
     # the values are those of the training logits, bit for bit
-    values = np.exp(mf._submarket_logits_op(params, feats, np.array(periods), 3,
-                                            split_seed, "eval").data)
+    values = np.exp(mf._submarket_logits(params.arrays(), feats, np.array(periods), 3,
+                                         (sub1, sub2))[0])
     assert (pos, neg) == (values.diagonal().mean(),
                           values[~np.eye(len(periods), dtype=bool)].mean())
 
@@ -252,8 +255,8 @@ def test_infonce_needs_two_periods(feats):
 
 def test_synchronism_predict_distribution(feats):
     def probs(params):
-        logits = mf._sync_logits_op(params, feats, np.array([7]), 3)
-        return ad.softmax_row(logits).data[0]
+        logits, _ = mf._sync_logits(params.arrays(), feats, np.array([7]), 3)
+        return ad.softmax(logits)[0]
 
     params = _params(feats)
     for name in ("cls_w1", "cls_b1", "cls_w2", "cls_b2"):
@@ -263,8 +266,8 @@ def test_synchronism_predict_distribution(feats):
 
 
 def test_cross_entropy_of_perfect_prediction_is_zero():
-    logits = ad.constant(np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]]))
-    assert mf.cross_entropy(logits, np.array([0, 1])).item() == pytest.approx(0.0, abs=1e-10)
+    logits = np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
+    assert mf.cross_entropy(logits, np.array([0, 1]))[0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_loss_m_reduces_to_infonce_at_lambda_zero(feats, labels):
@@ -287,11 +290,86 @@ def test_loss_m_prediction_term_never_reads_the_labeled_period(feats, labels):
 
 def test_loss_m_gradients_match_finite_differences(feats, labels):
     params = _params(feats, seed=3)
-    err = ad.gradient_check(
+    err = taped.gradient_check(
         lambda _: mf.loss_M(params, feats, labels, np.array([4, 6, 9]), 1.0, 3,
                             seed=7, epoch=0),
         params)
     assert err <= 1e-4
+
+
+class _Count(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = 0
+
+    def emit(self, record):
+        self.records += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 40), window=st.integers(1, 12),
+       n_features=st.integers(1, 3), batch=st.integers(2, 6),
+       lambda2=st.sampled_from([1.0, 0.0, 0.5]),
+       weights=st.sampled_from(["init", "all fall back", "none fall back"]),
+       term=st.sampled_from(["joint", "contrastive", "prediction"]))
+def test_fused_loss_is_bitwise_the_taped_chain(seed, n_stocks, window, n_features, batch,
+                                               lambda2, weights, term):
+    # the loss and every gradient, and for the joint loss the parameters
+    # after each of 3 Adam steps; w_eta = 0 sends every period to the
+    # uniform fallback (and its zero gradient keeps it there), a large
+    # shift of the ID embeddings along w_eta sends none
+    rng = np.random.default_rng(seed)
+    n_periods = window + batch + 1
+    feats = rng.normal(size=(n_stocks, n_periods, n_features))
+    labels = rng.integers(0, 3, size=n_periods)
+    periods = rng.permutation(np.arange(window, n_periods))[:batch]
+
+    def record(module):
+        params = _params(feats, seed)
+        if weights == "all fall back":
+            params["w_eta"].data[...] = 0.0
+        elif weights == "none fall back":
+            w_eta = params["w_eta"].data
+            params["w_id"].data += (50.0 * w_eta / np.dot(w_eta, w_eta))[:, None]
+        loss = {"joint": lambda: module.loss_M(params, feats, labels, periods, lambda2, window,
+                                               seed, 0),
+                "contrastive": lambda: module.infonce_loss(params, feats, periods, window,
+                                                           seed, 0),
+                "prediction": lambda: module.loss_P(params, feats, labels, periods, window)}
+        return train_record(params, loss[term], 3 if term == "joint" else 1, 0.01)
+
+    logger, count = logging.getLogger(mf.__name__), _Count()
+    level = logger.level
+    logger.addHandler(count)
+    logger.setLevel(logging.DEBUG)
+    try:
+        fused = record(mf)
+    finally:
+        logger.removeHandler(count)
+        logger.setLevel(level)
+    if weights != "init":
+        assert (count.records > 0) == (weights == "all fall back")
+    assert fused == record(taped)
+
+
+def test_training_is_bitwise_the_taped_chain(feats, labels):
+    # the trainer draws each epoch's halves once, where the chain drew them per step
+    hyper = mf.MarketFactorHyper(window=3, epochs=2, batch=3, seed=4)
+    trained = mf.train_market_factors(feats, labels, hyper, train_end=12)
+    params = mf.init_params(feats.shape[0], feats.shape[2], hyper)
+    opt = ad.adam_init(params)
+    for epoch in range(hyper.epochs):
+        order = stream(hyper.seed, "market", "order", epoch).permutation(np.arange(3, 12))
+        for start in range(0, len(order), hyper.batch):
+            batch = order[start:start + hyper.batch]
+            if batch.size < 2:
+                continue
+            ad.train_step(params, opt, lambda: taped.loss_M(
+                params, feats, labels, batch, hyper.lambda2, hyper.window, hyper.seed, epoch),
+                hyper.lr)
+            for p in (params["cls_w1"], params["cls_w2"]):
+                p.data -= hyper.lr * mf.CLS_WEIGHT_DECAY * p.data
+    assert trained.flat.tobytes() == params.flat.tobytes()
 
 
 def test_training_improves_loss_and_separates_pairs():

@@ -272,10 +272,19 @@ def test_mismatched_checkpoint_is_rejected(small_run, tmp_path, name, change, me
         run_pipeline(cfg, clone)
 
 
+def _first_central_entry(raw: bytes, offset: int, value: int) -> bytes:
+    """raw with byte `offset` of the zip's first central directory entry set
+    to `value`: its general-purpose flags at 8, its compression method at 10."""
+    at = raw.index(b"PK\x01\x02") + offset
+    return raw[:at] + bytes([value]) + raw[at + 1:]
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw: raw[:len(raw) // 2],                                  # truncated
     lambda raw: raw[:len(raw) // 2] + bytes([raw[len(raw) // 2] ^ 1])  # one bit flipped
     + raw[len(raw) // 2 + 1:],
+    lambda raw: _first_central_entry(raw, 8, raw[raw.index(b"PK\x01\x02") + 8] | 1),  # encrypted
+    lambda raw: _first_central_entry(raw, 10, 0x63),                  # unknown compression
 ])
 def test_damaged_checkpoint_is_named(small_run, tmp_path, damage):
     cfg, run_dir, _ = small_run
@@ -395,13 +404,13 @@ def test_frozen_scoring_encodes_only_the_rows_its_forecasts_read(small_run, monk
         mf.market_series(feats, artifacts.market_params, artifacts.fc_hyper.window),
         periods)
     encoded = []
-    encode = mf._stock_reprs_op
+    encode = mf._stock_reprs
 
-    def spy(features, params, rows, window):
+    def spy(features, params, rows, window, keep=False):
         encoded.append(rows)
-        return encode(features, params, rows, window)
+        return encode(features, params, rows, window, keep)
 
-    monkeypatch.setattr(mf, "_stock_reprs_op", spy)
+    monkeypatch.setattr(mf, "_stock_reprs", spy)
     y_hat = predict_with_artifacts(artifacts, panel, periods)
     assert np.concatenate(encoded).tolist() == (periods - 1).tolist()
     assert y_hat.tobytes() == full.tobytes()
@@ -518,6 +527,16 @@ def test_cli_rejects_malformed_config(tmp_path):
     result = _cli("synth", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 1
     assert "not.a.key" in result.stderr
+
+
+def test_cli_names_a_config_byte_that_is_not_utf8(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(SMALL_CONFIG.encode() + b"# caf\xe9\n")
+    lineno = SMALL_CONFIG.count("\n") + 1
+    result = _cli("pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run"))
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: {cfg_path}:{lineno}: byte 0xe9 at column 6 is not UTF-8"]
 
 
 def test_cli_report_on_missing_dir(tmp_path):

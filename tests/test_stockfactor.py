@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irrfactors import autodiff as ad
 from irrfactors import stockfactor as sf
-from conftest import random_panel
+from conftest import random_panel, train_record
+import taped
 
 
 def _naive_virtual_price(prices, params):
@@ -41,7 +43,7 @@ def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(1)
     params = sf.init_params(4)
     params["w_att"].data[...] = rng.normal(size=(4, 4)) * 3
-    att = sf._attention_op(params).data
+    att = sf._attention(params)
     np.testing.assert_allclose(att.sum(axis=1), np.ones(4), atol=1e-12)
     np.testing.assert_array_equal(np.diag(att), np.zeros(4))
 
@@ -79,8 +81,7 @@ def test_loss_beta_matches_naive_oracle():
 def _rho_penalty(u, rho):
     """The stationarity penalty on a fixed residual series u (I, T) at the
     AR(1) coefficients rho."""
-    params = ad.ParamSet({"rho_raw": np.arctanh(rho)})
-    return sf._rho_penalty(ad.constant(u), params).item()
+    return float(sf._rho_penalty(u, np.arctanh(rho))[0])
 
 
 def test_loss_rho_hand_values():
@@ -123,8 +124,31 @@ def test_loss_gradients_match_finite_differences():
     params["beta"].data += rng.normal(scale=0.1, size=(4, 4))
     params["w_att"].data += rng.normal(scale=0.1, size=(4, 4))
     params["rho_raw"].data += rng.normal(scale=0.1, size=4)
-    err = ad.gradient_check(lambda _: sf.loss_S(panel.prices, params, 0.5), params)
+    err = taped.gradient_check(lambda _: sf.loss_S(panel.prices, params, 0.5), params)
     assert err <= 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 40), n_periods=st.integers(2, 40),
+       lambda1=st.sampled_from([0.5, 0.0, 3.0]),
+       term=st.sampled_from(["joint", "regression", "stationarity"]))
+def test_fused_loss_is_bitwise_the_taped_chain(seed, n_stocks, n_periods, lambda1, term):
+    # the loss and every gradient, and for the joint loss the parameters
+    # after each of 3 Adam steps; lambda1 = 0 still runs the penalty's terms
+    rng = np.random.default_rng(seed)
+    prices = 50.0 + rng.normal(size=(n_stocks, n_periods)).cumsum(axis=1)
+    start = [rng.normal(scale=0.3, size=(n_stocks, n_stocks)) for _ in range(2)]
+
+    def record(module):
+        params = sf.init_params(n_stocks)
+        params["beta"].data += start[0]
+        params["w_att"].data += start[1]
+        loss = {"joint": lambda: module.loss_S(prices, params, lambda1),
+                "regression": lambda: module.loss_beta(prices, params),
+                "stationarity": lambda: module.loss_rho(prices, params)}[term]
+        return train_record(params, loss, 3 if term == "joint" else 1, 0.02)
+
+    assert record(sf) == record(taped)
 
 
 def test_training_decreases_loss(planted_panel):
@@ -141,7 +165,7 @@ def test_training_finds_planted_partner(planted_panel):
     params = sf.train_stock_factors(prices, sf.StockFactorHyper(steps=800),
                                     planted_panel.n_periods)
     series = sf.residual(prices, params)
-    att = sf._attention_op(params).data
+    att = sf._attention(params)
     assert att[0].argmax() == 1
     assert abs(sf.stationarity_diagnostic(series.u[0])) < \
         abs(sf.stationarity_diagnostic(planted_panel.prices[0]))
