@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import average_ranks, pearson
 from .marketfactor import MarketFactorSeries
-from .panel import windows
+from .panel import check_windows, windows
 from .rng import stream
 from .settings import BadSetting, require
 from .stockfactor import StockFactorSeries
@@ -129,13 +129,17 @@ class Prediction:
 # -- model pieces ----------------------------------------------------------
 
 
+def _check_factor(features: np.ndarray, u: np.ndarray) -> None:
+    I, T, _ = features.shape
+    if u.shape != (I, T):
+        raise AlignmentError(f"factor series {u.shape} does not match panel ({I}, {T})")
+
+
 def augment_features(features: np.ndarray, u: np.ndarray,
                      use_stock_factor: bool = True) -> np.ndarray:
     """Per-stock model inputs by period, (I, T, D_in): the features with the
     factor series as a last column, which the NS ablation leaves out."""
-    I, T, _ = features.shape
-    if u.shape != (I, T):
-        raise AlignmentError(f"factor series {u.shape} does not match panel ({I}, {T})")
+    _check_factor(features, u)
     if not use_stock_factor:
         return features
     return np.concatenate([features, u[..., None]], axis=-1)
@@ -153,6 +157,26 @@ def augment_features(features: np.ndarray, u: np.ndarray,
 # does; so every value and gradient keeps the chain's bits.
 
 
+# Measured with OpenBLAS 0.3.31 on an AVX-512 core: a product a @ b.T with an
+# inner dimension of 32 or more runs in a small-matrix kernel while its output
+# has at most this many elements, and in the blocked kernel beyond; the two
+# round differently.
+SMALL_GEMM_ELEMENTS = 1200
+
+
+def _prunes_exactly(length: int, width: int, heads: int) -> bool:
+    """Whether the final block run on its last two positions keeps the full
+    block's bits (rule 1 of _encoder_block). Attention's products round a
+    kept row by the row count with one dimension per head (gemv), and at
+    some windows with 2 or 3 or with 32 or more. The read-out rows' input
+    gradients g @ w.T through ff_w2 (n = 2 * width, k = width), ff_w1
+    (n = width, k = 2 * width) and w_o (n = k = width, within ff_w2's
+    bound) must stay in the full product's kernel."""
+    dh = width // heads
+    return 4 <= dh < 32 and all(k < 32 or length * n <= SMALL_GEMM_ELEMENTS
+                                for n, k in ((2 * width, width), (width, 2 * width)))
+
+
 def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
                    frozen: bool, keep: bool):
     """Transformer block `index` over (..., L, width) windows; the output
@@ -165,11 +189,9 @@ def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
     position L-1 of the output reaches the loss, two or more rows keep the
     full block's bits, in its values and every gradient, by two rules:
 
-    1. Every product stays a gemm, which rounds each kept row as in the
-       full product. This rests on OpenBLAS's gemm (measured with 0.3.31).
-       With one dimension per head, attention's products with a single
-       column go to gemv in the full block too, whose rows round by their
-       count; such a block runs on all L positions.
+    1. Every product rounds each kept row as the full product does. With
+       OpenBLAS (measured with 0.3.31) that holds only at the shapes
+       _prunes_exactly admits; elsewhere the block runs on all L positions.
     2. The gradient of the block's input sums in the full block's order,
        ((residual + v) + k) + q: q is projected on all L rows and attention
        takes the trailing rows itself.
@@ -216,9 +238,9 @@ def _temporal_encode(p: dict, hyper: ForecasterHyper, g: np.ndarray, frozen: boo
     the encoding and vjp(g, grads).
 
     Only position L-1 of the final block is read out, so that block runs on
-    the last two positions in training, bit for bit the full block (on all
-    of them with one dimension per head), and on position L-1 alone when
-    frozen (see _encoder_block).
+    the last two positions in training where that keeps the full block's
+    bits (on all of them elsewhere), and on position L-1 alone when frozen
+    (see _encoder_block).
     """
     length = g.shape[-2]
     x, in_vjp = ad.linear_fwd(g, p["w_in"], p["b_in"], keep)
@@ -226,7 +248,7 @@ def _temporal_encode(p: dict, hyper: ForecasterHyper, g: np.ndarray, frozen: boo
     if frozen:
         first = length - 1
     else:
-        first = max(length - 2, 0) if hyper.width > hyper.heads else 0
+        first = max(length - 2, 0) if _prunes_exactly(length, hyper.width, hyper.heads) else 0
     block_vjps = []
     for i in range(hyper.blocks):
         final = i == hyper.blocks - 1
@@ -438,25 +460,35 @@ def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
     """Frozen forecasts for the given periods, (I, len(periods)).
 
     Periods are scored in blocks of about CHUNK_WINDOWS stock windows, one
-    predict call per block; each block's output equals that of one predict
-    call per period exactly. A period whose market factor row t - 1 is NaN
-    raises AlignmentError before any predict call.
+    predict call per block, whose inputs are built from the block's windows
+    alone; each block's output equals that of one predict call per period
+    exactly. A period whose market factor row t - 1 is NaN raises
+    AlignmentError before any predict call.
     """
     periods = np.asarray(periods, dtype=np.int64)
-    # A period outside the panel fails below, in windows(), with TooEarly.
+    # A period outside the panel fails below, in check_windows, with TooEarly.
     inside = periods[(periods >= 1) & (periods <= market_factors.m.shape[0])]
     unknown = np.isnan(market_factors.m[inside - 1]).any(axis=1)
     if unknown.any():
         t = int(inside[unknown.argmax()])
         raise AlignmentError(f"period {t} reads market factor row {t - 1}, which is NaN "
                              f"(never computed)")
-    n_stocks = features.shape[0]
+    _check_factor(features, u)
+    n_stocks, n_periods, d = features.shape
+    length = hyper.window
+    check_windows(periods, length, n_periods)
+    d_in = d + (hyper.ablation != "NS")
     step = max(1, CHUNK_WINDOWS // n_stocks)
     out = np.empty((n_stocks, periods.size))
-    inputs = augment_features(features, u, hyper.ablation != "NS")
     for lo in range(0, periods.size, step):
         block = periods[lo:lo + step]
-        g = windows(inputs, block, hyper.window)
+        # C-contiguous: a strided operand would send predict's matmuls to
+        # numpy's own loop, which rounds differently from BLAS
+        g = np.empty((block.size, n_stocks, length, d_in))
+        for k, t in enumerate(block):
+            g[k, ..., :d] = features[:, t - length:t]
+            if d_in > d:
+                g[k, ..., d] = u[:, t - length:t]
         r_prev = np.swapaxes(market_factors.r[:, block - 1], 0, 1)
         out[:, lo:lo + step] = predict(params, hyper, g, r_prev,
                                        market_factors.m[block - 1]).T

@@ -24,6 +24,8 @@ from .stockfactor import TooFewStocks
 
 logger = logging.getLogger(__name__)
 
+CHUNK_WINDOWS = 1024  # stock windows per frozen encoding call; bounds market_series' peak memory
+
 
 class NoNegatives(ValueError):
     """Contrastive loss needs at least 2 periods in the batch."""
@@ -375,7 +377,12 @@ def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
 def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
                   rows=None) -> MarketFactorSeries:
     """Frozen m_t and r_t for every period where the window fits, or only for
-    those of `rows`; every other row is NaN."""
+    those of `rows`; every other row is NaN.
+
+    Periods are encoded in chunks of max(1, CHUNK_WINDOWS // I), which bounds
+    the working memory by stock windows, not by the panel; every row has the
+    same bits whatever the chunk.
+    """
     I, T, d = features.shape
     m = np.full((T, 2 * d), np.nan)
     r = np.full((I, T, 2 * d), np.nan)
@@ -386,7 +393,7 @@ def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
         periods = rows[rows >= window - 1]
     p = params.arrays()
     full = np.arange(I)
-    chunk = 64
+    chunk = max(1, CHUNK_WINDOWS // I)
     for start in range(0, len(periods), chunk):
         ts = periods[start:start + chunk]
         reprs, _ = _stock_reprs(features, p, ts, window)

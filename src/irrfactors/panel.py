@@ -210,22 +210,29 @@ def compute_synchronism_labels(deltas: np.ndarray, cfg: SynchronismConfig) -> li
     return labels
 
 
+def check_windows(t, window: int, n_periods: int) -> None:
+    """Raise TooEarly when the window of periods t - window .. t - 1, for a
+    period or any of an array of periods, starts before period 0 or ends past
+    period n_periods - 1."""
+    ts = np.asarray(t)
+    bad = (ts < window) | (ts > n_periods)
+    if bad.any():
+        stop = int(ts[bad].flat[0])
+        raise TooEarly(f"window of {window} periods {stop - window}..{stop - 1} before "
+                       f"period {stop} does not fit in periods 0..{n_periods - 1}")
+
+
 def windows(x: np.ndarray, t, window: int) -> np.ndarray:
     """History windows of a (I, T, ...) array: periods t - window .. t - 1.
 
     A scalar t gives one (I, window, ...) window; an array of periods gives
     the windows stacked on a leading axis, (P, I, window, ...). Raises
-    TooEarly when a window starts before period 0 or ends past period T - 1.
+    TooEarly (check_windows) when a window does not fit in the T periods.
     """
-    ts = np.asarray(t)
-    bad = (ts < window) | (ts > x.shape[1])
-    if bad.any():
-        stop = int(ts[bad].flat[0])
-        raise TooEarly(f"window of {window} periods {stop - window}..{stop - 1} before "
-                       f"period {stop} does not fit in periods 0..{x.shape[1] - 1}")
-    if ts.ndim == 0:
+    check_windows(t, window, x.shape[1])
+    if np.ndim(t) == 0:
         return x[:, t - window:t]
-    return np.stack([x[:, s - window:s] for s in ts])
+    return np.stack([x[:, s - window:s] for s in np.asarray(t)])
 
 
 def load_panel(path) -> MarketPanel:

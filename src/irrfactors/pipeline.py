@@ -120,7 +120,7 @@ def _run_stamp(cfg: RunConfig, panel: MarketPanel) -> str:
         for names in (panel.stock_ids, panel.periods, panel.feature_names):
             h.update("\n".join(names).encode("utf-8") + b"\0")
         for array in (panel.features, panel.prices):
-            h.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(array, dtype=np.float64))
         stamp += f" data_hash={h.hexdigest()[:12]}"
     return stamp
 

@@ -53,9 +53,13 @@ def test_build_inputs_ns_ablation_drops_the_column():
 
 
 def test_build_inputs_alignment_error():
-    feats, u, *_ = _setup()
+    feats, u, mseries, hyper, params = _setup()
     with pytest.raises(fc.AlignmentError):
         windows(fc.augment_features(feats, u[:, :-1]), 5, 3)
+    # predict_periods windows u block by block, where a longer series still fits
+    longer = np.concatenate([u, u[:, :1]], axis=1)
+    with pytest.raises(fc.AlignmentError, match="does not match panel"):
+        fc.predict_periods(params, hyper, feats, longer, mseries, [5])
 
 
 def test_temporal_encode_shape_and_position_sensitivity():

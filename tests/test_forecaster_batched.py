@@ -5,10 +5,11 @@ primitives in taped.py, bit for bit."""
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
@@ -56,7 +57,9 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
                                               width, heads, blocks, ablation)
     periods = data.draw(st.permutations(range(window, n_periods + 1)))
 
-    batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
+    # each block's inputs come from its own windows, not a copy of the whole panel
+    with mock.patch.object(fc, "augment_features", side_effect=AssertionError):
+        batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
 
     inputs = fc.augment_features(feats, u, ablation != "NS")
     single = np.stack([fc.predict(params, hyper, windows(inputs, t, window),
@@ -79,10 +82,21 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**16), n_stocks=st.integers(1, 40), window=st.integers(1, 12),
-       width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (4, 4)]),
+@given(seed=st.integers(0, 2**16), n_stocks=st.integers(1, 40), window=st.integers(1, 40),
+       width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (4, 4), (32, 2), (64, 4)]),
        blocks=st.sampled_from([1, 2]), ablation=ablations,
        lambda3=st.sampled_from([0.1, 0.0]), flat_target=st.booleans())
+# The demo's shapes, the ForecasterHyper defaults, and two shapes where pruning
+# the final block would change the bits (see forecaster._prunes_exactly):
+# past OpenBLAS's small-matrix kernel, and two dimensions per head.
+@example(seed=1, n_stocks=16, window=10, width_heads=(32, 2), blocks=1, ablation="none",
+         lambda3=0.1, flat_target=False)
+@example(seed=1, n_stocks=16, window=20, width_heads=(64, 4), blocks=2, ablation="none",
+         lambda3=0.1, flat_target=False)
+@example(seed=2, n_stocks=16, window=19, width_heads=(32, 2), blocks=1, ablation="NS",
+         lambda3=0.1, flat_target=False)
+@example(seed=2, n_stocks=5, window=20, width_heads=(4, 2), blocks=1, ablation="none",
+         lambda3=0.1, flat_target=False)
 def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width_heads,
                                                    blocks, ablation, lambda3, flat_target):
     # loss, every gradient and the parameters, step by step over 3 Adam
@@ -116,6 +130,14 @@ def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width
         return record
 
     assert train(fc._predict_op, fc.loss_total) == train(taped.predict, taped.loss_total)
+
+
+@pytest.mark.parametrize("window, width, heads, prunes", [
+    (10, 32, 2, True), (18, 32, 2, True), (19, 32, 2, False), (20, 64, 4, False),
+    (9, 64, 4, True), (16, 4, 2, False), (10, 4, 4, False)])
+def test_the_demo_shapes_train_a_pruned_final_block(window, width, heads, prunes):
+    # the demo's shapes come first; the bits at each shape are checked above
+    assert fc._prunes_exactly(window, width, heads) is prunes
 
 
 @settings(max_examples=30, deadline=None)

@@ -407,13 +407,13 @@ _T = 150
 
 
 @settings(max_examples=40)
-@given(window=st.integers(1, 12), rows=st.one_of(
+@given(n_stocks=st.sampled_from([16, 100, 130]), window=st.integers(1, 12), rows=st.one_of(
     st.lists(st.integers(0, _T - 1), max_size=_T),
     st.integers(0, _T - 70).flatmap(lambda lo: st.permutations(range(lo, lo + 70)))))
-def test_market_series_on_rows_matches_the_full_series(window, rows):
+def test_market_series_on_rows_matches_the_full_series(n_stocks, window, rows):
     # Unsorted rows, repeats, rows whose window does not fit and sets that
-    # span more than one 64-period chunk.
-    feats = np.random.default_rng(3).normal(size=(4, _T, 3))
+    # span more than one chunk: 64 periods at 16 stocks, 10 at 100, 7 at 130.
+    feats = np.random.default_rng(3).normal(size=(n_stocks, _T, 3))
     params = _params(feats)
     full = mf.market_series(feats, params, window)
     part = mf.market_series(feats, params, window, rows=rows)
@@ -422,3 +422,22 @@ def test_market_series_on_rows_matches_the_full_series(window, rows):
     assert part.r[:, kept].tobytes() == full.r[:, kept].tobytes()
     others = sorted(set(range(_T)) - set(kept))
     assert np.isnan(part.m[others]).all() and np.isnan(part.r[:, others]).all()
+
+
+@pytest.mark.parametrize("n_stocks, chunk", [(16, 64), (100, 10), (130, 7)])
+def test_market_series_encodes_at_most_its_window_budget_per_call(monkeypatch, n_stocks,
+                                                                  chunk):
+    feats = np.random.default_rng(4).normal(size=(n_stocks, _T, 3))
+    params = _params(feats)
+    sizes = []
+    encode = mf._stock_reprs
+
+    def spy(features, p, periods, window, keep=False):
+        sizes.append(len(periods))
+        return encode(features, p, periods, window, keep)
+
+    monkeypatch.setattr(mf, "_stock_reprs", spy)
+    mf.market_series(feats, params, 5)
+    assert sum(sizes) == _T - 4
+    assert sizes[:-1] == [chunk] * (len(sizes) - 1) and sizes[-1] <= chunk
+    assert chunk * n_stocks <= mf.CHUNK_WINDOWS
