@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
+import tokenize
 import weakref
 import zipfile
 from itertools import zip_longest
@@ -307,6 +308,8 @@ def softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 # -- optimizers -------------------------------------------------------------
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+
 
 def zero_grads(params) -> None:
     for p in params:
@@ -318,14 +321,13 @@ def adam_init(params: ParamSet) -> dict:
             "scratch": np.empty_like(params.flat)}
 
 
-def adam_step(params: ParamSet, state: dict, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> dict:
+def adam_step(params: ParamSet, state: dict, lr: float = 1e-3) -> dict:
     """Standard Adam update in place, one elementwise pass over the set's flat
     buffer; state carries the moment estimates and a scratch buffer.
 
-    Computed in place, in the order of m = beta1 * m + (1 - beta1) * g,
-    v = beta2 * v + (1 - beta2) * g * g and flat -= lr * (m / (1 - beta1**t))
-    / (sqrt(v / (1 - beta2**t)) + eps), so each value has those bits.
+    Computed in place, in the order of m = BETA1 * m + (1 - BETA1) * g,
+    v = BETA2 * v + (1 - BETA2) * g * g and flat -= lr * (m / (1 - BETA1**t))
+    / (sqrt(v / (1 - BETA2**t)) + ADAM_EPS), so each value has those bits.
     """
     for name, p in params.items():
         if p.grad is None:
@@ -336,16 +338,16 @@ def adam_step(params: ParamSet, state: dict, lr: float = 1e-3, beta1: float = 0.
     state["t"] += 1
     t = state["t"]
     m, v, s = state["m"], state["v"], state["scratch"]
-    m *= beta1
-    m += np.multiply(1.0 - beta1, g, out=s)
-    v *= beta2
-    np.multiply(1.0 - beta2, g, out=s)
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=s)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=s)
     s *= g
     v += s
-    denom = np.divide(v, 1.0 - beta2 ** t, out=g)      # g is spent; its buffer is reused
+    denom = np.divide(v, 1.0 - BETA2 ** t, out=g)      # g is spent; its buffer is reused
     np.sqrt(denom, out=denom)
-    denom += eps
-    step = np.divide(m, 1.0 - beta1 ** t, out=s)
+    denom += ADAM_EPS
+    step = np.divide(m, 1.0 - BETA1 ** t, out=s)
     step *= lr
     step /= denom
     params.flat -= step
@@ -400,9 +402,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name) -> bool:
-        return name in self._tensors
-
     def __iter__(self):
         return iter(self._tensors.values())
 
@@ -441,7 +440,7 @@ class ParamSet:
                 with np.load(fh) as data:
                     stored = {name: data[name] for name in data.files}
             except (zipfile.BadZipFile, EOFError, ValueError, NotImplementedError,
-                    RuntimeError, OSError) as e:
+                    RuntimeError, OSError, tokenize.TokenError) as e:
                 raise CorruptCheckpoint(f"checkpoint {path} is damaged ({e}); delete it "
                                         f"to retrain") from e
         found = str(stored.pop("__stamp__", "<unstamped>"))

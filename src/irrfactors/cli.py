@@ -8,7 +8,8 @@ import sys
 from .config import ConfigError, RunConfig
 from .forecaster import ABLATIONS
 from .panel import write_panel_csv
-from .pipeline import MissingArtifact, PipelineStageError, format_report, run_pipeline
+from .pipeline import (BadReport, MissingArtifact, PipelineStageError, format_report,
+                       run_pipeline)
 from .synthetic import generate_synthetic
 
 
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
     handlers = {"synth": _cmd_synth, "pipeline": _cmd_pipeline, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (PipelineStageError, ConfigError, MissingArtifact, OSError) as e:
+    except (PipelineStageError, ConfigError, MissingArtifact, BadReport, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .evaluation import PortfolioConfig
+from .files import read_text
 from .forecaster import ForecasterHyper
 from .marketfactor import MarketFactorHyper
 from .panel import SynchronismConfig
@@ -121,20 +122,6 @@ def _parse_plant(key: str, text: str) -> CointegrationPlant:
         raise ConfigError(f"{key}: {e}") from None
 
 
-def _read_text(path) -> str:
-    """A config file's text; a byte that is not UTF-8 raises ConfigError with
-    its path:line, as the panel loader's NotUtf8 does."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        start = data.rfind(b"\n", 0, e.start) + 1
-        lineno = data.count(b"\n", 0, start) + 1
-        raise ConfigError(f"{path}:{lineno}: byte {data[e.start]:#04x} at column "
-                          f"{e.start - start + 1} is not UTF-8") from None
-
-
 @dataclass
 class RunConfig:
     """Validated, fully-resolved run configuration."""
@@ -165,7 +152,7 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         values, plants, first_line = {}, {}, {}
         # universal newlines, as a file opened in text mode reads them
-        for lineno, raw in enumerate(io.StringIO(_read_text(path), newline=None), 1):
+        for lineno, raw in enumerate(io.StringIO(read_text(path, ConfigError), newline=None), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -185,7 +185,8 @@ def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
     Queries and everything after them run on positions first..L-1; keys and
     values cover all L. frozen projects the query from those rows alone; with
     one row that is a product numpy sends to gemv: frozen scoring's form,
-    whose bits differ slightly from the full block's. Otherwise, when only
+    whose bits differ slightly from the full block's and which is never
+    differentiated (keep is False). Otherwise, when only
     position L-1 of the output reaches the loss, two or more rows keep the
     full block's bits, in its values and every gradient, by two rules:
 
@@ -218,16 +219,14 @@ def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
         g_a1, grads[blk("ln1_g")], grads[blk("ln1_b")] = ln1_vjp(g_h1)  # a1 = x_q + mixed @ w_o
         g_mixed, grads[blk("w_o")] = ad.matmul_vjp(g_a1, mixed, w_o)
         gq, gk, gv = attention_vjp(g_mixed)
-        g_from_q, grads[blk("w_q")] = ad.matmul_vjp(gq, x_q if frozen else x, w_q)
+        g_from_q, grads[blk("w_q")] = ad.matmul_vjp(gq, x, w_q)
         g_from_k, grads[blk("w_k")] = ad.matmul_vjp(gk, x, w_k)
         g_from_v, grads[blk("w_v")] = ad.matmul_vjp(gv, x, w_v)
-        g_residual = g_a1 + g_from_q if frozen else g_a1
+        g_residual = g_a1
         if first:       # the residual's rows, scattered as take's VJP does
-            g_x = np.zeros_like(x)
-            g_x[..., first:, :] += g_residual
-            g_residual = g_x
-        g_x = (g_residual + g_from_v) + g_from_k
-        return g_x if frozen else g_x + g_from_q
+            g_residual = np.zeros_like(x)
+            g_residual[..., first:, :] += g_a1
+        return ((g_residual + g_from_v) + g_from_k) + g_from_q
 
     return out, vjp if keep else None
 
@@ -294,15 +293,16 @@ def _relation(p: dict, c: np.ndarray, r_prev: np.ndarray, keep: bool = False):
 
 def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
                 g: np.ndarray, r_prev: np.ndarray, m_prev: np.ndarray,
-                frozen: bool = False) -> Tensor:
+                frozen: bool = False) -> Tensor | np.ndarray:
     """Forecasts (..., I) from windows (..., I, L, D_in), as one tape node
     whose parents are the parameters.
 
     r_prev is (..., I, 2D_e) and m_prev (..., 2D_e); the leading axes index
-    periods. frozen selects the encoder's frozen-scoring form.
+    periods. frozen selects the encoder's frozen-scoring form, which is never
+    differentiated: it records no node and returns the plain array.
     """
     p = params.arrays()
-    keep = ad.recording(params)
+    keep = not frozen and ad.recording(params)
     c, encode_vjp = _temporal_encode(p, hyper, g, frozen, keep)
     m_prev = np.asarray(m_prev, dtype=np.float64)
     m_shape = c.shape[:-1] + m_prev.shape[-1:]
@@ -331,7 +331,8 @@ def _predict_op(params: ad.ParamSet, hyper: ForecasterHyper,
         encode_vjp(g_c, grads)
         return tuple(grads[name] for name in p)
 
-    return ad.record(out.reshape(out.shape[:-1]), tuple(params), vjp)
+    y_hat = out.reshape(out.shape[:-1])
+    return y_hat if frozen else ad.record(y_hat, tuple(params), vjp)
 
 
 def predict(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
@@ -341,7 +342,7 @@ def predict(params: ad.ParamSet, hyper: ForecasterHyper, g: np.ndarray,
     Block inputs carry a leading period axis, g (P, I, L, D_in), r_prev
     (P, I, 2D_e) and m_prev (P, 2D_e), and give (P, I).
     """
-    return _predict_op(params, hyper, g, r_prev, m_prev, frozen=True).data
+    return _predict_op(params, hyper, g, r_prev, m_prev, frozen=True)
 
 
 # -- objective -------------------------------------------------------------

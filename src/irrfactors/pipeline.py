@@ -19,7 +19,9 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from . import stockfactor as sf
 from .autodiff import ParamSet
 from .config import RunConfig
 from .evaluation import BacktestReport, run_backtest
-from .files import atomic_open
+from .files import atomic_open, read_text
 from .panel import (FeatureScaler, MarketPanel, compute_deltas, compute_synchronism_labels,
                     load_panel, write_csv)
 from .synthetic import generate_synthetic
@@ -50,12 +52,15 @@ class PipelineStageError(RuntimeError):
 
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
+        self.stage, self.cause = stage, cause
 
 
 class MissingArtifact(FileNotFoundError):
     """A required run-directory file is absent."""
+
+
+class BadReport(ValueError):
+    """A report.txt that does not decode, or lacks a metric or holds a non-number there."""
 
 
 class PanelMismatch(ValueError):
@@ -77,20 +82,17 @@ class TrainedArtifacts:
     report: BacktestReport
 
 
+@contextmanager
 def _stage(name: str):
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except PipelineStageError:
-                raise
-            except Exception as e:
-                raise PipelineStageError(name, e) from e
-        return inner
-    return wrap
+    """Any exception but a PipelineStageError leaves the block as one naming the stage."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as e:
+        raise PipelineStageError(name, e) from e
 
 
-@_stage("data")
 def _load_data(cfg: RunConfig) -> tuple[MarketPanel, int, FeatureScaler]:
     if cfg["data.source"] == "csv":
         panel = load_panel(cfg["data.csv_path"])
@@ -138,48 +140,6 @@ def _trained(run_dir: str, name: str, stamp: str, init, train) -> ParamSet:
     return params
 
 
-@_stage("stock-factors")
-def _stage_stock_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
-                         run_dir: str, stamp: str
-                         ) -> tuple[ParamSet, sf.StockFactorSeries]:
-    hyper = cfg.build("factors")
-    params = _trained(run_dir, "stock", stamp, lambda: sf.init_params(panel.n_stocks),
-                      lambda: sf.train_stock_factors(panel.prices, hyper, train_end))
-    return params, sf.residual(panel.prices, params)
-
-
-@_stage("market-factors")
-def _stage_market_factors(cfg: RunConfig, panel: MarketPanel, train_end: int,
-                          feats: np.ndarray, labels: list, run_dir: str, stamp: str
-                          ) -> tuple[ParamSet, mf.MarketFactorSeries]:
-    hyper = cfg.build("market")
-    params = _trained(run_dir, "market", stamp,
-                      lambda: mf.init_params(panel.n_stocks, panel.n_features, hyper),
-                      lambda: mf.train_market_factors(feats, labels, hyper, train_end))
-    return params, mf.market_series(feats, params, hyper.window)
-
-
-@_stage("forecaster")
-def _stage_forecaster(cfg: RunConfig, panel: MarketPanel, train_end: int,
-                      feats: np.ndarray, factors: sf.StockFactorSeries,
-                      mseries: mf.MarketFactorSeries, run_dir: str, stamp: str
-                      ) -> tuple[ParamSet, fc.ForecasterHyper, fc.Prediction]:
-    hyper = cfg.build("forecast")
-    params = _trained(run_dir, "forecaster", stamp,
-                      lambda: fc.init_params(panel.n_features, hyper),
-                      lambda: fc.train_forecaster(feats, panel.returns, factors, mseries,
-                                                  hyper, train_end))
-    periods = list(range(train_end, panel.n_periods))
-    y_hat = fc.predict_periods(params, hyper, feats, factors.u, mseries, periods)
-    return params, hyper, fc.Prediction(periods=periods, y_hat=y_hat,
-                                        y_true=panel.returns[:, periods])
-
-
-@_stage("backtest")
-def _stage_backtest(cfg: RunConfig, prediction: fc.Prediction) -> BacktestReport:
-    return run_backtest(prediction.y_hat, prediction.y_true, cfg.build("portfolio"))
-
-
 def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts:
     """Execute all stages and write the run artifacts.
 
@@ -190,11 +150,16 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     run_dir = cfg["out_dir"] if run_dir is None else run_dir
     os.makedirs(run_dir, exist_ok=True)
 
-    panel, train_end, scaler = _load_data(cfg)
+    with _stage("data"):
+        panel, train_end, scaler = _load_data(cfg)
     stamp = _run_stamp(cfg, panel)
     feats = scaler.transform(panel.features)
 
-    coint_params, factors = _stage_stock_factors(cfg, panel, train_end, run_dir, stamp)
+    with _stage("stock-factors"):
+        hyper = cfg.build("factors")
+        coint_params = _trained(run_dir, "stock", stamp, lambda: sf.init_params(panel.n_stocks),
+                                lambda: sf.train_stock_factors(panel.prices, hyper, train_end))
+        factors = sf.residual(panel.prices, coint_params)
     I, T = panel.n_stocks, panel.n_periods
     sids = np.array(panel.stock_ids, dtype=object)
     dates = np.array(panel.periods, dtype=object)
@@ -207,8 +172,12 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     sync = cfg.build("sync")
     deltas = compute_deltas(panel.returns, sync)
     labels = compute_synchronism_labels(deltas, sync)
-    market_params, mseries = _stage_market_factors(cfg, panel, train_end, feats, labels,
-                                                   run_dir, stamp)
+    with _stage("market-factors"):
+        hyper = cfg.build("market")
+        market_params = _trained(run_dir, "market", stamp,
+                                 lambda: mf.init_params(panel.n_stocks, panel.n_features, hyper),
+                                 lambda: mf.train_market_factors(feats, labels, hyper, train_end))
+        mseries = mf.market_series(feats, market_params, hyper.window)
     known = ~np.isnan(mseries.m).any(axis=1)
     write_csv(os.path.join(run_dir, "market_repr.csv"),
               ["date"] + [f"m_{j + 1}" for j in range(mseries.m.shape[1])],
@@ -217,14 +186,22 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     write_csv(os.path.join(run_dir, "labels.csv"), ["date", "sum_delta", "label"],
               [dates, deltas.sum(axis=0), names], stamp)
 
-    fc_params, fc_hyper, prediction = _stage_forecaster(
-        cfg, panel, train_end, feats, factors, mseries, run_dir, stamp)
+    with _stage("forecaster"):
+        fc_hyper = cfg.build("forecast")
+        fc_params = _trained(run_dir, "forecaster", stamp,
+                             lambda: fc.init_params(panel.n_features, fc_hyper),
+                             lambda: fc.train_forecaster(feats, panel.returns, factors,
+                                                         mseries, fc_hyper, train_end))
+        periods = list(range(train_end, T))
+        y_hat = fc.predict_periods(fc_params, fc_hyper, feats, factors.u, mseries, periods)
+        prediction = fc.Prediction(periods, y_hat, panel.returns[:, periods])
     tested = dates[prediction.periods]
     write_csv(os.path.join(run_dir, "predictions.csv"), ["date", "stock_id", "y_hat", "y_true"],
               [tested.repeat(I), np.tile(sids, len(tested)), prediction.y_hat.T.ravel(),
                prediction.y_true.T.ravel()], stamp)
 
-    report = _stage_backtest(cfg, prediction)
+    with _stage("backtest"):
+        report = run_backtest(prediction.y_hat, prediction.y_true, cfg.build("portfolio"))
     write_csv(os.path.join(run_dir, "series.csv"),
               ["date", "y_str", "net_return", "cumulative_wealth"],
               [tested, report.gross, report.net, report.wealth], stamp)
@@ -277,28 +254,29 @@ def _write_report(path, cfg: RunConfig, panel, train_end: int,
         fh.write(f"train_end: {train_end}\n")
         fh.write(f"n_test_periods: {len(prediction.periods)}\n")
         fh.write(f"ablation: {cfg['ablation']}\n")
-        for key in REPORT_METRICS:
+        for key in (*REPORT_METRICS, "final_wealth"):
             fh.write(f"{key}: {report.metrics[key]!r}\n")
-        fh.write(f"final_wealth: {report.metrics['final_wealth']!r}\n")
         fh.write(f"flags: {','.join(report.flags) if report.flags else 'none'}\n")
 
 
 def read_report(run_dir: str) -> dict:
-    """Parse report.txt back into a dict of strings/floats."""
+    """report.txt as a dict of strings/floats. A byte that is not UTF-8, or a metric
+    (REPORT_METRICS, final_wealth) missing or not a number, raises BadReport."""
     path = os.path.join(run_dir, "report.txt")
-    if not os.path.exists(path):
-        raise MissingArtifact(f"missing artifact: {path}")
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or ":" not in line:
-                continue
-            key, value = line.split(":", 1)
-            value = value.strip()
-            try:
-                out[key.strip()] = float(value)
-            except ValueError:
-                out[key.strip()] = value
+    for lineno, line in enumerate(io.StringIO(read_text(path, BadReport), newline=None), 1):
+        if line.startswith("#") or ":" not in line:
+            continue
+        key, value = (part.strip() for part in line.split(":", 1))
+        try:
+            out[key] = float(value)
+        except ValueError:
+            if key in REPORT_METRICS or key == "final_wealth":
+                raise BadReport(f"{path}:{lineno}: {key} {value!r} is not a number") from None
+            out[key] = value
+    missing = [key for key in (*REPORT_METRICS, "final_wealth") if key not in out]
+    if missing:
+        raise BadReport(f"{path}: no line for {', '.join(missing)}")
     return out
 
 

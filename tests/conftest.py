@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
 from irrfactors.panel import (MarketPanel, SynchronismConfig, compute_deltas, compute_returns,
@@ -12,6 +13,23 @@ from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticS
 # suite compare like with like; each test keeps its own max_examples.
 settings.register_profile("reproducible", derandomize=True, deadline=None)
 settings.load_profile("reproducible")
+
+
+# A file's damage in the mutation tests: 1 to 3 (offset, byte) overwrites, or
+# an offset to truncate at; offsets are taken modulo the file's length.
+DAMAGE = st.one_of(st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                            min_size=1, max_size=3),
+                   st.integers(0, 2**16))
+
+
+def damaged(raw: bytes, damage) -> bytes:
+    """raw with one draw of DAMAGE applied."""
+    if isinstance(damage, int):
+        return raw[:damage % len(raw)]
+    out = bytearray(raw)
+    for at, byte in damage:
+        out[at % len(out)] = byte
+    return bytes(out)
 
 
 def random_panel(seed, n_stocks=4, n_periods=12, n_features=3) -> MarketPanel:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from irrfactors import autodiff as ad
 
 import taped
+from conftest import DAMAGE, damaged
 
 
 def test_the_package_keeps_no_elementwise_tape():
@@ -393,6 +394,37 @@ def test_param_set_load_rejects_another_runs_stamp(tmp_path):
     params.save(path, "run-a")
     with pytest.raises(ad.CheckpointMismatch, match="different run"):
         _zeroed_like(params).load(path, "run-b")
+
+
+def test_a_damaged_npy_header_is_a_corrupt_checkpoint(tmp_path):
+    # numpy re-tokenizes a header that literal_eval rejects, and an unclosed
+    # bracket raised tokenize.TokenError before zipfile checked the entry's
+    # CRC. A 1-element entry would be read whole first and fail its CRC.
+    params = ad.ParamSet({"w": np.ones((64, 64))})
+    path = tmp_path / "params.npz"
+    params.save(path, "run-a")
+    raw = path.read_bytes()
+    assert raw.count(b"'shape': (64, 64)") == 1
+    path.write_bytes(raw.replace(b"'shape': (64, 64)", b"'shape': (64, 64\n"))
+    with pytest.raises(ad.CorruptCheckpoint, match="params.npz is damaged"):
+        _zeroed_like(params).load(path, "run-a")
+
+
+@given(damage=DAMAGE)
+@settings(max_examples=200)
+def test_a_mutated_checkpoint_loads_the_saved_values_or_fails_by_name(tmp_path_factory,
+                                                                      damage):
+    params = _random_set()
+    path = tmp_path_factory.mktemp("mutate") / "params.npz"
+    params.save(path, "run-a")
+    path.write_bytes(damaged(path.read_bytes(), damage))
+    target = _zeroed_like(params)
+    try:
+        target.load(path, "run-a")
+    except ad.CheckpointMismatch:
+        assert not target.flat.any()          # nothing was half-loaded
+    else:
+        assert target.flat.tobytes() == params.flat.tobytes()
 
 
 def test_param_set_views_survive_adam_restore_and_load(tmp_path):

@@ -159,12 +159,22 @@ def test_fused_frozen_predict_is_bitwise_the_taped_frozen_form(seed, n_stocks, w
     assert fused.tobytes() == chain.tobytes()
 
 
+def test_frozen_predict_records_no_node_under_a_tape():
+    # frozen scoring is never differentiated, so it keeps no VJP even when a
+    # tape is active
+    feats, u, mseries, hyper, params = _model(0, 4, 12, 2, 3, 8, 2, 1)
+    g = windows(fc.augment_features(feats, u), 10, 3)
+    with ad.Tape() as tape:
+        y_hat = fc.predict(params, hyper, g, mseries.r[:, 9], mseries.m[9])
+    assert isinstance(y_hat, np.ndarray) and y_hat.shape == (4,)
+    assert tape._nodes == []
+
+
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 5), window=st.integers(1, 4),
-       width_heads=st.sampled_from([(4, 1), (4, 2)]), ablation=ablations,
-       frozen=st.booleans())
+       width_heads=st.sampled_from([(4, 1), (4, 2)]), ablation=ablations)
 def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
-                                                      width_heads, ablation, frozen):
+                                                      width_heads, ablation):
     width, heads = width_heads
     feats, u, mseries, hyper, params = _model(seed, n_stocks, window + 2, 2, window,
                                               width, heads, 2, ablation)
@@ -174,8 +184,7 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
     z = average_ranks(y)
 
     def f(_):
-        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, t - 1], mseries.m[t - 1],
-                               frozen=frozen)
+        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, t - 1], mseries.m[t - 1])
         return fc.loss_total(y_hat, y, z, 0.1)
 
     assert taped.gradient_check(f, params) <= 1e-4

@@ -1,8 +1,10 @@
 import csv
 import os
 import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +13,20 @@ from hypothesis import strategies as st
 
 from irrfactors import forecaster as fc
 from irrfactors import marketfactor as mf
+from irrfactors import pipeline
 from irrfactors import stockfactor as sf
 from irrfactors.autodiff import CorruptCheckpoint, NumericalFailure
-from irrfactors.config import ConfigError, RunConfig
+from irrfactors.config import SECTIONS, ConfigError, RunConfig
 from irrfactors.panel import (MarketPanel, compute_deltas, compute_synchronism_labels,
                               write_panel_csv)
-from irrfactors.pipeline import (MissingArtifact, PanelMismatch, PipelineStageError,
-                                 format_report, predict_with_artifacts, read_report,
-                                 run_pipeline)
+from irrfactors.pipeline import (REPORT_METRICS, BadReport, MissingArtifact, PanelMismatch,
+                                 PipelineStageError, format_report, predict_with_artifacts,
+                                 read_report, run_pipeline)
 from irrfactors.synthetic import generate_synthetic
+
+from conftest import DAMAGE, damaged
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
 SMALL_CONFIG = """
 seed = 7
@@ -168,6 +175,19 @@ def test_balance_weight_grids_are_accepted(tmp_path):
             text = SMALL_CONFIG + f"\n{key} = {value}\n"
             cfg = RunConfig.from_file(_write_config(tmp_path, text, name="grid.cfg"))
             assert cfg[key] == value
+
+
+@given(damage=DAMAGE)
+@settings(max_examples=200)
+def test_a_mutated_config_builds_every_section_or_fails_by_name(tmp_path_factory, damage):
+    path = tmp_path_factory.mktemp("mutate") / "demo.cfg"
+    path.write_bytes(damaged(DEMO_CONFIG.read_bytes(), damage))
+    try:
+        cfg = RunConfig.from_file(path)
+        for section in SECTIONS:
+            cfg.build(section)
+    except ConfigError:
+        pass
 
 
 # -- pipeline artifacts ---------------------------------------------------------
@@ -378,6 +398,33 @@ def test_diverging_training_stops_the_stage_that_diverged(tmp_path):
     assert not [f for f in os.listdir(run_dir) if f.startswith("params_")]
 
 
+@pytest.mark.parametrize("owner, name, stage", [
+    (pipeline, "generate_synthetic", "data"),
+    (sf, "residual", "stock-factors"),
+    (mf, "market_series", "market-factors"),
+    (fc, "predict_periods", "forecaster"),
+    (pipeline, "run_backtest", "backtest"),
+    (pipeline, "write_csv", None),          # artifact writes belong to no stage
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_each_stage_names_its_failures(small_run, tmp_path, monkeypatch, owner, name, stage):
+    cfg, run_dir, _ = small_run
+    clone = str(tmp_path / "resumed")
+    shutil.copytree(run_dir, clone)
+    sentinel = OSError("sentinel")
+
+    def fail(*args, **kwargs):
+        raise sentinel
+
+    monkeypatch.setattr(owner, name, fail)
+    with pytest.raises(Exception) as info:
+        run_pipeline(cfg, clone)
+    if stage is None:
+        assert info.value is sentinel
+    else:
+        assert isinstance(info.value, PipelineStageError)
+        assert (info.value.stage, info.value.cause) == (stage, sentinel)
+
+
 def test_predictions_only_depend_on_the_past(small_run):
     _, _, artifacts = small_run
     panel = artifacts.panel
@@ -496,6 +543,80 @@ def test_report_missing_predictions(small_run, tmp_path):
         format_report(str(clone))
 
 
+# Each fault printed a traceback before the report named it: a KeyError, a
+# format code applied to a string, and a UnicodeDecodeError.
+REPORT_FAULTS = [
+    pytest.param(lambda raw: re.sub(rb"(?m)^sr: .*\n", b"", raw), ": no line for sr",
+                 id="missing"),
+    pytest.param(lambda raw: re.sub(rb"(?m)^ar: .*$", b"ar: abc", raw),
+                 ":13: ar 'abc' is not a number", id="not-a-number"),
+    pytest.param(lambda raw: raw + b"\xff", ":20: byte 0xff at column 1 is not UTF-8",
+                 id="not-utf8"),
+]
+
+
+def _report_with(small_run, tmp_path, edit) -> str:
+    _, run_dir, _ = small_run
+    clone = str(tmp_path / "edited")
+    shutil.copytree(run_dir, clone)
+    path = Path(clone, "report.txt")
+    path.write_bytes(edit(path.read_bytes()))
+    return clone
+
+
+@pytest.mark.parametrize("edit, message", REPORT_FAULTS)
+def test_a_bad_report_is_named(small_run, tmp_path, edit, message):
+    clone = _report_with(small_run, tmp_path, edit)
+    with pytest.raises(BadReport) as info:
+        format_report(clone)
+    assert str(info.value) == os.path.join(clone, "report.txt") + message
+
+
+_REPORTED = (*REPORT_METRICS, "final_wealth")
+
+
+def _plain_report(raw: bytes):
+    """report.txt read another way: split at universal newlines, each line of
+    a metric a number, the last line of a key winning; None where that fails."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    values = {}
+    for line in re.split(r"\r\n|\r|\n", text):
+        key, colon, value = line.partition(":")
+        if not colon or line.startswith("#"):
+            continue
+        key, value = key.strip(), value.strip()
+        try:
+            values[key] = float(value)
+        except ValueError:
+            if key in _REPORTED:
+                return None
+            values[key] = value
+    return values if all(key in values for key in _REPORTED) else None
+
+
+@given(damage=DAMAGE)
+@settings(max_examples=200)
+def test_a_mutated_report_reads_as_written_or_fails_by_name(small_run, tmp_path_factory,
+                                                            damage):
+    _, run_dir, artifacts = small_run
+    raw = Path(run_dir, "report.txt").read_bytes()
+    written = _plain_report(raw)
+    assert [repr(written[k]) for k in _REPORTED] == [repr(artifacts.report.metrics[k])
+                                                      for k in _REPORTED]
+    path = tmp_path_factory.mktemp("mutate") / "report.txt"
+    path.write_bytes(damaged(raw, damage))
+    expected = _plain_report(path.read_bytes())
+    try:
+        values = read_report(str(path.parent))
+    except BadReport:
+        assert expected is None
+    else:
+        assert repr(values) == repr(expected)
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
@@ -543,6 +664,26 @@ def test_cli_report_on_missing_dir(tmp_path):
     result = _cli("report", str(tmp_path / "nope"))
     assert result.returncode == 1
     assert "missing artifact" in result.stderr
+
+
+@pytest.mark.parametrize("edit, message", REPORT_FAULTS)
+def test_cli_report_names_a_bad_report(small_run, tmp_path, edit, message):
+    clone = _report_with(small_run, tmp_path, edit)
+    result = _cli("report", clone)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {os.path.join(clone, 'report.txt')}{message}\n"
+
+
+def test_cli_names_a_damaged_checkpoint(small_run, tmp_path):
+    _, run_dir, _ = small_run
+    clone = tmp_path / "damaged"
+    shutil.copytree(run_dir, clone)
+    ckpt = clone / "params_stock.npz"
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    result = _cli("pipeline", "--config", str(_write_config(tmp_path)), "--out", str(clone))
+    assert result.returncode == 1
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: [stock-factors] checkpoint {ckpt} is damaged ("), line
 
 
 def test_csv_pipeline_round_trip(tmp_path):
