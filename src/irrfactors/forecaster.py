@@ -22,10 +22,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import average_ranks, pearson
 from .marketfactor import MarketFactorSeries
-from .panel import check_windows, windows
+from .panel import check_windows
 from .rng import stream
 from .settings import BadSetting, require
-from .stockfactor import StockFactorSeries
 
 
 CHUNK_WINDOWS = 128  # stock windows per frozen predict call; bounds its peak memory
@@ -129,20 +128,38 @@ class Prediction:
 # -- model pieces ----------------------------------------------------------
 
 
-def _check_factor(features: np.ndarray, u: np.ndarray) -> None:
-    I, T, _ = features.shape
-    if u.shape != (I, T):
-        raise AlignmentError(f"factor series {u.shape} does not match panel ({I}, {T})")
+def _check_inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSeries,
+                  periods: np.ndarray, window: int) -> None:
+    """Raise AlignmentError when u (I, T), m (T, 2d) or r (I, T, 2d) does not
+    match the (I, T, d) panel or a period t reads a NaN market row t - 1, and
+    TooEarly (check_windows) when a period's window does not fit the panel."""
+    I, T, d = features.shape
+    shapes = (u.shape, market_factors.m.shape, market_factors.r.shape)
+    if shapes != ((I, T), (T, 2 * d), (I, T, 2 * d)):
+        raise AlignmentError(f"factors u, m, r {shapes} does not match panel {features.shape}")
+    check_windows(periods, window, T)
+    unknown = np.isnan(market_factors.m[periods - 1]).any(axis=1)
+    if unknown.any():
+        t = int(periods[unknown.argmax()])
+        raise AlignmentError(f"period {t} reads market factor row {t - 1}, which is NaN "
+                             f"(never computed)")
 
 
-def augment_features(features: np.ndarray, u: np.ndarray,
-                     use_stock_factor: bool = True) -> np.ndarray:
-    """Per-stock model inputs by period, (I, T, D_in): the features with the
-    factor series as a last column, which the NS ablation leaves out."""
-    _check_factor(features, u)
-    if not use_stock_factor:
-        return features
-    return np.concatenate([features, u[..., None]], axis=-1)
+def _inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSeries,
+            periods, hyper: ForecasterHyper) -> tuple:
+    """Inputs of periods that _check_inputs accepted: windows (P, I, L, D_in),
+    the features with u as a last column unless NS leaves it out, r_{t-1}
+    (P, I, 2D_e) and m_{t-1} (P, 2D_e)."""
+    periods = np.asarray(periods)
+    n_stocks, _, d = features.shape
+    length = hyper.window
+    # C-contiguous: a strided operand would send predict's matmuls to
+    # numpy's own loop, which rounds differently from BLAS
+    g = np.empty((periods.size, n_stocks, length, d + (hyper.ablation != "NS")))
+    for k, t in enumerate(periods):
+        g[k, ..., :d] = features[:, t - length:t]
+        g[k, ..., d:] = u[:, t - length:t, None]     # no column under NS
+    return g, np.swapaxes(market_factors.r[:, periods - 1], 0, 1), market_factors.m[periods - 1]
 
 
 # The model and its loss are one tape node each: _predict_op's parents are
@@ -391,8 +408,7 @@ def loss_total(y_hat: Tensor, y: np.ndarray, z: np.ndarray, lambda3: float) -> T
 # -- training ---------------------------------------------------------------
 
 
-def train_forecaster(features: np.ndarray, returns: np.ndarray,
-                     stock_factors: StockFactorSeries,
+def train_forecaster(features: np.ndarray, returns: np.ndarray, u: np.ndarray,
                      market_factors: MarketFactorSeries,
                      hyper: ForecasterHyper, train_end: int) -> ad.ParamSet:
     """Train on periods before train_end; `predict_periods` gives the forecasts.
@@ -403,13 +419,12 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
     `patience` epochs, and the best-validation parameters are restored.
     Deterministic given the hyper seed.
     """
-    I, T = returns.shape
-    u = stock_factors.u
-    if u.shape != (I, T) or market_factors.m.shape[0] != T:
-        raise AlignmentError("factor series do not match the panel")
+    if returns.shape != features.shape[:2]:
+        raise AlignmentError(f"returns {returns.shape} does not match panel {features.shape[:2]}")
     eligible = np.arange(max(hyper.window, market_factors.window), train_end)
     if eligible.size < 10:
         raise ValueError("not enough training periods for the forecaster window")
+    _check_inputs(features, u, market_factors, eligible, hyper.window)
     n_val = max(2, int(round(hyper.val_fraction * eligible.size)))
     train_periods = eligible[:-n_val]
     val_periods = eligible[-n_val:]
@@ -419,16 +434,14 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray,
 
     params = init_params(features.shape[2], hyper)
     opt = ad.adam_init(params)
-    # Per-step invariants, built once per call: the augmented inputs and the
-    # target ranks of each training and validation period, which every epoch reuses.
-    inputs = augment_features(features, u, hyper.ablation != "NS")
+    # The target ranks of the training and validation periods, reused every epoch
     lambda3 = 0.0 if hyper.ablation == "NR" else hyper.lambda3
     ranks = average_ranks(returns[:, train_periods])
     val_ranks = average_ranks(returns[:, val_periods])
 
     def loss(t: int) -> Tensor:
-        y_hat = _predict_op(params, hyper, windows(inputs, t, hyper.window),
-                            market_factors.r[:, t - 1], market_factors.m[t - 1])
+        g, r_prev, m_prev = _inputs(features, u, market_factors, [t], hyper)
+        y_hat = _predict_op(params, hyper, g[0], r_prev[0], m_prev[0])
         return loss_total(y_hat, returns[:, t], ranks[:, t - train_periods[0]], lambda3)
 
     def val_rank_ic() -> float:
@@ -460,37 +473,16 @@ def predict_periods(params: ad.ParamSet, hyper: ForecasterHyper,
                     market_factors: MarketFactorSeries, periods) -> np.ndarray:
     """Frozen forecasts for the given periods, (I, len(periods)).
 
-    Periods are scored in blocks of about CHUNK_WINDOWS stock windows, one
-    predict call per block, whose inputs are built from the block's windows
-    alone; each block's output equals that of one predict call per period
-    exactly. A period whose market factor row t - 1 is NaN raises
-    AlignmentError before any predict call.
+    Once _check_inputs passes, periods are scored in blocks of about
+    CHUNK_WINDOWS stock windows, one predict call on each block's _inputs;
+    each block's output equals that of one predict call per period exactly.
     """
     periods = np.asarray(periods, dtype=np.int64)
-    # A period outside the panel fails below, in check_windows, with TooEarly.
-    inside = periods[(periods >= 1) & (periods <= market_factors.m.shape[0])]
-    unknown = np.isnan(market_factors.m[inside - 1]).any(axis=1)
-    if unknown.any():
-        t = int(inside[unknown.argmax()])
-        raise AlignmentError(f"period {t} reads market factor row {t - 1}, which is NaN "
-                             f"(never computed)")
-    _check_factor(features, u)
-    n_stocks, n_periods, d = features.shape
-    length = hyper.window
-    check_windows(periods, length, n_periods)
-    d_in = d + (hyper.ablation != "NS")
-    step = max(1, CHUNK_WINDOWS // n_stocks)
-    out = np.empty((n_stocks, periods.size))
+    _check_inputs(features, u, market_factors, periods, hyper.window)
+    step = max(1, CHUNK_WINDOWS // features.shape[0])
+    out = np.empty((features.shape[0], periods.size))
     for lo in range(0, periods.size, step):
-        block = periods[lo:lo + step]
-        # C-contiguous: a strided operand would send predict's matmuls to
-        # numpy's own loop, which rounds differently from BLAS
-        g = np.empty((block.size, n_stocks, length, d_in))
-        for k, t in enumerate(block):
-            g[k, ..., :d] = features[:, t - length:t]
-            if d_in > d:
-                g[k, ..., d] = u[:, t - length:t]
-        r_prev = np.swapaxes(market_factors.r[:, block - 1], 0, 1)
-        out[:, lo:lo + step] = predict(params, hyper, g, r_prev,
-                                       market_factors.m[block - 1]).T
+        g, r_prev, m_prev = _inputs(features, u, market_factors, periods[lo:lo + step], hyper)
+        out[:, lo:lo + step] = predict(params, hyper, g, r_prev, m_prev).T
     return out
+

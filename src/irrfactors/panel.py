@@ -85,6 +85,10 @@ class TooEarly(ValueError):
     """A history window does not fit in the panel's periods."""
 
 
+class BadShape(ValueError):
+    """Panel arrays whose shapes disagree with each other or with the labels."""
+
+
 class SyncClass(IntEnum):
     """Market synchronism label; values index the classifier's logits."""
 
@@ -146,13 +150,15 @@ class MarketPanel:
         """The panel of these prices and their returns; all values must be finite."""
         features = np.asarray(features, dtype=np.float64)
         prices = np.asarray(prices, dtype=np.float64)
+        labels = (len(stock_ids), len(periods))
+        if features.ndim != 3 or features.shape[:2] != labels or prices.shape != labels:
+            raise BadShape(f"panel tensors have inconsistent shapes: features {features.shape}, "
+                           f"prices {prices.shape}, (stocks, periods) {labels}")
         if feature_names is None:
             d = features.shape[2]
             feature_names = tuple(FEATURE_NAMES[j] if j < len(FEATURE_NAMES) else f"x{j}"
                                   for j in range(d))
         returns = compute_returns(prices)
-        if features.shape[:2] != prices.shape or prices.shape != (len(stock_ids), len(periods)):
-            raise ValueError("panel tensors have inconsistent shapes")
         if not np.isfinite(features).all() or not np.isfinite(prices).all():
             raise ValueError("panel contains non-finite features or prices")
         return cls(stock_ids=list(stock_ids), periods=list(periods), features=features,

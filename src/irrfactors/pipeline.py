@@ -190,7 +190,7 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
         fc_hyper = cfg.build("forecast")
         fc_params = _trained(run_dir, "forecaster", stamp,
                              lambda: fc.init_params(panel.n_features, fc_hyper),
-                             lambda: fc.train_forecaster(feats, panel.returns, factors,
+                             lambda: fc.train_forecaster(feats, panel.returns, factors.u,
                                                          mseries, fc_hyper, train_end))
         periods = list(range(train_end, T))
         y_hat = fc.predict_periods(fc_params, fc_hyper, feats, factors.u, mseries, periods)

@@ -43,6 +43,15 @@ def random_panel(seed, n_stocks=4, n_periods=12, n_features=3) -> MarketPanel:
         features, prices)
 
 
+def augmented(features, u, use_stock_factor=True) -> np.ndarray:
+    """The forecaster's per-period inputs over the whole panel, (I, T, D_in):
+    the features with the stock factor as a last column unless the NS
+    ablation leaves it out; windows() of it are the model's input windows."""
+    if not use_stock_factor:
+        return features
+    return np.concatenate([features, u[..., None]], axis=-1)
+
+
 def sync_labels(panel, sync=SynchronismConfig()) -> list:
     """The panel's per-period synchronism labels."""
     return compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)

@@ -22,7 +22,8 @@ from irrfactors.pipeline import run_pipeline
 from irrfactors.rng import stream
 from irrfactors.synthetic import (CointegrationPlant, SentimentPlant, SyntheticSpec,
                                   generate_synthetic)
-from conftest import ablation_market_spec, random_panel, sentiment_market_spec, sync_labels
+from conftest import (ablation_market_spec, augmented, random_panel, sentiment_market_spec,
+                      sync_labels)
 import taped
 
 from test_evaluation import (brute_force_long_short, brute_force_mdd,
@@ -76,7 +77,7 @@ def _forecaster_loss_cases(seed):
                                     window=2)
     hyper = fc.ForecasterHyper(window=2, width=8, blocks=1, heads=2, seed=seed)
     params = fc.init_params(d, hyper, stream(seed, "acc", "fc"))
-    g = windows(fc.augment_features(feats, u), 5, 2)
+    g = windows(augmented(feats, u), 5, 2)
     y = rng.normal(size=n_stocks)
     z = average_ranks(y)
 
@@ -264,7 +265,7 @@ def _ablation_run(seed, variant, panel, feats, factors, mseries, train_end):
         window=10, width=32, blocks=1, heads=2, lr=3e-3,
         max_epochs=40, patience=10, seed=seed, lambda3=0.1,
         ablation="none" if variant == "full" else variant)
-    params = fc.train_forecaster(feats, panel.returns, factors, mseries, hyper, train_end)
+    params = fc.train_forecaster(feats, panel.returns, factors.u, mseries, hyper, train_end)
     periods = np.arange(train_end, panel.n_periods)
     y_hat = fc.predict_periods(params, hyper, feats, factors.u, mseries, periods)
     return float(rank_ic_series(y_hat, panel.returns[:, periods]).mean())

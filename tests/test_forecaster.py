@@ -9,9 +9,9 @@ from irrfactors.evaluation import average_ranks
 from irrfactors.marketfactor import MarketFactorSeries
 from irrfactors.panel import windows
 from irrfactors.rng import stream
-from irrfactors.stockfactor import StockFactorSeries
 
 import taped
+from conftest import augmented
 
 
 def _setup(seed=0, n_stocks=4, n_periods=12, n_features=3, window=3, **kw):
@@ -33,38 +33,49 @@ def _arrays(params) -> dict:
 
 
 def test_build_inputs_appends_factor_column():
-    feats, u, *_ = _setup(n_features=6)
-    g = windows(fc.augment_features(feats, u), 5, 3)
-    assert g.shape == (4, 3, 7)
-    np.testing.assert_array_equal(g[:, :, :6], feats[:, 2:5, :])
-    np.testing.assert_array_equal(g[:, :, 6], u[:, 2:5])
+    feats, u, mseries, hyper, _ = _setup(n_features=6)
+    g, r_prev, m_prev = fc._inputs(feats, u, mseries, [5], hyper)
+    assert g.shape == (1, 4, 3, 7) and g.flags.c_contiguous
+    np.testing.assert_array_equal(g[0, :, :, :6], feats[:, 2:5, :])
+    np.testing.assert_array_equal(g[0, :, :, 6], u[:, 2:5])
+    np.testing.assert_array_equal(r_prev[0], mseries.r[:, 4])
+    np.testing.assert_array_equal(m_prev[0], mseries.m[4])
 
 
 def test_build_inputs_zero_factor_reduces_to_features():
-    feats, u, *_ = _setup()
-    g = windows(fc.augment_features(feats, np.zeros_like(u)), 5, 3)
-    np.testing.assert_array_equal(g[:, :, -1], 0.0)
+    feats, u, mseries, hyper, _ = _setup()
+    g, *_ = fc._inputs(feats, np.zeros_like(u), mseries, [5], hyper)
+    np.testing.assert_array_equal(g[0, :, :, -1], 0.0)
+    np.testing.assert_array_equal(g[0, :, :, :-1], feats[:, 2:5])
 
 
 def test_build_inputs_ns_ablation_drops_the_column():
-    feats, u, *_ = _setup()
-    g = windows(fc.augment_features(feats, u, False), 5, 3)
-    assert g.shape == (4, 3, 3)
+    feats, u, mseries, hyper, _ = _setup(ablation="NS")
+    g, *_ = fc._inputs(feats, u, mseries, [5], hyper)
+    assert g.shape == (1, 4, 3, 3)
+    np.testing.assert_array_equal(g[0], feats[:, 2:5])
 
 
 def test_build_inputs_alignment_error():
-    feats, u, mseries, hyper, params = _setup()
-    with pytest.raises(fc.AlignmentError):
-        windows(fc.augment_features(feats, u[:, :-1]), 5, 3)
-    # predict_periods windows u block by block, where a longer series still fits
+    # training and frozen scoring check their inputs one way
+    feats, u, mseries, hyper, params = _setup(n_periods=20)
+    returns = np.zeros((4, 20))
+    with pytest.raises(fc.AlignmentError, match="does not match panel"):
+        fc.train_forecaster(feats, returns, u[:, :-1], mseries, hyper, train_end=18)
+    with pytest.raises(fc.AlignmentError, match="does not match panel"):
+        fc.train_forecaster(feats, returns[:, :-1], u, mseries, hyper, train_end=18)
+    # a longer series still fits the block's windows
     longer = np.concatenate([u, u[:, :1]], axis=1)
     with pytest.raises(fc.AlignmentError, match="does not match panel"):
         fc.predict_periods(params, hyper, feats, longer, mseries, [5])
+    short_m = MarketFactorSeries(mseries.m[:-1], mseries.r, 3)
+    with pytest.raises(fc.AlignmentError, match="does not match panel"):
+        fc.predict_periods(params, hyper, feats, u, short_m, [5])
 
 
 def test_temporal_encode_shape_and_position_sensitivity():
     feats, u, mseries, hyper, params = _setup(seed=3)
-    g = windows(fc.augment_features(feats, u), 6, 3)
+    g = windows(augmented(feats, u), 6, 3)
     c, _ = fc._temporal_encode(_arrays(params), hyper, g)
     assert c.shape == (4, 8)
     permuted = g[:, ::-1, :].copy()
@@ -74,7 +85,7 @@ def test_temporal_encode_shape_and_position_sensitivity():
 
 def test_temporal_encode_single_step_window():
     feats, u, mseries, hyper, params = _setup(seed=4, window=1)
-    g = windows(fc.augment_features(feats, u), 6, 1)
+    g = windows(augmented(feats, u), 6, 1)
     assert fc._temporal_encode(_arrays(params), hyper, g)[0].shape == (4, 8)
 
 
@@ -108,14 +119,14 @@ def test_predict_with_zero_head_is_bias():
     params["head_b1"].data[...] = 0.0
     params["head_w2"].data[...] = 0.0
     params["head_b2"].data[...] = 0.7
-    g = windows(fc.augment_features(feats, u), 6, 3)
+    g = windows(augmented(feats, u), 6, 3)
     y_hat = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
     np.testing.assert_allclose(y_hat, np.full(4, 0.7))
 
 
 def test_nm_ablation_ignores_market_vector():
     feats, u, mseries, hyper, params = _setup(seed=9, ablation="NM")
-    g = windows(fc.augment_features(feats, u), 6, 3)
+    g = windows(augmented(feats, u), 6, 3)
     a = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
     b = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5] * 100.0)
     np.testing.assert_array_equal(a, b)
@@ -148,7 +159,7 @@ def test_loss_total_perfect_rank_linear_prediction():
 
 def test_full_loss_gradients_match_finite_differences():
     feats, u, mseries, hyper, params = _setup(seed=14)
-    g = windows(fc.augment_features(feats, u), 6, 3)
+    g = windows(augmented(feats, u), 6, 3)
     rng = np.random.default_rng(15)
     y = rng.normal(size=4)
     z = average_ranks(y)
@@ -177,7 +188,7 @@ def _demo_step(model: str):
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
     params = fc.init_params(5, hyper, stream(16, "fc", "init"))
-    g = windows(fc.augment_features(feats, u), 11, 10)
+    g = windows(augmented(feats, u), 11, 10)
     y = rng.normal(size=16)
     return lambda: fc.loss_total(fc._predict_op(params, hyper, g, mseries.r[:, 10],
                                                 mseries.m[10]), y, average_ranks(y), 0.1)
@@ -201,7 +212,7 @@ def test_the_final_block_runs_on_the_read_out_rows_only(monkeypatch):
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
     params = fc.init_params(5, hyper, stream(16, "fc", "init"))
-    g = windows(fc.augment_features(feats, u), 11, 10)
+    g = windows(augmented(feats, u), 11, 10)
     shapes = []
     layer_norm = ad.layer_norm_fwd
     monkeypatch.setattr(ad, "layer_norm_fwd", lambda x, *a: shapes.append(x.shape) or
@@ -226,7 +237,7 @@ def test_training_steps_reuse_the_heap_without_page_faults():
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
     params = fc.init_params(5, hyper, stream(16, "fc", "init"))
     opt = ad.adam_init(params)
-    inputs = fc.augment_features(feats, u)
+    inputs = augmented(feats, u)
     y = np.random.default_rng(17).normal(size=(16, 40))
     z = average_ranks(y)
 
@@ -255,15 +266,27 @@ def _quick_train(seed, n_periods=80, **kw):
     mseries = MarketFactorSeries(m=rng.normal(size=(n_periods, 2 * n_features)),
                                  r=rng.normal(size=(n_stocks, n_periods, 2 * n_features)),
                                  window=window)
-    factors = StockFactorSeries(u=u, p_tilde=u)
     settings = dict(window=window, width=8, blocks=1, heads=2,
                     max_epochs=4, patience=3, seed=seed)
     settings.update(kw)
     hyper = fc.ForecasterHyper(**settings)
-    params = fc.train_forecaster(feats, returns, factors, mseries, hyper, train_end=60)
+    params = fc.train_forecaster(feats, returns, u, mseries, hyper, train_end=60)
     periods = list(range(60, n_periods))
     y_hat = fc.predict_periods(params, hyper, feats, u, mseries, periods)
     return (params, fc.Prediction(periods, y_hat, returns[:, periods])), returns
+
+
+def test_training_names_a_market_row_never_computed():
+    # a series encoded only at the rows that frozen scoring reads leaves the
+    # training periods' market rows NaN; training read them as a diverged loss
+    rng = np.random.default_rng(23)
+    feats = rng.normal(size=(5, 40, 3))
+    market = mf.init_params(5, 3, mf.MarketFactorHyper(window=3))
+    mseries = mf.market_series(feats, market, 3, rows=np.arange(29, 39))
+    hyper = fc.ForecasterHyper(window=3, width=8, blocks=1, heads=2, max_epochs=1)
+    with pytest.raises(fc.AlignmentError, match="period 3 reads market factor row 2"):
+        fc.train_forecaster(feats, rng.normal(size=(5, 40)), rng.normal(size=(5, 40)),
+                            mseries, hyper, train_end=30)
 
 
 def test_training_is_deterministic():

@@ -5,7 +5,6 @@ primitives in taped.py, bit for bit."""
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +15,11 @@ from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
 from irrfactors.evaluation import average_ranks
 from irrfactors.marketfactor import MarketFactorSeries
-from irrfactors.panel import windows
+from irrfactors.panel import TooEarly, windows
 from irrfactors.rng import stream
 
 import taped
+from conftest import augmented
 
 
 def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
@@ -57,11 +57,9 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
                                               width, heads, blocks, ablation)
     periods = data.draw(st.permutations(range(window, n_periods + 1)))
 
-    # each block's inputs come from its own windows, not a copy of the whole panel
-    with mock.patch.object(fc, "augment_features", side_effect=AssertionError):
-        batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
+    batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
 
-    inputs = fc.augment_features(feats, u, ablation != "NS")
+    inputs = augmented(feats, u, ablation != "NS")
     single = np.stack([fc.predict(params, hyper, windows(inputs, t, window),
                                   mseries.r[:, t - 1], mseries.m[t - 1])
                        for t in periods], axis=1)
@@ -109,7 +107,7 @@ def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width
     def train(predict_op, loss_op):
         feats, u, mseries, hyper, params = _model(seed, n_stocks, window + steps + 1, 2,
                                                   window, width, heads, blocks, ablation)
-        inputs = fc.augment_features(feats, u, ablation != "NS")
+        inputs = augmented(feats, u, ablation != "NS")
         y = np.random.default_rng(seed).normal(size=(n_stocks, window + steps + 1))
         if flat_target:
             y[...] = 0.5
@@ -151,7 +149,7 @@ def test_fused_frozen_predict_is_bitwise_the_taped_frozen_form(seed, n_stocks, w
     feats, u, mseries, hyper, params = _model(seed, n_stocks, window + n_periods, 2, window,
                                               width, heads, blocks, ablation)
     periods = np.arange(window, window + n_periods)
-    g = windows(fc.augment_features(feats, u, ablation != "NS"), periods, window)
+    g = windows(augmented(feats, u, ablation != "NS"), periods, window)
     r_prev = np.swapaxes(mseries.r[:, periods - 1], 0, 1)
     fused = fc.predict(params, hyper, g, r_prev, mseries.m[periods - 1])
     chain = taped.predict(params, hyper, g, r_prev, mseries.m[periods - 1], frozen=True).data
@@ -163,7 +161,7 @@ def test_frozen_predict_records_no_node_under_a_tape():
     # frozen scoring is never differentiated, so it keeps no VJP even when a
     # tape is active
     feats, u, mseries, hyper, params = _model(0, 4, 12, 2, 3, 8, 2, 1)
-    g = windows(fc.augment_features(feats, u), 10, 3)
+    g = windows(augmented(feats, u), 10, 3)
     with ad.Tape() as tape:
         y_hat = fc.predict(params, hyper, g, mseries.r[:, 9], mseries.m[9])
     assert isinstance(y_hat, np.ndarray) and y_hat.shape == (4,)
@@ -179,7 +177,7 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
     feats, u, mseries, hyper, params = _model(seed, n_stocks, window + 2, 2, window,
                                               width, heads, 2, ablation)
     t = window + 1
-    g = windows(fc.augment_features(feats, u, ablation != "NS"), t, window)
+    g = windows(augmented(feats, u, ablation != "NS"), t, window)
     y = np.random.default_rng(seed).normal(size=n_stocks)
     z = average_ranks(y)
 
@@ -201,19 +199,28 @@ def test_predict_periods_names_a_market_row_never_computed(monkeypatch):
 
 
 def test_build_inputs_stacks_period_windows():
-    feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
+    feats, u, mseries, hyper, _ = _model(0, 4, 12, 3, 3, 8, 2, 1)
     periods = np.array([7, 3, 12])
-    inputs = fc.augment_features(feats, u)
+    inputs = augmented(feats, u)
     stacked = windows(inputs, periods, 3)
-    assert stacked.shape == (3, 4, 3, 4)
+    g, r_prev, m_prev = fc._inputs(feats, u, mseries, periods, hyper)
+    assert stacked.shape == g.shape == (3, 4, 3, 4)
     for k, t in enumerate(periods):
         np.testing.assert_array_equal(stacked[k], windows(inputs, int(t), 3))
+        np.testing.assert_array_equal(g[k], stacked[k])
+        np.testing.assert_array_equal(r_prev[k], mseries.r[:, t - 1])
+        np.testing.assert_array_equal(m_prev[k], mseries.m[t - 1])
 
 
-def test_build_inputs_rejects_a_period_without_history():
-    feats, u, *_ = _model(0, 4, 12, 3, 3, 8, 2, 1)
+def test_build_inputs_rejects_a_period_without_history(monkeypatch):
+    feats, u, mseries, hyper, params = _model(0, 4, 12, 3, 3, 8, 2, 1)
     with pytest.raises(ValueError, match="period 2"):
-        windows(fc.augment_features(feats, u), np.array([5, 2, 13]), 3)
+        windows(augmented(feats, u), np.array([5, 2, 13]), 3)
+    # frozen scoring checks every window before it reads a market row
+    mseries.m[:] = np.nan
+    monkeypatch.setattr(fc, "predict", lambda *args: pytest.fail("predict was called"))
+    with pytest.raises(TooEarly, match="period 2"):
+        fc.predict_periods(params, hyper, feats, u, mseries, [5, 2, 13])
 
 
 _SCRIPT_PRELUDE = """
@@ -261,7 +268,8 @@ mf_params = mf.train_market_factors(feats, labels, mf.MarketFactorHyper(window=1
 mseries = mf.market_series(feats, mf_params, 10)
 fc_hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2, lr=0.003,
                               max_epochs=2)
-fc_params = fc.train_forecaster(feats, panel.returns, factors, mseries, fc_hyper, train_end)
+fc_params = fc.train_forecaster(feats, panel.returns, factors.u, mseries, fc_hyper,
+                               train_end)
 y_hat = fc.predict_periods(fc_params, fc_hyper, feats, factors.u, mseries,
                            range(train_end, panel.n_periods))
 for array in (sf_params.flat, mf_params.flat, fc_params.flat, y_hat):

@@ -2,7 +2,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
@@ -312,6 +312,11 @@ class _Count(logging.Handler):
        lambda2=st.sampled_from([1.0, 0.0, 0.5]),
        weights=st.sampled_from(["init", "all fall back", "none fall back"]),
        term=st.sampled_from(["joint", "contrastive", "prediction"]))
+# The demo's shapes: 16 stocks, 6 features, window 10 and a batch of 32
+@example(seed=1, n_stocks=16, window=10, n_features=6, batch=32, lambda2=1.0, weights="init",
+         term="joint")
+@example(seed=2, n_stocks=16, window=10, n_features=6, batch=32, lambda2=1.0,
+         weights="all fall back", term="joint")
 def test_fused_loss_is_bitwise_the_taped_chain(seed, n_stocks, window, n_features, batch,
                                                lambda2, weights, term):
     # the loss and every gradient, and for the joint loss the parameters

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadLabel, BadPrice,
+from irrfactors.panel import (FEATURE_NAMES, BadCell, BadDate, BadLabel, BadPrice, BadShape,
                               DuplicateColumn, DuplicateRow, EmptyFile, FeatureScaler,
                               HoleInPanel, MarketPanel, MissingColumns, NonFiniteFeature,
                               NotUtf8, SynchronismConfig, SyncClass, TooEarly,
@@ -130,6 +130,16 @@ def test_compute_returns_hand_values():
     returns = compute_returns(prices)
     np.testing.assert_allclose(returns[:, 1], [5.0, 0.0, -25.0])
     assert np.isnan(returns[:, 0]).all()
+
+
+@pytest.mark.parametrize("features, prices", [
+    (np.zeros((2, 3)), np.ones((2, 3))),                  # features without a feature axis
+    (np.zeros((2, 3, 1)), np.ones(3)),                    # prices without a stock axis
+    (np.zeros((2, 3, 1)), np.array([[1.0, 0.0], [1.0, 1.0]])),  # too few periods, one a zero
+])
+def test_from_prices_names_misshapen_arrays(features, prices):
+    with pytest.raises(BadShape, match="inconsistent shapes"):
+        MarketPanel.from_prices(["A", "B"], ["d0", "d1", "d2"], features, prices)
 
 
 def test_compute_returns_too_short():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfactors import stockfactor as sf
@@ -132,6 +132,8 @@ def test_loss_gradients_match_finite_differences():
 @given(seed=st.integers(0, 2**16), n_stocks=st.integers(2, 40), n_periods=st.integers(2, 40),
        lambda1=st.sampled_from([0.5, 0.0, 3.0]),
        term=st.sampled_from(["joint", "regression", "stationarity"]))
+# The demo's shapes: 16 stocks over its 330 training periods
+@example(seed=1, n_stocks=16, n_periods=330, lambda1=0.5, term="joint")
 def test_fused_loss_is_bitwise_the_taped_chain(seed, n_stocks, n_periods, lambda1, term):
     # the loss and every gradient, and for the joint loss the parameters
     # after each of 3 Adam steps; lambda1 = 0 still runs the penalty's terms
