@@ -130,13 +130,15 @@ class Prediction:
 
 def _check_inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSeries,
                   periods: np.ndarray, window: int) -> None:
-    """Raise AlignmentError when u (I, T), m (T, 2d) or r (I, T, 2d) does not
-    match the (I, T, d) panel or a period t reads a NaN market row t - 1, and
-    TooEarly (check_windows) when a period's window does not fit the panel."""
+    """Raise AlignmentError when u (I, T), m (T, 2d) or the summaries (I, T, d)
+    do not match the (I, T, d) panel or a period t reads a NaN market row
+    t - 1, and TooEarly (check_windows) when a period's window does not fit
+    the panel."""
     I, T, d = features.shape
-    shapes = (u.shape, market_factors.m.shape, market_factors.r.shape)
-    if shapes != ((I, T), (T, 2 * d), (I, T, 2 * d)):
-        raise AlignmentError(f"factors u, m, r {shapes} does not match panel {features.shape}")
+    shapes = (u.shape, market_factors.m.shape, market_factors.summary.shape)
+    if shapes != ((I, T), (T, 2 * d), (I, T, d)):
+        raise AlignmentError(f"factors u, m, summary {shapes} does not match panel "
+                             f"{features.shape}")
     check_windows(periods, window, T)
     unknown = np.isnan(market_factors.m[periods - 1]).any(axis=1)
     if unknown.any():
@@ -149,17 +151,24 @@ def _inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSer
             periods, hyper: ForecasterHyper) -> tuple:
     """Inputs of periods that _check_inputs accepted: windows (P, I, L, D_in),
     the features with u as a last column unless NS leaves it out, r_{t-1}
-    (P, I, 2D_e) and m_{t-1} (P, 2D_e)."""
+    (P, I, 2D_e) and m_{t-1} (P, 2D_e).
+
+    r_{t-1} joins features[:, t-1] to the series' summaries of t - 1, so the
+    features must be those the series was computed from, as in the pipeline.
+    """
     periods = np.asarray(periods)
     n_stocks, _, d = features.shape
     length = hyper.window
     # C-contiguous: a strided operand would send predict's matmuls to
     # numpy's own loop, which rounds differently from BLAS
     g = np.empty((periods.size, n_stocks, length, d + (hyper.ablation != "NS")))
+    r_prev = np.empty((periods.size, n_stocks, 2 * d))
     for k, t in enumerate(periods):
         g[k, ..., :d] = features[:, t - length:t]
         g[k, ..., d:] = u[:, t - length:t, None]     # no column under NS
-    return g, np.swapaxes(market_factors.r[:, periods - 1], 0, 1), market_factors.m[periods - 1]
+        r_prev[k, :, :d] = features[:, t - 1]
+        r_prev[k, :, d:] = market_factors.summary[:, t - 1]
+    return g, r_prev, market_factors.m[periods - 1]
 
 
 # The model and its loss are one tape node each: _predict_op's parents are

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import windows
+from .panel import PanelMismatch, TooShort, windows
 from .rng import stream
 from .settings import require
 from .stockfactor import TooFewStocks
@@ -67,14 +67,18 @@ def init_params(n_stocks: int, n_features: int, hyper: MarketFactorHyper,
 
 @dataclass
 class MarketFactorSeries:
-    """Frozen outputs: market vectors m (T, 2D_e) and stock vectors r (I, T, 2D_e).
+    """Frozen outputs: market vectors m (T, 2D_e) and the attention summaries
+    (I, T, D_e) of the stocks' history windows.
 
+    A stock's representation r_t is its feature vector at t joined to its
+    summary at t; only the summary is stored, so a reader of r joins it to
+    the features this series was computed from (forecaster._inputs does).
     Rows before window - 1 are NaN (the history window does not fit there),
     and so is every row a restricted `market_series` call left out.
     """
 
     m: np.ndarray
-    r: np.ndarray
+    summary: np.ndarray
     window: int
 
 
@@ -376,16 +380,28 @@ def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
 
 def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
                   rows=None) -> MarketFactorSeries:
-    """Frozen m_t and r_t for every period where the window fits, or only for
-    those of `rows`; every other row is NaN.
+    """Frozen m_t, computed from the whole of r_t, and r_t's summary half for
+    every period where the window fits, or only for those of `rows`; every
+    other row is NaN.
 
     Periods are encoded in chunks of max(1, CHUNK_WINDOWS // I), which bounds
     the working memory by stock windows, not by the panel; every row has the
-    same bits whatever the chunk.
+    same bits whatever the chunk. Raises PanelMismatch when the stock or
+    feature count is not the parameters', TooShort when the window is longer
+    than the panel.
     """
     I, T, d = features.shape
+    n_stocks, n_features = params["w_id"].shape[1], params["w_s"].shape[0]
+    if I != n_stocks:
+        raise PanelMismatch(f"features have {I} stocks; the market parameters w_id hold "
+                            f"{n_stocks}")
+    if d != n_features:
+        raise PanelMismatch(f"features have {d} features; the market parameters w_s hold "
+                            f"{n_features}")
+    if window > T:
+        raise TooShort(f"features have {T} periods, fewer than the window of {window}")
     m = np.full((T, 2 * d), np.nan)
-    r = np.full((I, T, 2 * d), np.nan)
+    summary = np.full((I, T, d), np.nan)
     if rows is None:
         periods = np.arange(window - 1, T)
     else:
@@ -397,9 +413,9 @@ def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
     for start in range(0, len(periods), chunk):
         ts = periods[start:start + chunk]
         reprs, _ = _stock_reprs(features, p, ts, window)
-        r[:, ts, :] = reprs.transpose(1, 0, 2)
+        summary[:, ts, :] = reprs[..., d:].transpose(1, 0, 2)
         m[ts, :] = _market_repr(reprs, p, full)[0]
-    return MarketFactorSeries(m=m, r=r, window=window)
+    return MarketFactorSeries(m=m, summary=summary, window=window)
 
 
 def contrastive_separation(params: ad.ParamSet, features: np.ndarray,

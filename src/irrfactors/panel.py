@@ -74,7 +74,7 @@ class BadLabel(ValueError):
 
 
 class NonFiniteFeature(ValueError):
-    """A NaN or infinite feature value."""
+    """A NaN or infinite feature or price."""
 
 
 class TooShort(ValueError):
@@ -87,6 +87,10 @@ class TooEarly(ValueError):
 
 class BadShape(ValueError):
     """Panel arrays whose shapes disagree with each other or with the labels."""
+
+
+class PanelMismatch(ValueError):
+    """A panel's stocks or features differ from those the parameters were trained on."""
 
 
 class SyncClass(IntEnum):
@@ -158,9 +162,9 @@ class MarketPanel:
             d = features.shape[2]
             feature_names = tuple(FEATURE_NAMES[j] if j < len(FEATURE_NAMES) else f"x{j}"
                                   for j in range(d))
+        _require_finite(features, feature_names, stock_ids, periods)
+        _require_finite(prices[..., None], ("price",), stock_ids, periods)
         returns = compute_returns(prices)
-        if not np.isfinite(features).all() or not np.isfinite(prices).all():
-            raise ValueError("panel contains non-finite features or prices")
         return cls(stock_ids=list(stock_ids), periods=list(periods), features=features,
                    prices=prices, returns=returns, feature_names=feature_names)
 
@@ -175,6 +179,16 @@ class MarketPanel:
             return self.periods.index(str(boundary))
         except ValueError:
             raise ValueError(f"period {boundary!r} not found in panel") from None
+
+
+def _require_finite(values: np.ndarray, names, stocks, dates, where: str = "") -> None:
+    """Raise NonFiniteFeature naming the first NaN or infinite cell of (I, T, k)
+    values, whose last axis holds the quantities `names`."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, t, j = np.argwhere(~finite)[0]
+        raise NonFiniteFeature(f"{where}{names[j]} of stock {stocks[i]} on {dates[t]} is "
+                               f"{float(values[i, t, j])!r}")
 
 
 def compute_returns(prices: np.ndarray) -> np.ndarray:
@@ -319,10 +333,7 @@ def _read_panel(path) -> MarketPanel:
     features = np.empty((I * T, len(FEATURE_NAMES)), dtype=np.float64)
     features[cell] = np.concatenate([values for *_, values in chunks], axis=1).T
     features = features.reshape(I, T, len(FEATURE_NAMES))
-    if not np.isfinite(features).all():
-        i, t, j = np.argwhere(~np.isfinite(features))[0]
-        raise NonFiniteFeature(f"{path}: {FEATURE_NAMES[j]} of stock {stocks[i]} on "
-                               f"{dates[t]} is {float(features[i, t, j])!r}")
+    _require_finite(features, FEATURE_NAMES, stocks, dates, f"{path}: ")
 
     close_idx = FEATURE_NAMES.index("close")
     prices = features[:, :, close_idx].copy()

@@ -33,8 +33,8 @@ from .autodiff import ParamSet
 from .config import RunConfig
 from .evaluation import BacktestReport, run_backtest
 from .files import atomic_open, read_text
-from .panel import (FeatureScaler, MarketPanel, compute_deltas, compute_synchronism_labels,
-                    load_panel, write_csv)
+from .panel import (FeatureScaler, MarketPanel, PanelMismatch, compute_deltas,
+                    compute_synchronism_labels, load_panel, write_csv)
 from .synthetic import generate_synthetic
 
 # report.txt's metrics in order, each with the label and format format_report shows
@@ -61,10 +61,6 @@ class MissingArtifact(FileNotFoundError):
 
 class BadReport(ValueError):
     """A report.txt that does not decode, or lacks a metric or holds a non-number there."""
-
-
-class PanelMismatch(ValueError):
-    """A panel's stocks or features differ from those the artifacts were trained on."""
 
 
 @dataclass

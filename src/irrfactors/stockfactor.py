@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .panel import PanelMismatch
 from .settings import require
 
 ATT_MASK = -1e30  # additive logit mask that zeroes the diagonal after softmax
@@ -62,7 +63,12 @@ def _attention(params: ad.ParamSet) -> np.ndarray:
 
 
 def residual(prices: np.ndarray, params: ad.ParamSet) -> StockFactorSeries:
-    """Factor series u = p_tilde - p of prices (I, T)."""
+    """Factor series u = p_tilde - p of prices (I, T); PanelMismatch when I is
+    not the parameters' stock count."""
+    n_stocks = params["beta"].shape[0]
+    if prices.shape[0] != n_stocks:
+        raise PanelMismatch(f"prices have {prices.shape[0]} stocks; the stock parameters "
+                            f"beta hold {n_stocks}")
     p_tilde = (_attention(params) * params["beta"].data) @ prices
     return StockFactorSeries(u=p_tilde - prices, p_tilde=p_tilde)
 

@@ -52,6 +52,12 @@ def augmented(features, u, use_stock_factor=True) -> np.ndarray:
     return np.concatenate([features, u[..., None]], axis=-1)
 
 
+def reprs(features, series) -> np.ndarray:
+    """The stock representations r over the whole panel, (I, T, 2D_e): each
+    period's features joined to the series' attention summaries."""
+    return np.concatenate([features, series.summary], axis=-1)
+
+
 def sync_labels(panel, sync=SynchronismConfig()) -> list:
     """The panel's per-period synchronism labels."""
     return compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)

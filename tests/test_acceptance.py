@@ -72,9 +72,8 @@ def _forecaster_loss_cases(seed):
     n_stocks, n_periods, d = 4, 8, 3
     feats = rng.normal(size=(n_stocks, n_periods, d))
     u = rng.normal(size=(n_stocks, n_periods))
-    mseries = mf.MarketFactorSeries(m=rng.normal(size=(n_periods, 2 * d)),
-                                    r=rng.normal(size=(n_stocks, n_periods, 2 * d)),
-                                    window=2)
+    m = rng.normal(size=(n_periods, 2 * d))
+    r = rng.normal(size=(n_stocks, n_periods, 2 * d))
     hyper = fc.ForecasterHyper(window=2, width=8, blocks=1, heads=2, seed=seed)
     params = fc.init_params(d, hyper, stream(seed, "acc", "fc"))
     g = windows(augmented(feats, u), 5, 2)
@@ -82,7 +81,7 @@ def _forecaster_loss_cases(seed):
     z = average_ranks(y)
 
     def loss(lambda3):
-        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, 4], mseries.m[4])
+        y_hat = fc._predict_op(params, hyper, g, r[:, 4], m[4])
         return fc.loss_total(y_hat, y, z, lambda3)
 
     return [

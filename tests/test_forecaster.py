@@ -11,7 +11,7 @@ from irrfactors.panel import windows
 from irrfactors.rng import stream
 
 import taped
-from conftest import augmented
+from conftest import augmented, reprs
 
 
 def _setup(seed=0, n_stocks=4, n_periods=12, n_features=3, window=3, **kw):
@@ -20,7 +20,7 @@ def _setup(seed=0, n_stocks=4, n_periods=12, n_features=3, window=3, **kw):
     u = rng.normal(size=(n_stocks, n_periods))
     mseries = MarketFactorSeries(
         m=rng.normal(size=(n_periods, 2 * n_features)),
-        r=rng.normal(size=(n_stocks, n_periods, 2 * n_features)),
+        summary=rng.normal(size=(n_stocks, n_periods, n_features)),
         window=window)
     hyper = fc.ForecasterHyper(window=window, width=8, blocks=1, heads=2,
                                seed=seed, **kw)
@@ -36,9 +36,10 @@ def test_build_inputs_appends_factor_column():
     feats, u, mseries, hyper, _ = _setup(n_features=6)
     g, r_prev, m_prev = fc._inputs(feats, u, mseries, [5], hyper)
     assert g.shape == (1, 4, 3, 7) and g.flags.c_contiguous
+    assert r_prev.shape == (1, 4, 12) and r_prev.flags.c_contiguous
     np.testing.assert_array_equal(g[0, :, :, :6], feats[:, 2:5, :])
     np.testing.assert_array_equal(g[0, :, :, 6], u[:, 2:5])
-    np.testing.assert_array_equal(r_prev[0], mseries.r[:, 4])
+    np.testing.assert_array_equal(r_prev[0], reprs(feats, mseries)[:, 4])
     np.testing.assert_array_equal(m_prev[0], mseries.m[4])
 
 
@@ -68,9 +69,13 @@ def test_build_inputs_alignment_error():
     longer = np.concatenate([u, u[:, :1]], axis=1)
     with pytest.raises(fc.AlignmentError, match="does not match panel"):
         fc.predict_periods(params, hyper, feats, longer, mseries, [5])
-    short_m = MarketFactorSeries(mseries.m[:-1], mseries.r, 3)
+    short_m = MarketFactorSeries(mseries.m[:-1], mseries.summary, 3)
     with pytest.raises(fc.AlignmentError, match="does not match panel"):
         fc.predict_periods(params, hyper, feats, u, short_m, [5])
+    # a series that stores the whole of r is not a series of summaries
+    whole_r = MarketFactorSeries(mseries.m, reprs(feats, mseries), 3)
+    with pytest.raises(fc.AlignmentError, match="does not match panel"):
+        fc.predict_periods(params, hyper, feats, u, whole_r, [5])
 
 
 def test_temporal_encode_shape_and_position_sensitivity():
@@ -92,7 +97,7 @@ def test_temporal_encode_single_step_window():
 def test_relation_attention_single_stock_is_identity():
     feats, u, mseries, hyper, params = _setup(seed=5, n_stocks=1)
     c = np.random.default_rng(0).normal(size=(1, 8))
-    d, _ = fc._relation(_arrays(params), c, mseries.r[:, 4])
+    d, _ = fc._relation(_arrays(params), c, reprs(feats, mseries)[:, 4])
     np.testing.assert_allclose(d, c, atol=1e-12)
 
 
@@ -100,14 +105,14 @@ def test_relation_attention_uniform_when_scores_equal():
     feats, u, mseries, hyper, params = _setup(seed=6)
     params["w_y"].data[...] = 0.0   # all scores 0
     c = np.random.default_rng(1).normal(size=(4, 8))
-    d, _ = fc._relation(_arrays(params), c, mseries.r[:, 4])
+    d, _ = fc._relation(_arrays(params), c, reprs(feats, mseries)[:, 4])
     np.testing.assert_allclose(d, np.tile(c.mean(axis=0), (4, 1)), atol=1e-12)
 
 
 def test_relation_attention_rows_sum_to_one():
     feats, u, mseries, hyper, params = _setup(seed=7)
     c = taped.constant(np.random.default_rng(2).normal(size=(4, 8)))
-    v = c @ params["p_c"] + taped.constant(mseries.r[:, 4])
+    v = c @ params["p_c"] + taped.constant(reprs(feats, mseries)[:, 4])
     z = v @ taped.swapaxes(params["w_y"], 0, 1)
     att = taped.softmax_row(z @ taped.swapaxes(z, 0, 1))
     np.testing.assert_allclose(att.data.sum(axis=1), np.ones(4), atol=1e-12)
@@ -120,15 +125,16 @@ def test_predict_with_zero_head_is_bias():
     params["head_w2"].data[...] = 0.0
     params["head_b2"].data[...] = 0.7
     g = windows(augmented(feats, u), 6, 3)
-    y_hat = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
+    y_hat = fc.predict(params, hyper, g, reprs(feats, mseries)[:, 5], mseries.m[5])
     np.testing.assert_allclose(y_hat, np.full(4, 0.7))
 
 
 def test_nm_ablation_ignores_market_vector():
     feats, u, mseries, hyper, params = _setup(seed=9, ablation="NM")
     g = windows(augmented(feats, u), 6, 3)
-    a = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5])
-    b = fc.predict(params, hyper, g, mseries.r[:, 5], mseries.m[5] * 100.0)
+    r = reprs(feats, mseries)
+    a = fc.predict(params, hyper, g, r[:, 5], mseries.m[5])
+    b = fc.predict(params, hyper, g, r[:, 5], mseries.m[5] * 100.0)
     np.testing.assert_array_equal(a, b)
 
 
@@ -160,19 +166,20 @@ def test_loss_total_perfect_rank_linear_prediction():
 def test_full_loss_gradients_match_finite_differences():
     feats, u, mseries, hyper, params = _setup(seed=14)
     g = windows(augmented(feats, u), 6, 3)
+    r = reprs(feats, mseries)
     rng = np.random.default_rng(15)
     y = rng.normal(size=4)
     z = average_ranks(y)
 
     def f(_):
-        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, 5], mseries.m[5])
+        y_hat = fc._predict_op(params, hyper, g, r[:, 5], mseries.m[5])
         return fc.loss_total(y_hat, y, z, 0.1)
 
     assert taped.gradient_check(f, params) <= 1e-4
 
 
 def _demo_step(model: str):
-    """A loss at the demo's shapes (16 stocks, 330 training periods, 5
+    """A loss at the demo's shapes (16 stocks, 330 training periods, 6
     features, window 10, market batch 32, width 32, one block, two heads)."""
     rng = np.random.default_rng(16)
     if model == "stock":
@@ -180,18 +187,19 @@ def _demo_step(model: str):
         params = sf.init_params(16)
         return lambda: sf.loss_S(prices, params, 0.5)
     if model == "market":
-        feats = rng.normal(size=(16, 60, 5))
+        feats = rng.normal(size=(16, 60, 6))
         labels = rng.integers(0, 3, size=60)
-        params = mf.init_params(16, 5, mf.MarketFactorHyper(window=10))
+        params = mf.init_params(16, 6, mf.MarketFactorHyper(window=10))
         return lambda: mf.loss_M(params, feats, labels, np.arange(20, 52), 1.0, 10, 0, 0)
-    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=5,
+    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=6,
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
-    params = fc.init_params(5, hyper, stream(16, "fc", "init"))
+    params = fc.init_params(6, hyper, stream(16, "fc", "init"))
     g = windows(augmented(feats, u), 11, 10)
+    r_prev = reprs(feats, mseries)[:, 10]
     y = rng.normal(size=16)
-    return lambda: fc.loss_total(fc._predict_op(params, hyper, g, mseries.r[:, 10],
-                                                mseries.m[10]), y, average_ranks(y), 0.1)
+    return lambda: fc.loss_total(fc._predict_op(params, hyper, g, r_prev, mseries.m[10]),
+                                 y, average_ranks(y), 0.1)
 
 
 @pytest.mark.parametrize("model, nodes", [("stock", 1), ("market", 1), ("forecaster", 2)])
@@ -208,21 +216,22 @@ def test_training_step_records_its_tape_nodes(model, nodes):
 def test_the_final_block_runs_on_the_read_out_rows_only(monkeypatch):
     # demo shapes: training runs the last block's layer norms on the last two
     # positions of each window, frozen scoring on the last one
-    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=5,
+    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=12, n_features=6,
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
-    params = fc.init_params(5, hyper, stream(16, "fc", "init"))
+    params = fc.init_params(6, hyper, stream(16, "fc", "init"))
     g = windows(augmented(feats, u), 11, 10)
+    r_prev = reprs(feats, mseries)[:, 10]
     shapes = []
     layer_norm = ad.layer_norm_fwd
     monkeypatch.setattr(ad, "layer_norm_fwd", lambda x, *a: shapes.append(x.shape) or
                         layer_norm(x, *a))
     y = np.random.default_rng(17).normal(size=16)
     ad.train_step(params, ad.adam_init(params), lambda: fc.loss_total(
-        fc._predict_op(params, hyper, g, mseries.r[:, 10], mseries.m[10]), y,
+        fc._predict_op(params, hyper, g, r_prev, mseries.m[10]), y,
         average_ranks(y), 0.1), 1e-3)
     assert shapes == [(16, 2, 32)] * 2
-    fc.predict(params, hyper, g, mseries.r[:, 10], mseries.m[10])
+    fc.predict(params, hyper, g, r_prev, mseries.m[10])
     assert shapes[2:] == [(16, 1, 32)] * 2
 
 
@@ -232,12 +241,13 @@ def test_training_steps_reuse_the_heap_without_page_faults():
     # back to the kernel and the next step faulted it in again: thousands of
     # minor faults per 100 steps at the demo's shapes.
     resource = pytest.importorskip("resource")
-    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=40, n_features=5,
+    feats, u, mseries, _, _ = _setup(seed=16, n_stocks=16, n_periods=40, n_features=6,
                                      window=10)
     hyper = fc.ForecasterHyper(window=10, width=32, blocks=1, heads=2)
-    params = fc.init_params(5, hyper, stream(16, "fc", "init"))
+    params = fc.init_params(6, hyper, stream(16, "fc", "init"))
     opt = ad.adam_init(params)
     inputs = augmented(feats, u)
+    r = reprs(feats, mseries)
     y = np.random.default_rng(17).normal(size=(16, 40))
     z = average_ranks(y)
 
@@ -245,7 +255,7 @@ def test_training_steps_reuse_the_heap_without_page_faults():
         for k in range(n):
             t = 11 + k % 29
             ad.train_step(params, opt, lambda: fc.loss_total(
-                fc._predict_op(params, hyper, windows(inputs, t, 10), mseries.r[:, t - 1],
+                fc._predict_op(params, hyper, windows(inputs, t, 10), r[:, t - 1],
                                mseries.m[t - 1]), y[:, t], z[:, t], 0.1), 1e-3)
 
     steps(20)
@@ -264,7 +274,7 @@ def _quick_train(seed, n_periods=80, **kw):
     returns[:, 1:] = signal[:, :-1] + 0.3 * rng.normal(size=(n_stocks, n_periods - 1))
     u = signal
     mseries = MarketFactorSeries(m=rng.normal(size=(n_periods, 2 * n_features)),
-                                 r=rng.normal(size=(n_stocks, n_periods, 2 * n_features)),
+                                 summary=rng.normal(size=(n_stocks, n_periods, n_features)),
                                  window=window)
     settings = dict(window=window, width=8, blocks=1, heads=2,
                     max_epochs=4, patience=3, seed=seed)
@@ -307,7 +317,7 @@ def test_predictions_ignore_future_data():
     feats = rng.normal(size=(5, 80, 3))
     u = rng.normal(size=(5, 80))
     mseries = MarketFactorSeries(m=rng.normal(size=(80, 6)),
-                                 r=rng.normal(size=(5, 80, 6)), window=3)
+                                 summary=rng.normal(size=(5, 80, 3)), window=3)
     hyper = fc.ForecasterHyper(window=3, width=8, blocks=1, heads=2, seed=23)
     base = fc.predict_periods(params, hyper, feats, u, mseries, [70, 72, 75])
     feats2 = feats.copy()

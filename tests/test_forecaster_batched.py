@@ -19,7 +19,7 @@ from irrfactors.panel import TooEarly, windows
 from irrfactors.rng import stream
 
 import taped
-from conftest import augmented
+from conftest import augmented, reprs
 
 
 def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
@@ -29,7 +29,7 @@ def _model(seed, n_stocks, n_periods, n_features, window, width, heads, blocks,
     u = rng.normal(size=(n_stocks, n_periods))
     mseries = MarketFactorSeries(
         m=rng.normal(size=(n_periods, 2 * n_features)),
-        r=rng.normal(size=(n_stocks, n_periods, 2 * n_features)),
+        summary=rng.normal(size=(n_stocks, n_periods, n_features)),
         window=window)
     hyper = fc.ForecasterHyper(window=window, width=width, blocks=blocks, heads=heads,
                                seed=seed, ablation=ablation)
@@ -60,14 +60,15 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
     batched = fc.predict_periods(params, hyper, feats, u, mseries, periods)
 
     inputs = augmented(feats, u, ablation != "NS")
+    r = reprs(feats, mseries)
     single = np.stack([fc.predict(params, hyper, windows(inputs, t, window),
-                                  mseries.r[:, t - 1], mseries.m[t - 1])
+                                  r[:, t - 1], mseries.m[t - 1])
                        for t in periods], axis=1)
     np.testing.assert_array_equal(batched, single)
 
     def forecasts(predict_op):
         return np.stack([predict_op(params, hyper, windows(inputs, t, window),
-                                    mseries.r[:, t - 1], mseries.m[t - 1]).data
+                                    r[:, t - 1], mseries.m[t - 1]).data
                          for t in periods], axis=1)
 
     full = forecasts(taped.predict)
@@ -108,6 +109,7 @@ def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width
         feats, u, mseries, hyper, params = _model(seed, n_stocks, window + steps + 1, 2,
                                                   window, width, heads, blocks, ablation)
         inputs = augmented(feats, u, ablation != "NS")
+        r = reprs(feats, mseries)
         y = np.random.default_rng(seed).normal(size=(n_stocks, window + steps + 1))
         if flat_target:
             y[...] = 0.5
@@ -116,7 +118,7 @@ def test_fused_training_is_bitwise_the_taped_chain(seed, n_stocks, window, width
 
         def loss(t):
             y_hat = predict_op(params, hyper, windows(inputs, t, window),
-                               mseries.r[:, t - 1], mseries.m[t - 1])
+                               r[:, t - 1], mseries.m[t - 1])
             value = loss_op(y_hat, y[:, t], average_ranks(y[:, t]), lambda3)
             record.append(value.data.tobytes())
             return value
@@ -150,7 +152,7 @@ def test_fused_frozen_predict_is_bitwise_the_taped_frozen_form(seed, n_stocks, w
                                               width, heads, blocks, ablation)
     periods = np.arange(window, window + n_periods)
     g = windows(augmented(feats, u, ablation != "NS"), periods, window)
-    r_prev = np.swapaxes(mseries.r[:, periods - 1], 0, 1)
+    r_prev = np.swapaxes(reprs(feats, mseries)[:, periods - 1], 0, 1)
     fused = fc.predict(params, hyper, g, r_prev, mseries.m[periods - 1])
     chain = taped.predict(params, hyper, g, r_prev, mseries.m[periods - 1], frozen=True).data
     assert fused.shape == (n_periods, n_stocks)
@@ -163,7 +165,7 @@ def test_frozen_predict_records_no_node_under_a_tape():
     feats, u, mseries, hyper, params = _model(0, 4, 12, 2, 3, 8, 2, 1)
     g = windows(augmented(feats, u), 10, 3)
     with ad.Tape() as tape:
-        y_hat = fc.predict(params, hyper, g, mseries.r[:, 9], mseries.m[9])
+        y_hat = fc.predict(params, hyper, g, reprs(feats, mseries)[:, 9], mseries.m[9])
     assert isinstance(y_hat, np.ndarray) and y_hat.shape == (4,)
     assert tape._nodes == []
 
@@ -178,11 +180,12 @@ def test_two_block_gradients_match_finite_differences(seed, n_stocks, window,
                                               width, heads, 2, ablation)
     t = window + 1
     g = windows(augmented(feats, u, ablation != "NS"), t, window)
+    r_prev = reprs(feats, mseries)[:, t - 1]
     y = np.random.default_rng(seed).normal(size=n_stocks)
     z = average_ranks(y)
 
     def f(_):
-        y_hat = fc._predict_op(params, hyper, g, mseries.r[:, t - 1], mseries.m[t - 1])
+        y_hat = fc._predict_op(params, hyper, g, r_prev, mseries.m[t - 1])
         return fc.loss_total(y_hat, y, z, 0.1)
 
     assert taped.gradient_check(f, params) <= 1e-4
@@ -208,7 +211,7 @@ def test_build_inputs_stacks_period_windows():
     for k, t in enumerate(periods):
         np.testing.assert_array_equal(stacked[k], windows(inputs, int(t), 3))
         np.testing.assert_array_equal(g[k], stacked[k])
-        np.testing.assert_array_equal(r_prev[k], mseries.r[:, t - 1])
+        np.testing.assert_array_equal(r_prev[k], reprs(feats, mseries)[:, t - 1])
         np.testing.assert_array_equal(m_prev[k], mseries.m[t - 1])
 
 
@@ -242,7 +245,7 @@ I, T, F = 100, 60, 5
 feats = rng.normal(size=(I, T, F))
 u = rng.normal(size=(I, T))
 mseries = MarketFactorSeries(m=rng.normal(size=(T, 2 * F)),
-                             r=rng.normal(size=(I, T, 2 * F)), window=10)
+                             summary=rng.normal(size=(I, T, F)), window=10)
 hyper = fc.ForecasterHyper(window=10, width=64, blocks=2, heads=4)
 params = fc.init_params(F, hyper, stream(5, "fc", "init"))
 digest(fc.predict_periods(params, hyper, feats, u, mseries, range(10, T + 1)))

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrfactors import autodiff as ad
+from irrfactors import forecaster as fc
 from irrfactors import marketfactor as mf
-from irrfactors.panel import FeatureScaler, TooEarly
+from irrfactors import stockfactor as sf
+from irrfactors.panel import FeatureScaler, PanelMismatch, TooEarly, TooShort
 from irrfactors.rng import stream
 from conftest import sentiment_market_spec, linear_probe_accuracy, sync_labels, train_record
 import taped
@@ -424,9 +426,9 @@ def test_market_series_on_rows_matches_the_full_series(n_stocks, window, rows):
     part = mf.market_series(feats, params, window, rows=rows)
     kept = sorted({t for t in rows if t >= window - 1})
     assert part.m[kept].tobytes() == full.m[kept].tobytes()
-    assert part.r[:, kept].tobytes() == full.r[:, kept].tobytes()
+    assert part.summary[:, kept].tobytes() == full.summary[:, kept].tobytes()
     others = sorted(set(range(_T)) - set(kept))
-    assert np.isnan(part.m[others]).all() and np.isnan(part.r[:, others]).all()
+    assert np.isnan(part.m[others]).all() and np.isnan(part.summary[:, others]).all()
 
 
 @pytest.mark.parametrize("n_stocks, chunk", [(16, 64), (100, 10), (130, 7)])
@@ -446,3 +448,59 @@ def test_market_series_encodes_at_most_its_window_budget_per_call(monkeypatch, n
     assert sum(sizes) == _T - 4
     assert sizes[:-1] == [chunk] * (len(sizes) - 1) and sizes[-1] <= chunk
     assert chunk * n_stocks <= mf.CHUNK_WINDOWS
+
+
+def test_market_series_stores_the_summary_half_of_r_only():
+    # r's first half is the features themselves, so the series holds no
+    # (I, T, 2D_e) array
+    feats = np.random.default_rng(5).normal(size=(5, 30, 3))
+    params = _params(feats)
+    series = mf.market_series(feats, params, 4)
+    assert series.m.shape == (30, 6) and series.summary.shape == (5, 30, 3)
+    assert (5, 30, 6) not in [np.shape(value) for value in vars(series).values()]
+    assert series.summary[:, 12].tobytes() == _reprs(feats, params, 12, 4)[:, 3:].tobytes()
+
+
+@settings(max_examples=30)
+@given(n_stocks=st.sampled_from([1, 16, 100]), window=st.integers(1, 12),
+       restricted=st.booleans(), data=st.data())
+def test_forecaster_inputs_rebuild_the_stock_representations(n_stocks, window, restricted,
+                                                             data):
+    # r_{t-1} of the forecaster's inputs, joined from the features and the
+    # stored summaries, keeps every bit of the encoder's r_{t-1}
+    n_periods = 40
+    periods = np.array(data.draw(st.lists(st.integers(window, n_periods), min_size=1,
+                                          max_size=12)))
+    feats = np.random.default_rng(6).normal(size=(n_stocks, n_periods, 3))
+    params = _params(feats)
+    series = mf.market_series(feats, params, window, rows=periods - 1 if restricted else None)
+    hyper = fc.ForecasterHyper(window=window, width=8, blocks=1, heads=2)
+    _, r_prev, _ = fc._inputs(feats, np.zeros(feats.shape[:2]), series, periods, hyper)
+    expected, _ = mf._stock_reprs(feats, params.arrays(), periods - 1, window)
+    assert r_prev.shape == expected.shape and r_prev.tobytes() == expected.tobytes()
+
+
+def _panel_arrays(n_stocks, n_periods, n_features):
+    return np.random.default_rng(8).normal(size=(n_stocks, n_periods, n_features))
+
+
+_MARKET_SIX = mf.init_params(6, 3, mf.MarketFactorHyper(window=5))
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    (lambda: mf.market_series(_panel_arrays(4, 80, 3), _MARKET_SIX, 5), PanelMismatch,
+     "features have 4 stocks; the market parameters w_id hold 6"),
+    (lambda: mf.market_series(_panel_arrays(8, 80, 3), _MARKET_SIX, 5), PanelMismatch,
+     "features have 8 stocks; the market parameters w_id hold 6"),
+    (lambda: mf.market_series(_panel_arrays(6, 80, 2), _MARKET_SIX, 5), PanelMismatch,
+     "features have 2 features; the market parameters w_s hold 3"),
+    (lambda: mf.market_series(_panel_arrays(6, 80, 3), _MARKET_SIX, 100), TooShort,
+     "features have 80 periods, fewer than the window of 100"),
+    (lambda: sf.residual(50.0 + _panel_arrays(4, 80, 1)[..., 0], sf.init_params(6)),
+     PanelMismatch, "prices have 4 stocks; the stock parameters beta hold 6"),
+], ids=["fewer-stocks", "more-stocks", "fewer-features", "window-past-panel",
+        "residual-fewer-stocks"])
+def test_frozen_factor_passes_name_a_panel_that_does_not_fit(probe, error, message):
+    # each returned a silent result or failed deep inside numpy
+    with pytest.raises(error, match=message):
+        probe()

@@ -142,6 +142,23 @@ def test_from_prices_names_misshapen_arrays(features, prices):
         MarketPanel.from_prices(["A", "B"], ["d0", "d1", "d2"], features, prices)
 
 
+@pytest.mark.parametrize("cell, value, message", [
+    ((1, 2, 0), np.nan, "open of stock B on d2 is nan"),
+    ((0, 1, 0), -np.inf, "open of stock A on d1 is -inf"),
+    ((1, 0, None), np.inf, "price of stock B on d0 is inf"),
+    ((0, 2, None), np.nan, "price of stock A on d2 is nan"),
+])
+def test_from_prices_names_a_non_finite_cell(cell, value, message):
+    features, prices = np.zeros((2, 3, 1)), np.ones((2, 3))
+    i, t, j = cell
+    if j is None:
+        prices[i, t] = value
+    else:
+        features[i, t, j] = value
+    with pytest.raises(NonFiniteFeature, match=message):
+        MarketPanel.from_prices(["A", "B"], ["d0", "d1", "d2"], features, prices)
+
+
 def test_compute_returns_too_short():
     with pytest.raises(TooShort):
         compute_returns(np.array([[100.0]]))
