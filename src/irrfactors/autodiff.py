@@ -218,34 +218,25 @@ def linear_fwd(x, w, b, grad: bool = True):
     return data, vjp if grad else None
 
 
-def attention_fwd(q, k, v, heads: int, first: int = 0, grad: bool = True):
+def attention_fwd(q, k, v, heads: int, grad: bool = True):
     """Multi-head scaled dot-product attention on arrays; the output and
     vjp(g, need=(q, k, v)) -> (gq, gk, gv), None where not needed.
 
     q (..., Lq, width) attends over k and v (..., L, width); each is split
     into `heads` slices of width // heads, and the mixed slices are merged
-    back. Only q's rows from `first` on attend: the output is
-    (..., Lq - first, width), and q's gradient keeps q's shape, zero on the
-    rows before `first`.
-
-    When only the output's last row reaches the loss, `first` keeps the full
-    attention's bits by two rules. (1) With two or more attending rows every
-    product stays a gemm, which rounds each kept row as in the full product;
-    numpy sends a one-row product to gemv, which rounds differently. This
-    rests on OpenBLAS's gemm. (2) q's producer gets a full-shaped gradient,
-    so it sums its input's gradient as the full chain does.
+    back into the (..., Lq, width) output.
     """
-    n_q, width = q.shape[-2:]
+    width = q.shape[-1]
     dh = width // heads
     scale = 1.0 / np.sqrt(dh)
 
     def split(a):  # (..., L, width) -> (..., heads, L, dh)
         return a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
 
-    qh, kh, vh = split(q)[..., first:, :], split(k), split(v)
+    qh, kh, vh = split(q), split(k), split(v)
     p = softmax(qh @ kh.swapaxes(-1, -2) * scale)
     mixed = p @ vh
-    data = mixed.swapaxes(-3, -2).reshape(q.shape[:-2] + (n_q - first, width))
+    data = mixed.swapaxes(-3, -2).reshape(q.shape)
 
     def vjp(g, need=(True, True, True)):
         g = g.reshape(mixed.swapaxes(-3, -2).shape).swapaxes(-3, -2)
@@ -254,10 +245,6 @@ def attention_fwd(q, k, v, heads: int, first: int = 0, grad: bool = True):
         gs = softmax_vjp(p, gp) * scale
         gq = gs @ kh
         gk = (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
-        if first:
-            gq_full = np.zeros(qh.shape[:-2] + (n_q, dh))
-            gq_full[..., first:, :] = gq
-            gq = gq_full
         return tuple(gh.swapaxes(-3, -2).reshape(shape) if want else None
                      for gh, shape, want in zip((gq, gk, gv), (q.shape, k.shape, v.shape), need))
 

@@ -24,6 +24,10 @@ class UniverseTooSmall(ValueError):
     """Fewer stocks than the two portfolio legs need."""
 
 
+class NonFiniteForecast(ValueError):
+    """A NaN or infinite forecast or return given to the backtest."""
+
+
 @dataclass(frozen=True)
 class PortfolioConfig:
     """Long-short portfolio sizing and cost model.
@@ -234,10 +238,18 @@ def forecast_metrics(y_hat: np.ndarray, y_true: np.ndarray) -> tuple[dict, list]
 def run_backtest(y_hat: np.ndarray, y_true: np.ndarray, cfg: PortfolioConfig) -> BacktestReport:
     """Backtest panel-shaped forecasts (I, T) against percent returns (I, T).
 
-    Cumulative wealth compounds net (cost-adjusted) returns.
+    Cumulative wealth compounds net (cost-adjusted) returns. Raises
+    NonFiniteForecast at the first stock row and period column that holds a
+    NaN or infinite forecast or return.
     """
     if np.shape(y_hat) != np.shape(y_true):
         raise ValueError("prediction and target shapes differ")
+    for name, values in (("forecast", np.asarray(y_hat)), ("return", np.asarray(y_true))):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise NonFiniteForecast(f"{name} of stock row {row}, period column {col} is "
+                                    f"{values[row, col]}")
     gross, longs, shorts = long_short_return(y_hat, y_true, cfg)
     net, tc = apply_costs(gross, longs, shorts, cfg)
     wealth = cumulative_wealth(net)

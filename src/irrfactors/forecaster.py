@@ -197,39 +197,39 @@ def _prunes_exactly(length: int, width: int, heads: int) -> bool:
     some windows with 2 or 3 or with 32 or more. The read-out rows' input
     gradients g @ w.T through ff_w2 (n = 2 * width, k = width), ff_w1
     (n = width, k = 2 * width) and w_o (n = k = width, within ff_w2's
-    bound) must stay in the full product's kernel."""
+    bound, as is the query projection) must stay in the full product's
+    kernel."""
     dh = width // heads
     return 4 <= dh < 32 and all(k < 32 or length * n <= SMALL_GEMM_ELEMENTS
                                 for n, k in ((2 * width, width), (width, 2 * width)))
 
 
-def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
-                   frozen: bool, keep: bool):
+def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int, keep: bool):
     """Transformer block `index` over (..., L, width) windows; the output
     (..., L - first, width) and vjp(g, grads) -> the input's gradient.
 
-    Queries and everything after them run on positions first..L-1; keys and
-    values cover all L. frozen projects the query from those rows alone; with
-    one row that is a product numpy sends to gemv: frozen scoring's form,
-    whose bits differ slightly from the full block's and which is never
-    differentiated (keep is False). Otherwise, when only
-    position L-1 of the output reaches the loss, two or more rows keep the
-    full block's bits, in its values and every gradient, by two rules:
+    The queries are projected from positions first..L-1 and everything after
+    them runs on those rows; keys and values cover all L. Frozen scoring keeps
+    position L-1 alone: a one-row query projection, which numpy sends to gemv,
+    so its bits differ slightly from the full block's; it is never
+    differentiated. In training only position L-1 of the output reaches the
+    loss, and two or more rows keep the full block's bits, in its values and
+    every gradient, by two rules:
 
-    1. Every product rounds each kept row as the full product does. With
-       OpenBLAS (measured with 0.3.31) that holds only at the shapes
-       _prunes_exactly admits; elsewhere the block runs on all L positions.
+    1. Every product rounds each kept row as the full product does; the query
+       projection is of mixed @ w_o's class. With OpenBLAS (measured with
+       0.3.31) that holds only at the shapes _prunes_exactly admits;
+       elsewhere the block runs on all L positions.
     2. The gradient of the block's input sums in the full block's order,
-       ((residual + v) + k) + q: q is projected on all L rows and attention
-       takes the trailing rows itself.
+       ((residual + v) + k) + q: q's gradient and the residual's are both
+       written back full-shaped, zero on the rows before `first`.
     """
     def blk(key: str) -> str:
         return f"blk{index}.{key}"
 
     w_q, w_k, w_v, w_o = (p[blk(key)] for key in ("w_q", "w_k", "w_v", "w_o"))
     x_q = np.array(x[..., first:, :]) if first else x
-    mixed, attention_vjp = ad.attention_fwd((x_q if frozen else x) @ w_q, x @ w_k, x @ w_v,
-                                            heads, 0 if frozen else first, keep)
+    mixed, attention_vjp = ad.attention_fwd(x_q @ w_q, x @ w_k, x @ w_v, heads, keep)
     h1, ln1_vjp = ad.layer_norm_fwd(x_q + mixed @ w_o, p[blk("ln1_g")], p[blk("ln1_b")],
                                     keep)
     hidden, ff1_vjp = ad.linear_fwd(h1, p[blk("ff_w1")], p[blk("ff_b1")], keep)
@@ -245,13 +245,16 @@ def _encoder_block(x: np.ndarray, p: dict, index: int, heads: int, first: int,
         g_a1, grads[blk("ln1_g")], grads[blk("ln1_b")] = ln1_vjp(g_h1)  # a1 = x_q + mixed @ w_o
         g_mixed, grads[blk("w_o")] = ad.matmul_vjp(g_a1, mixed, w_o)
         gq, gk, gv = attention_vjp(g_mixed)
+        g_residual = g_a1
+        if first:       # q's rows written back, the residual's scattered as take's VJP does
+            gq_full = np.zeros_like(x)
+            gq_full[..., first:, :] = gq
+            gq = gq_full
+            g_residual = np.zeros_like(x)
+            g_residual[..., first:, :] += g_a1
         g_from_q, grads[blk("w_q")] = ad.matmul_vjp(gq, x, w_q)
         g_from_k, grads[blk("w_k")] = ad.matmul_vjp(gk, x, w_k)
         g_from_v, grads[blk("w_v")] = ad.matmul_vjp(gv, x, w_v)
-        g_residual = g_a1
-        if first:       # the residual's rows, scattered as take's VJP does
-            g_residual = np.zeros_like(x)
-            g_residual[..., first:, :] += g_a1
         return ((g_residual + g_from_v) + g_from_k) + g_from_q
 
     return out, vjp if keep else None
@@ -276,9 +279,8 @@ def _temporal_encode(p: dict, hyper: ForecasterHyper, g: np.ndarray, frozen: boo
         first = max(length - 2, 0) if _prunes_exactly(length, hyper.width, hyper.heads) else 0
     block_vjps = []
     for i in range(hyper.blocks):
-        final = i == hyper.blocks - 1
-        x, block_vjp = _encoder_block(x, p, i, hyper.heads, first if final else 0,
-                                      frozen and final, keep)
+        x, block_vjp = _encoder_block(x, p, i, hyper.heads,
+                                      first if i == hyper.blocks - 1 else 0, keep)
         block_vjps.append(block_vjp)
 
     def vjp(g_c: np.ndarray, grads: dict) -> None:

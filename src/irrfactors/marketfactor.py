@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import PanelMismatch, TooShort, windows
+from .panel import BadShape, PanelMismatch, TooShort, windows
 from .rng import stream
 from .settings import require
 from .stockfactor import TooFewStocks
@@ -352,8 +352,11 @@ def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
     per-period synchronism labels, on the periods before train_end.
 
     Splits the market into fresh halves every epoch. Deterministic given the
-    hyper seed; `market_series` gives the frozen m_t / r_t.
+    hyper seed; `market_series` gives the frozen m_t / r_t. Raises BadShape
+    unless there is one label per period.
     """
+    if len(labels) != features.shape[1]:
+        raise BadShape(f"{len(labels)} labels for {features.shape[1]} periods")
     params = init_params(features.shape[0], features.shape[2], hyper)
     eligible = np.arange(hyper.window, train_end)
     if eligible.size < 2:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import PanelMismatch
+from .panel import BadShape, PanelMismatch, TooShort
 from .settings import require
 
 ATT_MASK = -1e30  # additive logit mask that zeroes the diagonal after softmax
@@ -164,8 +164,14 @@ def train_stock_factors(prices: np.ndarray, hyper: StockFactorHyper,
     """Fit the combination parameters on prices (I, T) before train_end.
 
     Full-batch Adam from the fixed initialization (beta = 1, logits = 0,
-    rho_raw = 0); deterministic. `residual` gives the factor series.
+    rho_raw = 0); deterministic. `residual` gives the factor series. Raises
+    BadShape for prices that are not (I, T), TooShort for a train_end not in 1..T.
     """
+    if prices.ndim != 2:
+        raise BadShape(f"prices {prices.shape} are not (stocks, periods)")
+    if not 0 < train_end <= prices.shape[1]:
+        raise TooShort(f"train_end {train_end} is not within the panel's {prices.shape[1]} "
+                       f"periods")
     params = init_params(prices.shape[0])
     opt = ad.adam_init(params)
     train = prices[:, :train_end]

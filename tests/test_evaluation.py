@@ -430,6 +430,18 @@ def test_net_return_never_exceeds_gross_with_costs():
     assert report.turnover[0] == 2 * cfg.portfolio_size(10)
 
 
+def test_backtest_names_the_first_non_finite_forecast_or_return():
+    # all-NaN forecasts once gave a final wealth near 1 and no flag
+    rng = np.random.default_rng(12)
+    y_hat, y_true = rng.normal(size=(20, 30)), rng.normal(size=(20, 30))
+    with pytest.raises(ev.NonFiniteForecast, match="forecast of stock row 0, period column 0"):
+        ev.run_backtest(np.full((20, 30), np.nan), y_true, CFG)
+    y_true[3, 7] = np.inf
+    y_true[5, 2] = np.nan
+    with pytest.raises(ev.NonFiniteForecast, match="return of stock row 3, period column 7 is inf"):
+        ev.run_backtest(y_hat, y_true, CFG)
+
+
 def test_wealth_compounds_net_returns():
     rng = np.random.default_rng(11)
     cfg = ev.PortfolioConfig(n_fraction=0.2, cost_rate=0.005)

@@ -85,12 +85,18 @@ def test_predict_periods_matches_per_period_predict(seed, n_stocks, window, widt
        width_heads=st.sampled_from([(4, 1), (4, 2), (8, 2), (8, 4), (4, 4), (32, 2), (64, 4)]),
        blocks=st.sampled_from([1, 2]), ablation=ablations,
        lambda3=st.sampled_from([0.1, 0.0]), flat_target=st.booleans())
-# The demo's shapes, the ForecasterHyper defaults, and two shapes where pruning
-# the final block would change the bits (see forecaster._prunes_exactly):
-# past OpenBLAS's small-matrix kernel, and two dimensions per head.
+# The demo's shapes, the ForecasterHyper defaults, the largest windows that
+# prune the final block at those widths (its two-row products nearest
+# OpenBLAS's small-matrix switch), and two shapes where pruning would change
+# the bits (see forecaster._prunes_exactly): past that switch, and two
+# dimensions per head.
 @example(seed=1, n_stocks=16, window=10, width_heads=(32, 2), blocks=1, ablation="none",
          lambda3=0.1, flat_target=False)
 @example(seed=1, n_stocks=16, window=20, width_heads=(64, 4), blocks=2, ablation="none",
+         lambda3=0.1, flat_target=False)
+@example(seed=1, n_stocks=16, window=18, width_heads=(32, 2), blocks=1, ablation="none",
+         lambda3=0.1, flat_target=False)
+@example(seed=1, n_stocks=16, window=9, width_heads=(64, 4), blocks=2, ablation="none",
          lambda3=0.1, flat_target=False)
 @example(seed=2, n_stocks=16, window=19, width_heads=(32, 2), blocks=1, ablation="NS",
          lambda3=0.1, flat_target=False)

@@ -38,10 +38,19 @@ def _layer_norm_oracle(x, gain, bias):
 
 
 def _attention_rows(q, k, v, heads, rows):
-    """One node of attention_fwd with only q's last `rows` rows attending, as
-    the forecaster's fused node runs its final block in training."""
-    data, vjp = ad.attention_fwd(q.data, k.data, v.data, heads, q.shape[-2] - rows)
-    return ad.record(data, (q, k, v), vjp)
+    """One node of attention_fwd on q's last `rows` rows, with q's gradient
+    written back full-shaped, as the forecaster's fused node runs its final
+    block in training."""
+    first = q.shape[-2] - rows
+    data, vjp = ad.attention_fwd(np.array(q.data[..., first:, :]), k.data, v.data, heads)
+
+    def full_vjp(g):
+        gq_rows, gk, gv = vjp(g)
+        gq = np.zeros_like(q.data)
+        gq[..., first:, :] = gq_rows
+        return gq, gk, gv
+
+    return ad.record(data, (q, k, v), full_vjp)
 
 
 def _forward_and_grads(op, arrays, weights):

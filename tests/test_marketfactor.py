@@ -9,7 +9,7 @@ from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
 from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
-from irrfactors.panel import FeatureScaler, PanelMismatch, TooEarly, TooShort
+from irrfactors.panel import BadShape, FeatureScaler, PanelMismatch, TooEarly, TooShort
 from irrfactors.rng import stream
 from conftest import sentiment_market_spec, linear_probe_accuracy, sync_labels, train_record
 import taped
@@ -502,5 +502,26 @@ _MARKET_SIX = mf.init_params(6, 3, mf.MarketFactorHyper(window=5))
         "residual-fewer-stocks"])
 def test_frozen_factor_passes_name_a_panel_that_does_not_fit(probe, error, message):
     # each returned a silent result or failed deep inside numpy
+    with pytest.raises(error, match=message):
+        probe()
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    (lambda: sf.train_stock_factors(50.0 + _panel_arrays(4, 80, 1)[..., 0],
+                                    sf.StockFactorHyper(steps=1), 500),
+     TooShort, "train_end 500 is not within the panel's 80 periods"),
+    (lambda: sf.train_stock_factors(50.0 + _panel_arrays(4, 80, 1)[..., 0],
+                                    sf.StockFactorHyper(steps=1), -5),
+     TooShort, "train_end -5 is not within the panel's 80 periods"),
+    (lambda: sf.train_stock_factors(50.0 + np.arange(80.0), sf.StockFactorHyper(steps=1), 60),
+     BadShape, r"prices \(80,\) are not \(stocks, periods\)"),
+    (lambda: mf.train_market_factors(_panel_arrays(6, 80, 3), [0] * 40,
+                                     mf.MarketFactorHyper(window=5, epochs=1), 60),
+     BadShape, "40 labels for 80 periods"),
+], ids=["stock-train-end-past-panel", "stock-train-end-negative", "stock-prices-1d",
+        "market-fewer-labels"])
+def test_trainers_name_an_input_that_does_not_fit(probe, error, message):
+    # the first two trained silently, on the whole panel or on a slice counted from
+    # its end; the others failed with an IndexError
     with pytest.raises(error, match=message):
         probe()

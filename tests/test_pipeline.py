@@ -205,6 +205,19 @@ def test_run_produces_all_artifacts(small_run):
     assert report["train_end"] == 140
 
 
+def test_unnormalized_features_reach_the_stages_unchanged(tmp_path):
+    # data.normalize_features = false takes FeatureScaler.identity; cut budgets
+    text = (SMALL_CONFIG.replace("factors.steps = 200", "factors.steps = 20")
+            .replace("market.epochs = 4", "market.epochs = 1")
+            .replace("forecast.max_epochs = 3", "forecast.max_epochs = 1"))
+    cfg = RunConfig.from_file(_write_config(tmp_path, text + "data.normalize_features = false\n"))
+    run_dir = str(tmp_path / "out")
+    artifacts = run_pipeline(cfg, run_dir)
+    features = artifacts.panel.features
+    assert artifacts.scaler.transform(features).tobytes() == features.tobytes()
+    assert read_report(run_dir)["train_end"] == 140
+
+
 def test_artifacts_are_stamped(small_run):
     cfg, run_dir, _ = small_run
     stamp = f"# config_hash={cfg.config_hash()} seed=7"
