@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .panel import BadShape
 from .settings import require
 
 
@@ -238,12 +239,14 @@ def forecast_metrics(y_hat: np.ndarray, y_true: np.ndarray) -> tuple[dict, list]
 def run_backtest(y_hat: np.ndarray, y_true: np.ndarray, cfg: PortfolioConfig) -> BacktestReport:
     """Backtest panel-shaped forecasts (I, T) against percent returns (I, T).
 
-    Cumulative wealth compounds net (cost-adjusted) returns. Raises
-    NonFiniteForecast at the first stock row and period column that holds a
-    NaN or infinite forecast or return.
+    Cumulative wealth compounds net (cost-adjusted) returns. Raises BadShape
+    unless both are 2-D of one shape, NonFiniteForecast at the first stock row
+    and period column that holds a NaN or infinite forecast or return.
     """
-    if np.shape(y_hat) != np.shape(y_true):
-        raise ValueError("prediction and target shapes differ")
+    shapes = np.shape(y_hat), np.shape(y_true)
+    if len(shapes[0]) != 2 or shapes[0] != shapes[1]:
+        raise BadShape(f"forecasts {shapes[0]} and returns {shapes[1]} are not (stocks, "
+                       f"periods) arrays of one shape")
     for name, values in (("forecast", np.asarray(y_hat)), ("return", np.asarray(y_true))):
         bad = ~np.isfinite(values)
         if bad.any():

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import BadShape, PanelMismatch, TooShort, windows
+from .panel import BadShape, PanelMismatch, TooShort, _require_finite, windows
 from .rng import stream
 from .settings import require
 from .stockfactor import TooFewStocks
@@ -346,17 +346,32 @@ class MarketFactorHyper:
         require(self.batch >= 2, "batch", "must be at least 2, for a contrastive negative")
 
 
+def _check_features(features: np.ndarray) -> None:
+    """BadShape unless features are (I, T, D_e); NonFiniteFeature naming the stock,
+    period and feature of the first NaN or infinite cell."""
+    if np.ndim(features) != 3:
+        raise BadShape(f"features {np.shape(features)} are not (stocks, periods, features)")
+    I, T, d = features.shape
+    _require_finite(features, [f"feature {j}" for j in range(d)], range(I),
+                    [f"period {t}" for t in range(T)], "features: ")
+
+
 def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
                          train_end: int) -> ad.ParamSet:
     """Minibatch-train the market encoder on features (I, T, D_e) and the
     per-period synchronism labels, on the periods before train_end.
 
     Splits the market into fresh halves every epoch. Deterministic given the
-    hyper seed; `market_series` gives the frozen m_t / r_t. Raises BadShape
-    unless there is one label per period.
+    hyper seed; `market_series` gives the frozen m_t / r_t. Raises what
+    _check_features raises, BadShape unless there is one label per period and
+    TooShort for a train_end not in 1..T.
     """
+    _check_features(features)
     if len(labels) != features.shape[1]:
         raise BadShape(f"{len(labels)} labels for {features.shape[1]} periods")
+    if not 0 < train_end <= features.shape[1]:
+        raise TooShort(f"train_end {train_end} is not within the panel's {features.shape[1]} "
+                       f"periods")
     params = init_params(features.shape[0], features.shape[2], hyper)
     eligible = np.arange(hyper.window, train_end)
     if eligible.size < 2:
@@ -389,10 +404,11 @@ def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
 
     Periods are encoded in chunks of max(1, CHUNK_WINDOWS // I), which bounds
     the working memory by stock windows, not by the panel; every row has the
-    same bits whatever the chunk. Raises PanelMismatch when the stock or
-    feature count is not the parameters', TooShort when the window is longer
-    than the panel.
+    same bits whatever the chunk. Raises what _check_features raises,
+    PanelMismatch when the stock or feature count is not the parameters',
+    TooShort when the window is longer than the panel.
     """
+    _check_features(features)
     I, T, d = features.shape
     n_stocks, n_features = params["w_id"].shape[1], params["w_s"].shape[0]
     if I != n_stocks:

@@ -331,7 +331,11 @@ def _read_panel(path) -> MarketPanel:
         i, t = divmod(int(np.argmin(counts)), T)
         raise HoleInPanel(f"missing row for stock {stocks[i]} on {dates[t]}")
     features = np.empty((I * T, len(FEATURE_NAMES)), dtype=np.float64)
-    features[cell] = np.concatenate([values for *_, values in chunks], axis=1).T
+    start = 0
+    for *_, values in chunks:                   # chunk by chunk: no whole-panel copy
+        features[cell[start:start + values.shape[1]]] = values.T
+        start += values.shape[1]
+    del chunks, cell, counts
     features = features.reshape(I, T, len(FEATURE_NAMES))
     _require_finite(features, FEATURE_NAMES, stocks, dates, f"{path}: ")
 
@@ -501,4 +505,6 @@ class FeatureScaler:
                    sigma=np.ones((n_stocks, 1, n_features)))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.mu) / self.sigma
+        out = features - self.mu
+        out /= self.sigma
+        return out

@@ -162,12 +162,16 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
     write_csv(os.path.join(run_dir, "factors.csv"), ["stock_id", "date", "u", "p_tilde"],
               [sids.repeat(T), np.tile(dates, I), factors.u.ravel(), factors.p_tilde.ravel()],
               stamp)
+    u = factors.u
+    del factors                     # p_tilde's last reader was factors.csv
 
     # Synchronism labels per period: the market stage's prediction targets,
     # also written to labels.csv for auditing.
     sync = cfg.build("sync")
     deltas = compute_deltas(panel.returns, sync)
     labels = compute_synchronism_labels(deltas, sync)
+    sum_delta = deltas.sum(axis=0)
+    del deltas
     with _stage("market-factors"):
         hyper = cfg.build("market")
         market_params = _trained(run_dir, "market", stamp,
@@ -180,16 +184,17 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
               [dates[known], *mseries.m[known].T], stamp)
     names = np.array([label.name for label in labels], dtype=object)
     write_csv(os.path.join(run_dir, "labels.csv"), ["date", "sum_delta", "label"],
-              [dates, deltas.sum(axis=0), names], stamp)
+              [dates, sum_delta, names], stamp)
 
     with _stage("forecaster"):
         fc_hyper = cfg.build("forecast")
         fc_params = _trained(run_dir, "forecaster", stamp,
                              lambda: fc.init_params(panel.n_features, fc_hyper),
-                             lambda: fc.train_forecaster(feats, panel.returns, factors.u,
+                             lambda: fc.train_forecaster(feats, panel.returns, u,
                                                          mseries, fc_hyper, train_end))
         periods = list(range(train_end, T))
-        y_hat = fc.predict_periods(fc_params, fc_hyper, feats, factors.u, mseries, periods)
+        y_hat = fc.predict_periods(fc_params, fc_hyper, feats, u, mseries, periods)
+        del feats, mseries, u       # the last readers of the panel-sized inputs
         prediction = fc.Prediction(periods, y_hat, panel.returns[:, periods])
     tested = dates[prediction.periods]
     write_csv(os.path.join(run_dir, "predictions.csv"), ["date", "stock_id", "y_hat", "y_true"],

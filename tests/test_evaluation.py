@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrfactors import evaluation as ev
+from irrfactors.panel import BadShape
 
 
 CFG = ev.PortfolioConfig(n_fraction=0.25, cost_rate=0.001)
@@ -439,6 +440,18 @@ def test_backtest_names_the_first_non_finite_forecast_or_return():
     y_true[3, 7] = np.inf
     y_true[5, 2] = np.nan
     with pytest.raises(ev.NonFiniteForecast, match="return of stock row 3, period column 7 is inf"):
+        ev.run_backtest(y_hat, y_true, CFG)
+
+
+@pytest.mark.parametrize("y_hat, y_true, shapes", [
+    (np.arange(20.0), np.arange(20.0), r"\(20,\) and returns \(20,\)"),
+    (np.full(20, np.nan), np.arange(20.0), r"\(20,\) and returns \(20,\)"),
+    (np.zeros((20, 30)), np.zeros((20, 29)), r"\(20, 30\) and returns \(20, 29\)"),
+    (np.zeros((20, 30)), np.zeros((30, 20)), r"\(20, 30\) and returns \(30, 20\)"),
+], ids=["one-period", "one-period-nan", "fewer-periods", "transposed"])
+def test_backtest_names_a_bad_shape_before_any_arithmetic(y_hat, y_true, shapes):
+    # a one-period vector died in take_along_axis, or unpacking argwhere for a NaN
+    with pytest.raises(BadShape, match=f"forecasts {shapes} are not"):
         ev.run_backtest(y_hat, y_true, CFG)
 
 

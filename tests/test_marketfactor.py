@@ -9,7 +9,8 @@ from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
 from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
-from irrfactors.panel import BadShape, FeatureScaler, PanelMismatch, TooEarly, TooShort
+from irrfactors.panel import (BadShape, FeatureScaler, NonFiniteFeature, PanelMismatch, TooEarly,
+                              TooShort)
 from irrfactors.rng import stream
 from conftest import sentiment_market_spec, linear_probe_accuracy, sync_labels, train_record
 import taped
@@ -480,8 +481,12 @@ def test_forecaster_inputs_rebuild_the_stock_representations(n_stocks, window, r
     assert r_prev.shape == expected.shape and r_prev.tobytes() == expected.tobytes()
 
 
-def _panel_arrays(n_stocks, n_periods, n_features):
-    return np.random.default_rng(8).normal(size=(n_stocks, n_periods, n_features))
+def _panel_arrays(n_stocks, n_periods, n_features, bad=None):
+    """Random features, with the value bad[1] at the (stock, period, feature) bad[0]."""
+    x = np.random.default_rng(8).normal(size=(n_stocks, n_periods, n_features))
+    if bad is not None:
+        x[bad[0]] = bad[1]
+    return x
 
 
 _MARKET_SIX = mf.init_params(6, 3, mf.MarketFactorHyper(window=5))
@@ -498,8 +503,14 @@ _MARKET_SIX = mf.init_params(6, 3, mf.MarketFactorHyper(window=5))
      "features have 80 periods, fewer than the window of 100"),
     (lambda: sf.residual(50.0 + _panel_arrays(4, 80, 1)[..., 0], sf.init_params(6)),
      PanelMismatch, "prices have 4 stocks; the stock parameters beta hold 6"),
+    (lambda: mf.market_series(_panel_arrays(6, 80, 3)[..., 0], _MARKET_SIX, 5), BadShape,
+     r"features \(6, 80\) are not \(stocks, periods, features\)"),
+    (lambda: mf.market_series(_panel_arrays(6, 80, 3, ((2, 7, 1), np.nan)), _MARKET_SIX, 5),
+     NonFiniteFeature, "features: feature 1 of stock 2 on period 7 is nan"),
+    (lambda: mf.market_series(_panel_arrays(6, 80, 3, ((5, 0, 2), -np.inf)), _MARKET_SIX, 5),
+     NonFiniteFeature, "features: feature 2 of stock 5 on period 0 is -inf"),
 ], ids=["fewer-stocks", "more-stocks", "fewer-features", "window-past-panel",
-        "residual-fewer-stocks"])
+        "residual-fewer-stocks", "features-2d", "nan-feature", "infinite-feature"])
 def test_frozen_factor_passes_name_a_panel_that_does_not_fit(probe, error, message):
     # each returned a silent result or failed deep inside numpy
     with pytest.raises(error, match=message):
@@ -518,10 +529,22 @@ def test_frozen_factor_passes_name_a_panel_that_does_not_fit(probe, error, messa
     (lambda: mf.train_market_factors(_panel_arrays(6, 80, 3), [0] * 40,
                                      mf.MarketFactorHyper(window=5, epochs=1), 60),
      BadShape, "40 labels for 80 periods"),
+    (lambda: mf.train_market_factors(_panel_arrays(6, 80, 3), [0] * 80,
+                                     mf.MarketFactorHyper(window=5, epochs=1), 500),
+     TooShort, "train_end 500 is not within the panel's 80 periods"),
+    (lambda: mf.train_market_factors(_panel_arrays(6, 80, 3)[0], [0] * 80,
+                                     mf.MarketFactorHyper(window=5, epochs=1), 60),
+     BadShape, r"features \(80, 3\) are not \(stocks, periods, features\)"),
+    (lambda: mf.train_market_factors(_panel_arrays(6, 80, 3, ((3, 40, 0), np.inf)), [0] * 80,
+                                     mf.MarketFactorHyper(window=5, epochs=1), 60),
+     NonFiniteFeature, "features: feature 0 of stock 3 on period 40 is inf"),
 ], ids=["stock-train-end-past-panel", "stock-train-end-negative", "stock-prices-1d",
-        "market-fewer-labels"])
+        "market-fewer-labels", "market-train-end-past-panel", "market-features-2d",
+        "market-infinite-feature"])
 def test_trainers_name_an_input_that_does_not_fit(probe, error, message):
-    # the first two trained silently, on the whole panel or on a slice counted from
-    # its end; the others failed with an IndexError
+    # the stock train_end cases trained silently, on the whole panel or on a slice
+    # counted from its end; the market train_end raised TooEarly for a shuffled
+    # window; an infinite feature gave "loss diverged (nan)"; the others failed
+    # with an IndexError or unpacking a shape
     with pytest.raises(error, match=message):
         probe()

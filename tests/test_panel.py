@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -259,6 +260,25 @@ def test_load_panel_names_a_non_finite_feature(tmp_path, value):
             _row("2024-01-09", "A", 101), f"2024-01-09,B,100,100,100,100,{value},1000\n"]
     with pytest.raises(NonFiniteFeature, match=f"panel.csv: vwap of stock B on 2024-01-09"):
         load_panel(_write(tmp_path, rows))
+
+
+def test_load_panel_peak_stays_near_the_panel_size(tmp_path):
+    # the parsed chunks were once joined into a second whole-panel copy before the
+    # scatter: a peak of 4.0 times the features' bytes here, against 3.0 without it
+    rng = np.random.default_rng(3)
+    days = [(date(2020, 1, 1) + timedelta(days=t)).isoformat() for t in range(300)]
+    panel = MarketPanel.from_prices([f"S{i:02d}" for i in range(40)], days,
+                                    1.0 + rng.random((40, 300, 6)), 1.0 + rng.random((40, 300)))
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    tracemalloc.start()
+    try:
+        loaded = load_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.features, panel.features)
+    assert peak / panel.features.nbytes < 3.4
 
 
 # -- oracles: the row-at-a-time loader and writer the column code replaced ------

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,36 @@ def test_full_resume_reproduces_every_artifact(small_run, tmp_path):
     for name in ARTIFACTS:
         os.remove(os.path.join(clone, name))
     run_pipeline(cfg, clone)
+    _assert_same_artifacts(run_dir, clone)
+
+
+def test_a_resumed_run_drops_its_panel_sized_inputs_before_the_backtest(small_run, tmp_path,
+                                                                         monkeypatch):
+    # the features, the market series and u were once held through the backtest
+    cfg, run_dir, _ = small_run
+    clone = str(tmp_path / "resume")
+    shutil.copytree(run_dir, clone)
+    for name in ARTIFACTS:
+        os.remove(os.path.join(clone, name))
+    seen, predict, backtest = {}, fc.predict_periods, pipeline.run_backtest
+
+    def spy_predict(params, hyper, feats, u, mseries, periods):
+        seen.update(predict=tracemalloc.get_traced_memory()[0],
+                    inputs=feats.nbytes + mseries.summary.nbytes)
+        return predict(params, hyper, feats, u, mseries, periods)
+
+    def spy_backtest(*args):
+        seen["backtest"] = tracemalloc.get_traced_memory()[0]
+        return backtest(*args)
+
+    monkeypatch.setattr(fc, "predict_periods", spy_predict)
+    monkeypatch.setattr(pipeline, "run_backtest", spy_backtest)
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg, clone)
+    finally:
+        tracemalloc.stop()
+    assert seen["predict"] - seen["backtest"] >= seen["inputs"], seen
     _assert_same_artifacts(run_dir, clone)
 
 
