@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluation import average_ranks, pearson
 from .marketfactor import MarketFactorSeries
-from .panel import check_windows
+from .panel import _require_finite, check_windows
 from .rng import stream
 from .settings import BadSetting, require
 
@@ -130,16 +130,22 @@ class Prediction:
 
 def _check_inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSeries,
                   periods: np.ndarray, window: int) -> None:
-    """Raise AlignmentError when u (I, T), m (T, 2d) or the summaries (I, T, d)
-    do not match the (I, T, d) panel or a period t reads a NaN market row
-    t - 1, and TooEarly (check_windows) when a period's window does not fit
-    the panel."""
+    """Raise AlignmentError when u (I, T), m (T, 2d) or the summaries
+    (I, T - first, d) do not match the (I, T, d) panel, or a period t reads a
+    market row t - 1 that is NaN or before the summaries' first, and TooEarly
+    (check_windows) when a period's window does not fit the panel."""
     I, T, d = features.shape
+    first = market_factors.first
     shapes = (u.shape, market_factors.m.shape, market_factors.summary.shape)
-    if shapes != ((I, T), (T, 2 * d), (I, T, d)):
+    if shapes != ((I, T), (T, 2 * d), (I, T - first, d)):
         raise AlignmentError(f"factors u, m, summary {shapes} does not match panel "
-                             f"{features.shape}")
+                             f"{features.shape} with summaries from period {first}")
     check_windows(periods, window, T)
+    early = periods <= first
+    if early.any():
+        t = int(periods[early.argmax()])
+        raise AlignmentError(f"period {t} reads market factor row {t - 1}, before the "
+                             f"series' summaries start at row {first}")
     unknown = np.isnan(market_factors.m[periods - 1]).any(axis=1)
     if unknown.any():
         t = int(periods[unknown.argmax()])
@@ -153,8 +159,9 @@ def _inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSer
     the features with u as a last column unless NS leaves it out, r_{t-1}
     (P, I, 2D_e) and m_{t-1} (P, 2D_e).
 
-    r_{t-1} joins features[:, t-1] to the series' summaries of t - 1, so the
-    features must be those the series was computed from, as in the pipeline.
+    r_{t-1} joins features[:, t-1] to the series' summary row t - 1 - first,
+    so the features must be those the series was computed from, as in the
+    pipeline.
     """
     periods = np.asarray(periods)
     n_stocks, _, d = features.shape
@@ -167,7 +174,7 @@ def _inputs(features: np.ndarray, u: np.ndarray, market_factors: MarketFactorSer
         g[k, ..., :d] = features[:, t - length:t]
         g[k, ..., d:] = u[:, t - length:t, None]     # no column under NS
         r_prev[k, :, :d] = features[:, t - 1]
-        r_prev[k, :, d:] = market_factors.summary[:, t - 1]
+        r_prev[k, :, d:] = market_factors.summary[:, t - 1 - market_factors.first]
     return g, r_prev, market_factors.m[periods - 1]
 
 
@@ -428,7 +435,8 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray, u: np.ndarray,
     (all stocks). A tail slice of the training range serves as validation:
     training stops when the validation rank correlation has not improved for
     `patience` epochs, and the best-validation parameters are restored.
-    Deterministic given the hyper seed.
+    Deterministic given the hyper seed. Raises what _check_inputs raises, and
+    NonFiniteFeature for a NaN or infinite return on a period it reads.
     """
     if returns.shape != features.shape[:2]:
         raise AlignmentError(f"returns {returns.shape} does not match panel {features.shape[:2]}")
@@ -436,6 +444,8 @@ def train_forecaster(features: np.ndarray, returns: np.ndarray, u: np.ndarray,
     if eligible.size < 10:
         raise ValueError("not enough training periods for the forecaster window")
     _check_inputs(features, u, market_factors, eligible, hyper.window)
+    _require_finite(returns[:, eligible, None], ("return",), range(features.shape[0]),
+                    [f"period {t}" for t in eligible], "returns: ")
     n_val = max(2, int(round(hyper.val_fraction * eligible.size)))
     train_periods = eligible[:-n_val]
     val_periods = eligible[-n_val:]

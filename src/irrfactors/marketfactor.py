@@ -67,19 +67,23 @@ def init_params(n_stocks: int, n_features: int, hyper: MarketFactorHyper,
 
 @dataclass
 class MarketFactorSeries:
-    """Frozen outputs: market vectors m (T, 2D_e) and the attention summaries
-    (I, T, D_e) of the stocks' history windows.
+    """Frozen outputs: market vectors m (T, 2D_e), the attention summaries
+    (I, T - first, D_e) of the stocks' history windows at periods first..T-1,
+    and per period whether m fell back to uniform stock weights (T,).
 
     A stock's representation r_t is its feature vector at t joined to its
-    summary at t; only the summary is stored, so a reader of r joins it to
-    the features this series was computed from (forecaster._inputs does).
-    Rows before window - 1 are NaN (the history window does not fit there),
-    and so is every row a restricted `market_series` call left out.
+    summary, row t - first; only the summary is stored, so a reader of r
+    joins it to the features this series was computed from
+    (forecaster._inputs does). Rows before window - 1 are NaN (the history
+    window does not fit there), and so is every row a restricted
+    `market_series` call left out; neither fell back.
     """
 
     m: np.ndarray
     summary: np.ndarray
     window: int
+    first: int = 0
+    fallback: np.ndarray | None = None
 
 
 # -- representation extraction -------------------------------------------
@@ -126,8 +130,8 @@ def _stock_reprs(features: np.ndarray, p: dict, periods: np.ndarray, window: int
 
 
 def _market_repr(reprs: np.ndarray, p: dict, subset: np.ndarray, keep: bool = False):
-    """Weighted market representation over a stock subset, (P, 2D_e), and
-    vjp(g, grads) -> the gradient of reprs.
+    """Weighted market representation over a stock subset, (P, 2D_e), which
+    of its rows fell back (P,), and vjp(g, grads) -> the gradient of reprs.
 
     Rows whose weights are all zero fall back to a uniform average (the
     normalizer would otherwise be 0/0); the event is logged.
@@ -140,11 +144,11 @@ def _market_repr(reprs: np.ndarray, p: dict, subset: np.ndarray, keep: bool = Fa
     shifted = sub + ids
     pre = shifted @ w_eta                                                # (P, n, 1)
     eta = np.maximum(pre, 0.0)
-    totals = eta.sum(axis=1)
-    if np.any(totals == 0.0):
+    fell_back = eta.sum(axis=1)[:, 0] == 0.0
+    if fell_back.any():
         logger.debug("all stock weights zero for %d period(s); using uniform fallback",
-                     int((totals == 0.0).sum()))
-        eta = eta + np.where(totals[:, None, :] == 0.0, 1.0, 0.0)
+                     int(fell_back.sum()))
+        eta = eta + np.where(fell_back[:, None, None], 1.0, 0.0)
     eta_t = eta.swapaxes(-1, -2)
     weighted = eta_t @ sub                                               # (P, 1, 2D)
     denom = np.add.reduce(eta, axis=1, keepdims=True)                    # (P, 1, 1)
@@ -164,7 +168,7 @@ def _market_repr(reprs: np.ndarray, p: dict, subset: np.ndarray, keep: bool = Fa
         np.add.at(g_reprs, (slice(None), subset), g_sub + g_shifted)
         return g_reprs
 
-    return ratio.reshape(reprs.shape[0], two_d), vjp if keep else None
+    return ratio.reshape(reprs.shape[0], two_d), fell_back, vjp if keep else None
 
 
 def submarket_split(n: int, seed: int, epoch) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +218,8 @@ def _submarket_logits(p: dict, features: np.ndarray, periods: np.ndarray, window
     """Damped criterion logits (P, P) of first-half market representations
     against second-half ones, and vjp(g, grads)."""
     reprs, reprs_vjp = _stock_reprs(features, p, periods, window, keep)
-    m1, m1_vjp = _market_repr(reprs, p, halves[0], keep)
-    m2, m2_vjp = _market_repr(reprs, p, halves[1], keep)
+    m1, _, m1_vjp = _market_repr(reprs, p, halves[0], keep)
+    m2, _, m2_vjp = _market_repr(reprs, p, halves[1], keep)
     logits, pair_vjp = _pair_logits(p, m1, m2, periods, keep)
 
     def vjp(g: np.ndarray, grads: dict) -> None:
@@ -231,7 +235,7 @@ def _sync_logits(p: dict, features: np.ndarray, periods: np.ndarray, window: int
     """Synchronism class logits (P, 3) of periods t from the market of t - 1,
     and vjp(g, grads)."""
     reprs, reprs_vjp = _stock_reprs(features, p, periods - 1, window, keep)
-    m_prev, market_vjp = _market_repr(reprs, p, np.arange(features.shape[0]), keep)
+    m_prev, _, market_vjp = _market_repr(reprs, p, np.arange(features.shape[0]), keep)
     pre, h1_vjp = ad.linear_fwd(m_prev, p["cls_w1"], p["cls_b1"], keep)
     hidden = np.maximum(pre, 0.0)
     logits, h2_vjp = ad.linear_fwd(hidden, p["cls_w2"], p["cls_b2"], keep)
@@ -397,10 +401,11 @@ def train_market_factors(features: np.ndarray, labels, hyper: MarketFactorHyper,
 
 
 def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
-                  rows=None) -> MarketFactorSeries:
-    """Frozen m_t, computed from the whole of r_t, and r_t's summary half for
-    every period where the window fits, or only for those of `rows`; every
-    other row is NaN.
+                  rows=None, first: int = 0) -> MarketFactorSeries:
+    """Frozen m_t, computed from the whole of r_t, for every period where the
+    window fits, or only for those of `rows`; every other row is NaN. The
+    summary half of r_t is kept from period `first` on, or from the first
+    row a `rows` call encodes.
 
     Periods are encoded in chunks of max(1, CHUNK_WINDOWS // I), which bounds
     the working memory by stock windows, not by the panel; every row has the
@@ -419,22 +424,26 @@ def market_series(features: np.ndarray, params: ad.ParamSet, window: int,
                             f"{n_features}")
     if window > T:
         raise TooShort(f"features have {T} periods, fewer than the window of {window}")
-    m = np.full((T, 2 * d), np.nan)
-    summary = np.full((I, T, d), np.nan)
     if rows is None:
         periods = np.arange(window - 1, T)
     else:
         rows = np.asarray(rows, dtype=np.int64)
         periods = rows[rows >= window - 1]
+        first = int(periods.min(initial=T))
+    m = np.full((T, 2 * d), np.nan)
+    summary = np.full((I, T - first, d), np.nan)
+    fallback = np.zeros(T, dtype=bool)
     p = params.arrays()
     full = np.arange(I)
     chunk = max(1, CHUNK_WINDOWS // I)
     for start in range(0, len(periods), chunk):
         ts = periods[start:start + chunk]
         reprs, _ = _stock_reprs(features, p, ts, window)
-        summary[:, ts, :] = reprs[..., d:].transpose(1, 0, 2)
-        m[ts, :] = _market_repr(reprs, p, full)[0]
-    return MarketFactorSeries(m=m, summary=summary, window=window)
+        kept = ts >= first
+        summary[:, ts[kept] - first, :] = reprs[kept, :, d:].transpose(1, 0, 2)
+        m[ts, :], fallback[ts], _ = _market_repr(reprs, p, full)
+    return MarketFactorSeries(m=m, summary=summary, window=window, first=first,
+                              fallback=fallback)
 
 
 def contrastive_separation(params: ad.ParamSet, features: np.ndarray,

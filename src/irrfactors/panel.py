@@ -34,7 +34,7 @@ class HoleInPanel(ValueError):
 
 
 class BadPrice(ValueError):
-    """A non-positive closing price."""
+    """A non-positive, NaN or infinite price."""
 
 
 class DuplicateRow(ValueError):
@@ -74,7 +74,7 @@ class BadLabel(ValueError):
 
 
 class NonFiniteFeature(ValueError):
-    """A NaN or infinite feature or price."""
+    """A NaN or infinite feature, price or return."""
 
 
 class TooShort(ValueError):
@@ -344,7 +344,7 @@ def _read_panel(path) -> MarketPanel:
     if np.any(prices <= 0):
         bad = np.argwhere(prices <= 0)[0]
         raise BadPrice(f"non-positive close for stock {stocks[bad[0]]} on {dates[bad[1]]}")
-    return MarketPanel.from_prices(stocks, dates, features, prices)
+    return MarketPanel(stocks, dates, features, prices, compute_returns(prices))
 
 
 def _codes(labels, table: dict) -> np.ndarray:

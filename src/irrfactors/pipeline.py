@@ -177,7 +177,10 @@ def run_pipeline(cfg: RunConfig, run_dir: str | None = None) -> TrainedArtifacts
         market_params = _trained(run_dir, "market", stamp,
                                  lambda: mf.init_params(panel.n_stocks, panel.n_features, hyper),
                                  lambda: mf.train_market_factors(feats, labels, hyper, train_end))
-        mseries = mf.market_series(feats, market_params, hyper.window)
+        # a forecaster loaded from its checkpoint reads summary rows train_end - 1 on
+        loads = os.path.exists(os.path.join(run_dir, "params_forecaster.npz"))
+        mseries = mf.market_series(feats, market_params, hyper.window,
+                                   first=train_end - 1 if loads else 0)
     known = ~np.isnan(mseries.m).any(axis=1)
     write_csv(os.path.join(run_dir, "market_repr.csv"),
               ["date"] + [f"m_{j + 1}" for j in range(mseries.m.shape[1])],

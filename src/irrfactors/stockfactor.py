@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .panel import BadShape, PanelMismatch, TooShort
+from .panel import BadPrice, BadShape, PanelMismatch, TooShort
 from .settings import require
 
 ATT_MASK = -1e30  # additive logit mask that zeroes the diagonal after softmax
@@ -62,13 +62,24 @@ def _attention(params: ad.ParamSet) -> np.ndarray:
     return ad.softmax(w_att + np.where(np.eye(w_att.shape[0], dtype=bool), ATT_MASK, 0.0))
 
 
+def _check_prices(prices: np.ndarray) -> None:
+    """BadPrice naming the stock and period of the first NaN, infinite or
+    non-positive price of (I, T) prices."""
+    bad = ~((prices > 0.0) & (prices < np.inf))
+    if bad.any():
+        i, t = np.argwhere(bad)[0]
+        raise BadPrice(f"prices: stock {i} at period {t} is {float(prices[i, t])!r}, not a "
+                       f"finite positive price")
+
+
 def residual(prices: np.ndarray, params: ad.ParamSet) -> StockFactorSeries:
     """Factor series u = p_tilde - p of prices (I, T); PanelMismatch when I is
-    not the parameters' stock count."""
+    not the parameters' stock count, and what _check_prices raises."""
     n_stocks = params["beta"].shape[0]
     if prices.shape[0] != n_stocks:
         raise PanelMismatch(f"prices have {prices.shape[0]} stocks; the stock parameters "
                             f"beta hold {n_stocks}")
+    _check_prices(prices)
     p_tilde = (_attention(params) * params["beta"].data) @ prices
     return StockFactorSeries(u=p_tilde - prices, p_tilde=p_tilde)
 
@@ -165,16 +176,18 @@ def train_stock_factors(prices: np.ndarray, hyper: StockFactorHyper,
 
     Full-batch Adam from the fixed initialization (beta = 1, logits = 0,
     rho_raw = 0); deterministic. `residual` gives the factor series. Raises
-    BadShape for prices that are not (I, T), TooShort for a train_end not in 1..T.
+    BadShape for prices that are not (I, T), TooShort for a train_end not in
+    1..T and what _check_prices raises on the periods it reads.
     """
     if prices.ndim != 2:
         raise BadShape(f"prices {prices.shape} are not (stocks, periods)")
     if not 0 < train_end <= prices.shape[1]:
         raise TooShort(f"train_end {train_end} is not within the panel's {prices.shape[1]} "
                        f"periods")
+    train = prices[:, :train_end]
+    _check_prices(train)
     params = init_params(prices.shape[0])
     opt = ad.adam_init(params)
-    train = prices[:, :train_end]
     for _ in range(hyper.steps):
         ad.train_step(params, opt, lambda: loss_S(train, params, hyper.lambda1), hyper.lr)
     return params

@@ -54,8 +54,11 @@ def augmented(features, u, use_stock_factor=True) -> np.ndarray:
 
 def reprs(features, series) -> np.ndarray:
     """The stock representations r over the whole panel, (I, T, 2D_e): each
-    period's features joined to the series' attention summaries."""
-    return np.concatenate([features, series.summary], axis=-1)
+    period's features joined to the series' attention summaries, NaN before
+    the summaries' first period."""
+    summary = np.full(features.shape, np.nan)
+    summary[:, series.first:] = series.summary
+    return np.concatenate([features, summary], axis=-1)
 
 
 def sync_labels(panel, sync=SynchronismConfig()) -> list:

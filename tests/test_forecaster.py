@@ -299,6 +299,27 @@ def test_training_names_a_market_row_never_computed():
                             mseries, hyper, train_end=30)
 
 
+@pytest.mark.parametrize("caller, message", [
+    ("train_forecaster", "period 3 reads market factor row 2, before the series' summaries "
+                         "start at row 20"),
+    ("predict_periods", "period 20 reads market factor row 19, before"),
+], ids=["train_forecaster", "predict_periods"])
+def test_a_summary_that_starts_late_names_the_period(caller, message):
+    # row t - 1 - first of a row before `first` is negative: numpy would read
+    # it from the summary's end
+    rng = np.random.default_rng(29)
+    feats = rng.normal(size=(5, 40, 3))
+    u, returns = rng.normal(size=(5, 40)), rng.normal(size=(5, 40))
+    mseries = mf.market_series(feats, mf.init_params(5, 3, mf.MarketFactorHyper(window=3)), 3,
+                               first=20)
+    hyper = fc.ForecasterHyper(window=3, width=8, blocks=1, heads=2, max_epochs=1)
+    with pytest.raises(fc.AlignmentError, match=message):
+        if caller == "train_forecaster":
+            fc.train_forecaster(feats, returns, u, mseries, hyper, train_end=30)
+        else:
+            fc.predict_periods(fc.init_params(3, hyper), hyper, feats, u, mseries, [25, 20, 33])
+
+
 def test_training_is_deterministic():
     (params_a, pred_a), _ = _quick_train(21)
     (params_b, pred_b), _ = _quick_train(21)

@@ -9,8 +9,8 @@ from irrfactors import autodiff as ad
 from irrfactors import forecaster as fc
 from irrfactors import marketfactor as mf
 from irrfactors import stockfactor as sf
-from irrfactors.panel import (BadShape, FeatureScaler, NonFiniteFeature, PanelMismatch, TooEarly,
-                              TooShort)
+from irrfactors.panel import (BadPrice, BadShape, FeatureScaler, NonFiniteFeature, PanelMismatch,
+                              TooEarly, TooShort)
 from irrfactors.rng import stream
 from conftest import sentiment_market_spec, linear_probe_accuracy, sync_labels, train_record
 import taped
@@ -421,15 +421,23 @@ _T = 150
 def test_market_series_on_rows_matches_the_full_series(n_stocks, window, rows):
     # Unsorted rows, repeats, rows whose window does not fit and sets that
     # span more than one chunk: 64 periods at 16 stocks, 10 at 100, 7 at 130.
+    # The summaries start at the first row encoded; the fallback flags are
+    # the full series' on the rows encoded and False elsewhere.
     feats = np.random.default_rng(3).normal(size=(n_stocks, _T, 3))
     params = _params(feats)
     full = mf.market_series(feats, params, window)
     part = mf.market_series(feats, params, window, rows=rows)
     kept = sorted({t for t in rows if t >= window - 1})
+    first = kept[0] if kept else _T
+    assert part.first == first and part.summary.shape == (n_stocks, _T - first, 3)
     assert part.m[kept].tobytes() == full.m[kept].tobytes()
-    assert part.summary[:, kept].tobytes() == full.summary[:, kept].tobytes()
+    at = np.array(kept, dtype=np.int64) - first
+    assert part.summary[:, at].tobytes() == full.summary[:, kept].tobytes()
+    assert part.fallback[kept].tolist() == full.fallback[kept].tolist()
     others = sorted(set(range(_T)) - set(kept))
-    assert np.isnan(part.m[others]).all() and np.isnan(part.summary[:, others]).all()
+    skipped = [t - first for t in others if t >= first]
+    assert np.isnan(part.m[others]).all() and np.isnan(part.summary[:, skipped]).all()
+    assert not part.fallback[others].any()
 
 
 @pytest.mark.parametrize("n_stocks, chunk", [(16, 64), (100, 10), (130, 7)])
@@ -492,6 +500,20 @@ def _panel_arrays(n_stocks, n_periods, n_features, bad=None):
 _MARKET_SIX = mf.init_params(6, 3, mf.MarketFactorHyper(window=5))
 
 
+def _prices(bad):
+    """4 x 80 positive prices, with the value bad[1] + 50 at the (stock, period, 0) bad[0]."""
+    return 50.0 + _panel_arrays(4, 80, 1, bad)[..., 0]
+
+
+def _train_forecaster_on(returns):
+    """train_forecaster on 6 x 80 random features at train_end 60; periods 5..51
+    train it and 52..59 validate it."""
+    feats = _panel_arrays(6, 80, 3)
+    hyper = fc.ForecasterHyper(window=5, width=8, blocks=1, heads=2, max_epochs=1)
+    return fc.train_forecaster(feats, returns, np.zeros((6, 80)),
+                               mf.market_series(feats, _MARKET_SIX, 5), hyper, 60)
+
+
 @pytest.mark.parametrize("probe, error, message", [
     (lambda: mf.market_series(_panel_arrays(4, 80, 3), _MARKET_SIX, 5), PanelMismatch,
      "features have 4 stocks; the market parameters w_id hold 6"),
@@ -509,10 +531,18 @@ _MARKET_SIX = mf.init_params(6, 3, mf.MarketFactorHyper(window=5))
      NonFiniteFeature, "features: feature 1 of stock 2 on period 7 is nan"),
     (lambda: mf.market_series(_panel_arrays(6, 80, 3, ((5, 0, 2), -np.inf)), _MARKET_SIX, 5),
      NonFiniteFeature, "features: feature 2 of stock 5 on period 0 is -inf"),
+    (lambda: sf.residual(_prices(((1, 17, 0), np.nan)), sf.init_params(4)), BadPrice,
+     "prices: stock 1 at period 17 is nan, not a finite positive price"),
+    (lambda: sf.residual(_prices(((3, 0, 0), -60.0)), sf.init_params(4)), BadPrice,
+     "prices: stock 3 at period 0 is -10.0"),
+    (lambda: sf.residual(_prices(((0, 79, 0), np.inf)), sf.init_params(4)), BadPrice,
+     "prices: stock 0 at period 79 is inf"),
 ], ids=["fewer-stocks", "more-stocks", "fewer-features", "window-past-panel",
-        "residual-fewer-stocks", "features-2d", "nan-feature", "infinite-feature"])
+        "residual-fewer-stocks", "features-2d", "nan-feature", "infinite-feature",
+        "residual-nan-price", "residual-negative-price", "residual-infinite-price"])
 def test_frozen_factor_passes_name_a_panel_that_does_not_fit(probe, error, message):
-    # each returned a silent result or failed deep inside numpy
+    # each returned a silent result or failed deep inside numpy; a NaN price
+    # gave a NaN u for every stock at its period
     with pytest.raises(error, match=message):
         probe()
 
@@ -538,13 +568,29 @@ def test_frozen_factor_passes_name_a_panel_that_does_not_fit(probe, error, messa
     (lambda: mf.train_market_factors(_panel_arrays(6, 80, 3, ((3, 40, 0), np.inf)), [0] * 80,
                                      mf.MarketFactorHyper(window=5, epochs=1), 60),
      NonFiniteFeature, "features: feature 0 of stock 3 on period 40 is inf"),
+    (lambda: sf.train_stock_factors(_prices(((1, 17, 0), np.nan)),
+                                    sf.StockFactorHyper(steps=1), 60),
+     BadPrice, "prices: stock 1 at period 17 is nan, not a finite positive price"),
+    (lambda: sf.train_stock_factors(_prices(((2, 40, 0), -60.0)),
+                                    sf.StockFactorHyper(steps=1), 60),
+     BadPrice, "prices: stock 2 at period 40 is -10.0"),
+    (lambda: sf.train_stock_factors(_prices(((3, 59, 0), np.inf)),
+                                    sf.StockFactorHyper(steps=1), 60),
+     BadPrice, "prices: stock 3 at period 59 is inf"),
+    (lambda: _train_forecaster_on(_panel_arrays(6, 80, 1, ((2, 30, 0), np.nan))[..., 0]),
+     NonFiniteFeature, "returns: return of stock 2 on period 30 is nan"),
+    (lambda: _train_forecaster_on(_panel_arrays(6, 80, 1, ((4, 55, 0), -np.inf))[..., 0]),
+     NonFiniteFeature, "returns: return of stock 4 on period 55 is -inf"),
 ], ids=["stock-train-end-past-panel", "stock-train-end-negative", "stock-prices-1d",
         "market-fewer-labels", "market-train-end-past-panel", "market-features-2d",
-        "market-infinite-feature"])
+        "market-infinite-feature", "stock-nan-price", "stock-negative-price",
+        "stock-infinite-price", "forecaster-nan-return", "forecaster-infinite-return"])
 def test_trainers_name_an_input_that_does_not_fit(probe, error, message):
     # the stock train_end cases trained silently, on the whole panel or on a slice
     # counted from its end; the market train_end raised TooEarly for a shuffled
-    # window; an infinite feature gave "loss diverged (nan)"; the others failed
-    # with an IndexError or unpacking a shape
+    # window; an infinite feature, a NaN or infinite price and a NaN return
+    # gave "loss diverged (nan)"; a negative price and an infinite validation
+    # return trained silently; the others failed with an IndexError or
+    # unpacking a shape
     with pytest.raises(error, match=message):
         probe()

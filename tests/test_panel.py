@@ -262,6 +262,23 @@ def test_load_panel_names_a_non_finite_feature(tmp_path, value):
         load_panel(_write(tmp_path, rows))
 
 
+def test_load_panel_checks_each_feature_cell_for_finiteness_once(tmp_path, monkeypatch):
+    # the loader checked the features to name the path, and MarketPanel.from_prices
+    # checked them again, and the close prices among them
+    sizes, check = [], panel_module._require_finite
+
+    def spy(values, *args):
+        sizes.append(values.size)
+        return check(values, *args)
+
+    monkeypatch.setattr(panel_module, "_require_finite", spy)
+    rows = [_row("2024-01-08", "A", 100), _row("2024-01-08", "B", 100),
+            _row("2024-01-09", "A", 101), _row("2024-01-09", "B", 99)]
+    loaded = load_panel(_write(tmp_path, rows))
+    assert sizes == [loaded.features.size]
+    assert loaded.returns[:, 1].tolist() == [1.0, -1.0]
+
+
 def test_load_panel_peak_stays_near_the_panel_size(tmp_path):
     # the parsed chunks were once joined into a second whole-panel copy before the
     # scatter: a peak of 4.0 times the features' bytes here, against 3.0 without it

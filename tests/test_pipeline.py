@@ -272,13 +272,18 @@ def _assert_same_artifacts(run_dir, other):
             assert a.read() == b.read(), name
 
 
-def test_full_resume_reproduces_every_artifact(small_run, tmp_path):
-    cfg, run_dir, _ = small_run
-    import shutil
+def _checkpoints_only(run_dir, tmp_path) -> str:
+    """A copy of run_dir without its artifacts: rerun, it resumes from every checkpoint."""
     clone = str(tmp_path / "resume")
     shutil.copytree(run_dir, clone)
     for name in ARTIFACTS:
         os.remove(os.path.join(clone, name))
+    return clone
+
+
+def test_full_resume_reproduces_every_artifact(small_run, tmp_path):
+    cfg, run_dir, _ = small_run
+    clone = _checkpoints_only(run_dir, tmp_path)
     run_pipeline(cfg, clone)
     _assert_same_artifacts(run_dir, clone)
 
@@ -287,10 +292,7 @@ def test_a_resumed_run_drops_its_panel_sized_inputs_before_the_backtest(small_ru
                                                                          monkeypatch):
     # the features, the market series and u were once held through the backtest
     cfg, run_dir, _ = small_run
-    clone = str(tmp_path / "resume")
-    shutil.copytree(run_dir, clone)
-    for name in ARTIFACTS:
-        os.remove(os.path.join(clone, name))
+    clone = _checkpoints_only(run_dir, tmp_path)
     seen, predict, backtest = {}, fc.predict_periods, pipeline.run_backtest
 
     def spy_predict(params, hyper, feats, u, mseries, periods):
@@ -311,6 +313,42 @@ def test_a_resumed_run_drops_its_panel_sized_inputs_before_the_backtest(small_ru
         tracemalloc.stop()
     assert seen["predict"] - seen["backtest"] >= seen["inputs"], seen
     _assert_same_artifacts(run_dir, clone)
+
+
+def test_a_resumed_run_keeps_the_summaries_of_the_scored_rows_only(small_run, tmp_path,
+                                                                    monkeypatch):
+    # a resumed run once kept the summaries of all T periods, though it scores
+    # the test span only, reading rows train_end - 1 .. T - 2
+    cfg, run_dir, artifacts = small_run
+    clone = _checkpoints_only(run_dir, tmp_path)
+    seen, predict = [], fc.predict_periods
+
+    def spy(params, hyper, feats, u, mseries, periods):
+        seen.append((mseries.first, mseries.summary.shape[1]))
+        return predict(params, hyper, feats, u, mseries, periods)
+
+    monkeypatch.setattr(fc, "predict_periods", spy)
+    run_pipeline(cfg, clone)
+    T, train_end = artifacts.panel.n_periods, artifacts.train_end
+    assert seen == [(train_end - 1, T - train_end + 1)]
+    _assert_same_artifacts(run_dir, clone)
+
+
+def test_the_demo_market_falls_back_to_uniform_weights_on_194_of_451_rows():
+    # a regression value, not a bound: the demo's weight head is all zero on
+    # 194 of the 451 rows the frozen series encodes (193 of the 450 rows,
+    # 9..458, that the forecaster reads)
+    cfg = RunConfig.from_file(DEMO_CONFIG)
+    panel, train_end, scaler = pipeline._load_data(cfg)
+    feats = scaler.transform(panel.features)
+    sync = cfg.build("sync")
+    labels = compute_synchronism_labels(compute_deltas(panel.returns, sync), sync)
+    hyper = cfg.build("market")
+    series = mf.market_series(feats, mf.train_market_factors(feats, labels, hyper, train_end),
+                              hyper.window)
+    encoded = ~np.isnan(series.m).any(axis=1)
+    assert (int(encoded.sum()), int(series.fallback.sum())) == (451, 194)
+    assert not series.fallback[~encoded].any()
 
 
 def _rewrite_checkpoint(path, change):
